@@ -12,9 +12,6 @@ from .dependence import (
     Interval,
     analyze,
     build_intervals,
-    derive_dependence_edges,
-    dp_reachable,
-    happened_before_ls,
 )
 from .model import (
     Execution,
@@ -39,10 +36,8 @@ from .protocol import (
     DataManagerState,
     GuaranteeReport,
     ProtocolError,
-    dm_on_commit_a,
-    dm_on_commit_b,
-    dm_on_release_a,
-    dm_on_release_b,
+    dm_on_commit,
+    dm_on_release,
     dm_on_timer,
     tm_commit_metadata,
     trace_pattern,

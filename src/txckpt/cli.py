@@ -12,10 +12,11 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from .dependence import CheckpointAnalysis, DependenceEdge, ExecutionAnalysis
+from .dependence import AnalysisError, Checkpoint, CheckpointAnalysis, DependenceEdge, ExecutionAnalysis
 from .model import ExecutionError
 from .protocol import checkpoint_counts, trace_pattern, verify_protocol_guarantees
 from .scenario import (
@@ -34,6 +35,7 @@ from .theory import (
     extend_to_global,
     is_consistent_global_state,
     theorem_condition,
+    violating_pair,
 )
 
 SCHEMA_VERSION = 1
@@ -53,6 +55,16 @@ def _edge_dict(edge: DependenceEdge, names: Sequence[str]) -> dict[str, Any]:
         "target": _state_str(names, edge.target.obj, edge.target.version),
         "kind": edge.kind,
         "via": list(edge.via),
+    }
+
+
+def _violation_dict(
+    source: Checkpoint, target: Checkpoint, witness: Sequence[DependenceEdge], names: Sequence[str]
+) -> dict[str, Any]:
+    return {
+        "from": _state_str(names, source.obj, source.state.version),
+        "to": _state_str(names, target.obj, target.state.version),
+        "witness": [_edge_dict(e, names) for e in witness],
     }
 
 
@@ -131,25 +143,11 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         names[obj]: {"rank": rank, "version": analysis.pattern.version_of(obj, rank)}
         for obj, rank in sorted(members.items())
     }
-    holds = theorem_condition(members, analysis)
+    pair = violating_pair(members, analysis)
+    holds = pair is None
     results: dict[str, Any] = {"members": resolved, "condition_holds": holds}
-    if not holds:
-        witness = None
-        for obj_a, rank_a in sorted(members.items()):
-            for obj_b, rank_b in sorted(members.items()):
-                a = analysis.checkpoint(obj_a, rank_a)
-                b = analysis.checkpoint(obj_b, rank_b)
-                if analysis.dp_reachable(a, b):
-                    witness = (a, b, analysis.dp_witness(a, b) or [])
-                    break
-            if witness:
-                break
-        assert witness is not None
-        results["violation"] = {
-            "from": _state_str(names, witness[0].obj, witness[0].state.version),
-            "to": _state_str(names, witness[1].obj, witness[1].state.version),
-            "witness": [_edge_dict(e, names) for e in witness[2]],
-        }
+    if pair is not None:
+        results["violation"] = _violation_dict(*pair, analysis.dp_witness(*pair) or [], names)
     oracle: dict[str, Any] = {"checked": False}
     try:
         globals_ = enumerate_consistent_globals(analysis, bound=args.oracle_bound)
@@ -172,11 +170,7 @@ def cmd_extend(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     except ConditionViolated as exc:
         results = {
             "condition_holds": False,
-            "violation": {
-                "from": _state_str(names, exc.source.obj, exc.source.state.version),
-                "to": _state_str(names, exc.target.obj, exc.target.state.version),
-                "witness": [_edge_dict(e, names) for e in exc.witness],
-            },
+            "violation": _violation_dict(exc.source, exc.target, exc.witness, names),
         }
         return {"results": results, "ok": False}, 1
     gc = extension.global_checkpoint
@@ -208,7 +202,7 @@ def _config_from_args(args: argparse.Namespace, num_objects: int) -> SimConfig:
 
 
 def _workload_from_args(args: argparse.Namespace) -> WorkloadSpec:
-    if args.workload:
+    if getattr(args, "workload", None):
         return load_workload(args.workload)
     return WorkloadSpec(
         num_objects=args.objects,
@@ -247,12 +241,10 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, Any]:
     base, analysis = trace_pattern(trace)
-    space = 1
-    for versions in analysis.pattern.versions:
-        space *= len(versions)
-    if space > bound:
+    try:
+        globals_ = enumerate_consistent_globals(analysis, bound=bound)
+    except OracleBoundExceeded:
         return {"checked": False, "reason": "candidate space beyond bound"}
-    globals_ = enumerate_consistent_globals(analysis, bound=bound)
     rng = random.Random(trace.config.seed)
     num_objects = analysis.pattern.num_objects
     candidates: list[dict[int, int]] = []
@@ -295,28 +287,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "theorem_spot_checks": spot,
         }
         return {"results": results, "ok": ok}, 0 if ok else 1
+    workload = _workload_from_args(args)
     if args.sim_batch:
+        config = _config_from_args(args, workload.num_objects)
         violations: list[str] = []
         forced_total = 0
         for i in range(args.sim_batch):
-            workload = WorkloadSpec(
-                num_objects=args.objects,
-                num_txns=args.txns,
-                ops_per_txn=(args.ops[0], args.ops[1]),
-                write_probability=args.write_prob,
-                access_skew=args.skew,
-                seed=args.wseed + i,
+            trace = run_simulation(
+                replace(workload, seed=workload.seed + i), replace(config, seed=config.seed + i)
             )
-            config = SimConfig(
-                seed=args.seed + i,
-                num_objects=args.objects,
-                protocol=args.protocol,
-                z_param=args.z,
-                message_delay_range=(args.delay[0], args.delay[1]),
-                timer_period=args.timer,
-                timer_jitter=args.jitter,
-            )
-            report = verify_protocol_guarantees(run_simulation(workload, config))
+            report = verify_protocol_guarantees(trace)
             forced_total += report.counts_by_kind["forced"]
             violations.extend(f"run {i}: {v}" for v in report.violations)
         results = {
@@ -328,15 +308,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     # theorem batch over random instances
     disagreements = []
     for i in range(args.theorem_batch):
-        workload = WorkloadSpec(
-            num_objects=args.objects,
-            num_txns=args.txns,
-            ops_per_txn=(args.ops[0], args.ops[1]),
-            write_probability=args.write_prob,
-            access_skew=args.skew,
-            seed=args.wseed + i,
-        )
-        execution, pattern = generate_random(workload)
+        execution, pattern = generate_random(replace(workload, seed=workload.seed + i))
         analysis = CheckpointAnalysis(ExecutionAnalysis(execution), pattern)
         globals_ = enumerate_consistent_globals(analysis, bound=args.oracle_bound)
         num_objects = analysis.pattern.num_objects
@@ -427,7 +399,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         body, code = args.func(args)
-    except (ScenarioError, ExecutionError, SimulationError, InputError, OracleBoundExceeded) as exc:
+    except (
+        AnalysisError, ScenarioError, ExecutionError, SimulationError, InputError, OracleBoundExceeded
+    ) as exc:
         report["error"] = str(exc)
         report["ok"] = False
         print(json.dumps(report, indent=2, sort_keys=True))

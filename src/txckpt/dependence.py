@@ -110,14 +110,6 @@ class ExecutionAnalysis:
         return out_writer == in_writer or self.graph.reaches(out_writer, in_writer)
 
 
-def happened_before_ls(a: LocalState, b: LocalState, analysis: ExecutionAnalysis) -> bool:
-    return analysis.happened_before(a, b)
-
-
-def derive_dependence_edges(analysis: ExecutionAnalysis) -> tuple[DependenceEdge, ...]:
-    return analysis.edges
-
-
 class PatternError(ValueError):
     """Invalid checkpoint pattern."""
 
@@ -168,9 +160,11 @@ class CheckpointPattern:
 
     def version_of(self, obj: int, rank: int) -> int:
         try:
-            return self.versions[obj][rank]
+            if rank >= 0:
+                return self.versions[obj][rank]
         except IndexError:
-            raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}") from None
+            pass
+        raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
 
     def rank_of(self, obj: int, version: int) -> int:
         try:
@@ -360,10 +354,6 @@ class CheckpointAnalysis:
             witness.reverse()
             return witness
         return []  # same-object rank step
-
-
-def dp_reachable(src: Checkpoint, dst: Checkpoint, analysis: CheckpointAnalysis) -> bool:
-    return analysis.dp_reachable(src, dst)
 
 
 def analyze(execution: ValidatedExecution, pattern: CheckpointPattern | None = None,

@@ -6,19 +6,17 @@ message, the maximum index the transaction observed across the objects it
 accessed.  Data managers take basic checkpoints on a timer and forced
 checkpoints on commit messages:
 
-* protocol A forces a checkpoint (of the pre-commit state) whenever its index
-  is below the piggybacked maximum, adopting that maximum as the new index;
-
 * protocol B coarsens coordination with a parameter z >= 1: it forces only
   when the piggybacked maximum, rounded down to a multiple of z, exceeds the
   current index, and that rounded value becomes the forced checkpoint's
   index.  The guard compares coordination epochs (index divided by z), so
   per-object indices stay strictly increasing even when basic checkpoints
-  interleave, and the bookkeeping threshold (next multiple of z to react to)
-  advances with every checkpoint whose index is a multiple of z.
+  interleave.  No other state is kept: there is no threshold.
 
-With z = 1 protocol B forces checkpoints at exactly the same indices as
-protocol A.
+* protocol A is protocol B with z = 1: it forces a checkpoint (of the
+  pre-commit state) whenever its index is below the piggybacked maximum,
+  adopting that maximum as the new index.  One forcing rule serves both;
+  SimConfig.z gives the z a run uses.
 
 Commit metadata travels with every lock release the committing transaction
 owes: write-set data managers receive it on the commit message that applies
@@ -66,7 +64,6 @@ class DataManagerState:
     obj: int
     index: int = 0
     version: int = 0
-    v_threshold: int = 0
     timer_deadline: int = 0
 
 
@@ -94,88 +91,57 @@ def tm_commit_metadata(txn: Transaction, observed: Mapping[int, int]) -> list[Co
     """Commit messages for a committing transaction.
 
     observed maps each accessed object to the index its data manager reported;
-    one message per written object, all carrying the maximum observed index.
+    one message per accessed object, in ascending object order, all carrying
+    the maximum observed index.  Written objects apply the write on delivery,
+    read-only ones release their read lock.
     """
     missing = sorted(txn.access_set - set(observed))
     if missing:
         raise ProtocolError(f"transaction {txn.id}: no observed index for objects {missing}")
-    if not txn.write_set:
-        return []
-    max_index = max(observed[obj] for obj in txn.access_set)
-    return [CommitMessage(txn.id, max_index, obj) for obj in sorted(txn.write_set)]
+    max_index = max((observed[obj] for obj in txn.access_set), default=0)
+    return [CommitMessage(txn.id, max_index, obj) for obj in sorted(txn.access_set)]
 
 
 def dm_on_timer(
-    dm: DataManagerState, now: int, next_deadline: int, z: int | None = None
+    dm: DataManagerState, now: int, next_deadline: int
 ) -> tuple[DataManagerState, CheckpointRecord]:
     """Basic checkpoint: bump the index and save the current version."""
     index = dm.index + 1
     record = CheckpointRecord(dm.obj, index, KIND_BASIC, dm.version, now)
-    v_threshold = dm.v_threshold
-    if z is not None and index % z == 0:
-        v_threshold = max(v_threshold, index + z)
-    return (
-        replace(dm, index=index, v_threshold=v_threshold, timer_deadline=next_deadline),
-        record,
-    )
+    return replace(dm, index=index, timer_deadline=next_deadline), record
 
 
-def _check_dest(dm: DataManagerState, msg: CommitMessage) -> None:
+def _forced_step(
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int, next_deadline: int
+) -> tuple[DataManagerState, CheckpointRecord | None]:
     if msg.dest != dm.obj:
         raise ProtocolError(f"message for object {msg.dest} delivered to data manager {dm.obj}")
-
-
-def _forced_step_a(
-    dm: DataManagerState, max_index: int, now: int, next_deadline: int
-) -> tuple[DataManagerState, CheckpointRecord | None]:
-    if dm.index < max_index:
-        record = CheckpointRecord(dm.obj, max_index, KIND_FORCED, dm.version, now)
-        return replace(dm, index=max_index, timer_deadline=next_deadline), record
-    return dm, None
-
-
-def _forced_step_b(
-    dm: DataManagerState, max_index: int, z: int, now: int, next_deadline: int
-) -> tuple[DataManagerState, CheckpointRecord | None]:
     if z < 1:
         raise ProtocolError("z must be at least 1")
     # rounded > index is exactly "the incoming metadata names a later
     # coordination epoch than ours" (index // z < max_index // z); firing on
     # any weaker guard cannot keep equal-epoch checkpoints independent.
-    rounded = (max_index // z) * z
+    rounded = (msg.max_index // z) * z
     if rounded > dm.index:
         record = CheckpointRecord(dm.obj, rounded, KIND_FORCED, dm.version, now)
-        return (
-            replace(dm, index=rounded, v_threshold=rounded + z, timer_deadline=next_deadline),
-            record,
-        )
+        return replace(dm, index=rounded, timer_deadline=next_deadline), record
     return dm, None
 
 
-def dm_on_commit_a(
-    dm: DataManagerState, msg: CommitMessage, now: int, next_deadline: int
+def dm_on_commit(
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int, next_deadline: int
 ) -> tuple[DataManagerState, CheckpointRecord | None]:
-    """Protocol A commit handling: force a checkpoint when the index lags.
+    """Commit handling: force a checkpoint when msg names a later epoch.
 
     The forced checkpoint saves the state before the incoming write applies;
     the write is applied afterwards in either case.
     """
-    _check_dest(dm, msg)
-    dm, record = _forced_step_a(dm, msg.max_index, now, next_deadline)
+    dm, record = _forced_step(dm, msg, z, now, next_deadline)
     return replace(dm, version=dm.version + 1), record
 
 
-def dm_on_commit_b(
+def dm_on_release(
     dm: DataManagerState, msg: CommitMessage, z: int, now: int, next_deadline: int
-) -> tuple[DataManagerState, CheckpointRecord | None]:
-    """Protocol B commit handling: force at most every z index values."""
-    _check_dest(dm, msg)
-    dm, record = _forced_step_b(dm, msg.max_index, z, now, next_deadline)
-    return replace(dm, version=dm.version + 1), record
-
-
-def dm_on_release_a(
-    dm: DataManagerState, msg: CommitMessage, now: int, next_deadline: int
 ) -> tuple[DataManagerState, CheckpointRecord | None]:
     """Read-lock release from a committed reader: same forcing rule, no write.
 
@@ -186,16 +152,7 @@ def dm_on_release_a(
     checkpoint taken after the overwrite reuse (or undercut) an index that a
     checkpoint before the reader's snapshot already carries.
     """
-    _check_dest(dm, msg)
-    return _forced_step_a(dm, msg.max_index, now, next_deadline)
-
-
-def dm_on_release_b(
-    dm: DataManagerState, msg: CommitMessage, z: int, now: int, next_deadline: int
-) -> tuple[DataManagerState, CheckpointRecord | None]:
-    """Protocol B variant of dm_on_release_a."""
-    _check_dest(dm, msg)
-    return _forced_step_b(dm, msg.max_index, z, now, next_deadline)
+    return _forced_step(dm, msg, z, now, next_deadline)
 
 
 @dataclass(frozen=True)
@@ -224,7 +181,7 @@ def trace_pattern(trace: "Trace") -> tuple[ExecutionAnalysis, CheckpointAnalysis
 def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
     """Check every protocol guarantee the trace is supposed to satisfy."""
     protocol = trace.config.protocol
-    z = trace.config.z_param if protocol == PROTOCOL_B else 1
+    z = trace.config.z
     base, analysis = trace_pattern(trace)
     records = list(trace.checkpoint_log)
     violations: list[str] = []

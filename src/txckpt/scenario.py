@@ -233,26 +233,6 @@ def builtin_scenario(name: str) -> Scenario:
     return scenario_from_dict(data, name=name)
 
 
-def fig3_reconstruction_facts(scenario: Scenario) -> dict[str, bool]:
-    """The three facts the fig3 commit order must reproduce.
-
-    Downstream fig3 tests assert these before trusting anything else:
-    transaction 1 precedes transaction 6 in the serialization order,
-    transactions 1 and 7 are unrelated in it, and object z has exactly four
-    states before its second checkpoint.
-    """
-    from .dependence import ExecutionAnalysis  # local import to keep scenario loading light
-
-    analysis = ExecutionAnalysis(scenario.execution)
-    z = scenario.object_index("z")
-    z_versions = scenario.pattern.versions[z]
-    return {
-        "t1_precedes_t6": analysis.graph.reaches(1, 6),
-        "t1_t7_unrelated": not analysis.graph.reaches(1, 7) and not analysis.graph.reaches(7, 1),
-        "first_z_interval_has_4_states": len(z_versions) >= 2 and z_versions[1] - z_versions[0] == 4,
-    }
-
-
 @dataclass(frozen=True)
 class WorkloadSpec:
     num_objects: int
@@ -281,13 +261,13 @@ def workload_from_dict(data: Mapping[str, Any], where: str = "workload") -> Work
     unknown = set(data) - allowed
     if unknown:
         raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
-    ops = data.get("ops_per_txn", [1, 3])
-    if not isinstance(ops, (list, tuple)) or len(ops) != 2:
+    ops = _int_list(data.get("ops_per_txn", [1, 3]), f"{where}.ops_per_txn")
+    if len(ops) != 2:
         raise ScenarioError(f"{where}.ops_per_txn: expected [lo, hi]")
     return WorkloadSpec(
         num_objects=_expect(data, "num_objects", int, where),
         num_txns=_expect(data, "num_txns", int, where),
-        ops_per_txn=(int(ops[0]), int(ops[1])),
+        ops_per_txn=(ops[0], ops[1]),
         write_probability=float(data.get("write_probability", 0.5)),
         access_skew=float(data.get("access_skew", 0.0)),
         seed=int(data.get("seed", 0)),

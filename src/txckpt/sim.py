@@ -10,8 +10,8 @@ that applies the new version, read-only ones get a lock-release notification.
 Each lock is held until its data manager processes that message, so
 per-object access order follows commit order even though deliveries
 interleave.  Data manager timers drive basic checkpoints while an object has
-no write in flight; message deliveries drive the forced-checkpoint rules of
-the configured protocol.
+no write in flight; message deliveries drive the forcing rule with the
+configured protocol's z.
 
 A run is a pure function of (workload, config): identical inputs give
 byte-identical traces.
@@ -22,26 +22,27 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from .model import Execution, Transaction, ValidatedExecution, validate_execution
 from .protocol import (
+    KIND_BASIC,
+    KIND_FORCED,
+    KIND_INITIAL,
     PROTOCOL_A,
     PROTOCOL_B,
     CheckpointRecord,
     CommitMessage,
     DataManagerState,
-    dm_on_commit_a,
-    dm_on_commit_b,
-    dm_on_release_a,
-    dm_on_release_b,
+    dm_on_commit,
+    dm_on_release,
     dm_on_timer,
     initial_record,
     tm_commit_metadata,
 )
-from .scenario import WorkloadSpec, workload_from_dict, workload_transactions
+from .scenario import WorkloadSpec, _expect, _int_list, workload_from_dict, workload_transactions
 
 EV_TXN_BEGIN = "txn_begin"
 EV_LOCK_ACQUIRED = "lock_acquired"
@@ -65,7 +66,6 @@ class SimConfig:
     timer_jitter: int = 0
     arrival_gap_range: tuple[int, int] = (0, 5)
     work_delay_range: tuple[int, int] = (1, 5)
-    object_placement: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.protocol not in (PROTOCOL_A, PROTOCOL_B):
@@ -77,14 +77,14 @@ class SimConfig:
         if self.timer_jitter < 0:
             raise SimulationError("timer_jitter must be non-negative")
         for name in ("message_delay_range", "arrival_gap_range", "work_delay_range"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi:
-                raise SimulationError(f"{name} must satisfy 0 <= lo <= hi")
-        if self.object_placement is not None and len(self.object_placement) != self.num_objects:
-            raise SimulationError("object_placement must name a site per object")
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
+                raise SimulationError(f"{name} must be (lo, hi) with 0 <= lo <= hi")
 
-    def placement(self) -> tuple[int, ...]:
-        return self.object_placement or tuple(range(self.num_objects))
+    @property
+    def z(self) -> int:
+        """The forcing rule's z: z_param under protocol B, 1 under protocol A."""
+        return self.z_param if self.protocol == PROTOCOL_B else 1
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ class Trace:
         cfg["message_delay_range"] = list(self.config.message_delay_range)
         cfg["arrival_gap_range"] = list(self.config.arrival_gap_range)
         cfg["work_delay_range"] = list(self.config.work_delay_range)
-        cfg["object_placement"] = list(self.config.placement())
         wl = {f.name: getattr(self.workload, f.name) for f in fields(self.workload)}
         wl["ops_per_txn"] = list(self.workload.ops_per_txn)
         return {
@@ -143,10 +142,16 @@ class Trace:
         if data.get("schema_version") != 1:
             raise SimulationError("unsupported trace schema version")
         cfg = dict(data["config"])
-        cfg["message_delay_range"] = tuple(cfg["message_delay_range"])
-        cfg["arrival_gap_range"] = tuple(cfg["arrival_gap_range"])
-        cfg["work_delay_range"] = tuple(cfg["work_delay_range"])
-        cfg["object_placement"] = tuple(cfg["object_placement"])
+        cfg.pop("object_placement", None)  # written by older versions, never read
+        known = [f.name for f in fields(SimConfig)]
+        unknown = set(cfg) - set(known)
+        if unknown:
+            raise SimulationError(f"trace.config: unknown fields {sorted(unknown)}")
+        for name in known:
+            if name.endswith("_range"):
+                cfg[name] = tuple(_int_list(cfg.get(name), f"trace.config.{name}"))
+            elif name != "protocol":
+                _expect(cfg, name, int, "trace.config")
         config = SimConfig(**cfg)
         workload = workload_from_dict(data["workload"])
         exe = data["execution"]
@@ -166,11 +171,21 @@ class Trace:
             )
             for e in data["events"]
         )
-        log = tuple(
-            CheckpointRecord(r["obj"], r["index"], r["kind"], r["version"], r["time"])
-            for r in data["checkpoint_log"]
-        )
-        return Trace(config, workload, execution, events, log)
+        last_version = Counter(obj for txn in execution.transactions for obj in txn.write_set)
+        log = []
+        for i, r in enumerate(data["checkpoint_log"]):
+            where = f"trace.checkpoint_log[{i}]"
+            obj, index, version, time = (_expect(r, k, int, where) for k in ("obj", "index", "version", "time"))
+            if r.get("kind") not in (KIND_INITIAL, KIND_BASIC, KIND_FORCED):
+                raise SimulationError(f"{where}: unknown kind {r.get('kind')!r}")
+            if not 0 <= obj < execution.num_objects:
+                raise SimulationError(f"{where}: object {obj} out of range")
+            if not 0 <= version <= last_version[obj]:
+                raise SimulationError(
+                    f"{where}: version {version} outside object {obj}'s versions 0..{last_version[obj]}"
+                )
+            log.append(CheckpointRecord(obj, index, r["kind"], version, time))
+        return Trace(config, workload, execution, events, tuple(log))
 
     @staticmethod
     def from_json(text: str) -> "Trace":
@@ -295,34 +310,23 @@ class _Simulation:
     def _on_commit(self, txn_id: int) -> None:
         run = self.txns[txn_id]
         self.commit_order.append(txn_id)
-        tm_commit_metadata(run.txn, run.observed)  # validates coverage
-        max_index = max(run.observed.values())
-        self._record(EV_TXN_COMMIT, txn=txn_id, max_index=max_index)
+        msgs = tm_commit_metadata(run.txn, run.observed)
+        self._record(EV_TXN_COMMIT, txn=txn_id, max_index=msgs[0].max_index)
         lo, hi = self.config.message_delay_range
         # Commit metadata rides every lock release this transaction owes:
         # commit messages to written objects, release notifications to
         # read-only ones.  Locks free only when the message lands, so
         # per-object processing order matches commit order.
-        for obj in sorted(run.txn.access_set):
+        for msg in msgs:
             self.outstanding_msgs += 1
-            apply_write = int(obj in run.txn.write_set)
-            self._schedule(
-                self.now + self.rng.randint(lo, hi), EV_COMMIT_MSG, (txn_id, max_index, obj, apply_write)
-            )
+            self._schedule(self.now + self.rng.randint(lo, hi), EV_COMMIT_MSG, (msg,))
 
-    def _on_delivery(self, txn_id: int, max_index: int, obj: int, apply_write: int) -> None:
+    def _on_delivery(self, msg: CommitMessage) -> None:
         self.outstanding_msgs -= 1
-        msg = CommitMessage(txn_id, max_index, obj)
-        deadline = self._next_deadline()
-        protocol_a = self.config.protocol == PROTOCOL_A
-        if apply_write:
-            step = dm_on_commit_a if protocol_a else dm_on_commit_b
-        else:
-            step = dm_on_release_a if protocol_a else dm_on_release_b
-        if protocol_a:
-            dm, record = step(self.dms[obj], msg, self.now, deadline)
-        else:
-            dm, record = step(self.dms[obj], msg, self.config.z_param, self.now, deadline)
+        txn_id, obj = msg.txn, msg.dest
+        apply_write = int(obj in self.txns[txn_id].txn.write_set)
+        step = dm_on_commit if apply_write else dm_on_release
+        dm, record = step(self.dms[obj], msg, self.config.z, self.now, self._next_deadline())
         self.dms[obj] = dm
         if record is not None:
             self.log.append(record)
@@ -332,7 +336,7 @@ class _Simulation:
             EV_COMMIT_MSG,
             txn=txn_id,
             obj=obj,
-            max_index=max_index,
+            max_index=msg.max_index,
             apply=apply_write,
             forced=int(record is not None),
         )
@@ -352,8 +356,7 @@ class _Simulation:
             # checkpoint here would not be reflected in that writer's metadata.
             self._schedule(deadline, EV_TIMER, (obj, gen))
             return
-        z = self.config.z_param if self.config.protocol == PROTOCOL_B else None
-        dm, record = dm_on_timer(self.dms[obj], self.now, deadline, z)
+        dm, record = dm_on_timer(self.dms[obj], self.now, deadline)
         self.dms[obj] = dm
         self.log.append(record)
         self._record(EV_TIMER, obj=obj, index=dm.index)

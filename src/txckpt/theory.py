@@ -86,8 +86,12 @@ def _resolve_candidate(candidate: Mapping[int, int], analysis: CheckpointAnalysi
     return [analysis.checkpoint(obj, rank) for obj, rank in sorted(candidate.items())]
 
 
-def theorem_condition(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> bool:
-    """No dependence path between any two members, self-paths included.
+def violating_pair(
+    candidate: Mapping[int, int], analysis: CheckpointAnalysis
+) -> tuple[Checkpoint, Checkpoint] | None:
+    """The first (source, target) pair of members, in object order, joined by
+    a dependence path (a member with a path to itself pairs with itself);
+    None when there is no such pair.
 
     candidate maps object -> checkpoint rank, at most one entry per object.
     """
@@ -95,8 +99,13 @@ def theorem_condition(candidate: Mapping[int, int], analysis: CheckpointAnalysis
     for a in members:
         for b in members:
             if analysis.dp_reachable(a, b):
-                return False
-    return True
+                return a, b
+    return None
+
+
+def theorem_condition(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> bool:
+    """No dependence path between any two members, self-paths included."""
+    return violating_pair(candidate, analysis) is None
 
 
 @dataclass(frozen=True)
@@ -115,11 +124,10 @@ def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis)
     whose checkpoint has no dependence path to that member (rank 0 when the
     member has rank 0).
     """
+    pair = violating_pair(candidate, analysis)
+    if pair is not None:
+        raise ConditionViolated(*pair, analysis.dp_witness(*pair) or [])
     members = _resolve_candidate(candidate, analysis)
-    for a in members:
-        for b in members:
-            if analysis.dp_reachable(a, b):
-                raise ConditionViolated(a, b, analysis.dp_witness(a, b) or [])
     chosen: list[Checkpoint] = []
     min_safe: dict[int, dict[int, int]] = {}
     for obj in range(analysis.pattern.num_objects):

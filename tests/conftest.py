@@ -123,6 +123,24 @@ def scenario_analysis(scenario) -> CheckpointAnalysis:
     return CheckpointAnalysis(ExecutionAnalysis(scenario.execution), scenario.pattern)
 
 
+def fig3_reconstruction_facts(scenario) -> dict[str, bool]:
+    """The three facts the fig3 commit order must reproduce.
+
+    Downstream fig3 tests assert these before trusting anything else:
+    transaction 1 precedes transaction 6 in the serialization order,
+    transactions 1 and 7 are unrelated in it, and object z has exactly four
+    states before its second checkpoint.
+    """
+    analysis = ExecutionAnalysis(scenario.execution)
+    z = scenario.object_index("z")
+    z_versions = scenario.pattern.versions[z]
+    return {
+        "t1_precedes_t6": analysis.graph.reaches(1, 6),
+        "t1_t7_unrelated": not analysis.graph.reaches(1, 7) and not analysis.graph.reaches(7, 1),
+        "first_z_interval_has_4_states": len(z_versions) >= 2 and z_versions[1] - z_versions[0] == 4,
+    }
+
+
 @st.composite
 def executions(draw, max_objects=4, max_txns=6):
     num_objects = draw(st.integers(1, max_objects))

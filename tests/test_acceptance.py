@@ -21,7 +21,6 @@ from txckpt.protocol import verify_protocol_guarantees
 from txckpt.scenario import (
     WorkloadSpec,
     builtin_scenario,
-    fig3_reconstruction_facts,
     generate_random,
 )
 from txckpt.sim import SimConfig, run_simulation
@@ -33,7 +32,7 @@ from txckpt.theory import (
     theorem_condition,
 )
 
-from conftest import scenario_analysis
+from conftest import fig3_reconstruction_facts, scenario_analysis
 
 
 def _instance(i: int):

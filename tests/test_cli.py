@@ -71,6 +71,13 @@ class TestCheck:
         code, _ = run_cli(capsys, "check", "fig1a", "x:0", "x:1")
         assert code == 2
 
+    @pytest.mark.parametrize("command, member", [
+        ("check", "u:9"), ("extend", "u:9"), ("check", "u:-1"), ("extend", "x:-1"),
+    ])
+    def test_bad_rank_exits_2(self, capsys, command, member):
+        code, report = run_cli(capsys, command, "fig3", member)
+        assert code == 2 and "error" in report and report["ok"] is False
+
 
 class TestExtend:
     def test_fig3_extends_x(self, capsys):
@@ -161,6 +168,42 @@ class TestSimulateAndVerify:
         out.write_text(json.dumps(data))
         code, report = run_cli(capsys, "verify", str(out))
         assert code == 1 and report["results"]["violations"]
+
+    def test_trace_with_old_placement_key_verifies_the_same(self, capsys, tmp_path):
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--seed", "4",
+                "--timer", "5", "--out", str(out))
+        code, report = run_cli(capsys, "verify", str(out))
+        data = json.loads(out.read_text())
+        data["config"]["object_placement"] = [0, 1, 2]
+        out.write_text(json.dumps(data))
+        assert run_cli(capsys, "verify", str(out)) == (code, report)
+        assert code == 0
+
+    @pytest.mark.parametrize("corrupt", [
+        ("checkpoint_log", "obj", 99),
+        ("checkpoint_log", "kind", "weird"),
+        ("checkpoint_log", "version", 999),
+        ("config", "timer_period", "x"),
+        ("workload", "ops_per_txn", ["a", 2]),
+    ])
+    def test_corrupt_trace_or_workload_exits_2(self, capsys, tmp_path, corrupt):
+        section, field, value = corrupt
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--seed", "4",
+                "--timer", "5", "--out", str(out))
+        data = json.loads(out.read_text())
+        if section == "workload":
+            path = tmp_path / "wl.json"
+            path.write_text(json.dumps({**data["workload"], field: value}))
+            args = ("simulate", "--workload", str(path))
+        else:
+            target = data[section][-1] if section == "checkpoint_log" else data[section]
+            target[field] = value
+            out.write_text(json.dumps(data))
+            args = ("verify", str(out))
+        code, report = run_cli(capsys, *args)
+        assert code == 2 and "error" in report and report["ok"] is False
 
     def test_verify_unreadable_trace_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nope.json"

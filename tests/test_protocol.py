@@ -11,9 +11,8 @@ from txckpt.protocol import (
     DataManagerState,
     ProtocolError,
     checkpoint_counts,
-    dm_on_commit_a,
-    dm_on_commit_b,
-    dm_on_release_a,
+    dm_on_commit,
+    dm_on_release,
     dm_on_timer,
     initial_record,
     tm_commit_metadata,
@@ -25,13 +24,13 @@ from txckpt.sim import SimConfig, Trace, run_simulation
 
 class TestCommitMetadata:
     def test_max_over_all_accessed(self):
-        txn = Transaction.make(0, reads=[1], writes=[0])
-        msgs = tm_commit_metadata(txn, {0: 0, 1: 3})
-        assert msgs == [CommitMessage(0, 3, 0)]
+        txn = Transaction.make(0, reads=[2, 1], writes=[0])
+        msgs = tm_commit_metadata(txn, {0: 0, 1: 3, 2: 1})
+        assert msgs == [CommitMessage(0, 3, 0), CommitMessage(0, 3, 1), CommitMessage(0, 3, 2)]
 
-    def test_read_only_sends_nothing(self):
+    def test_read_only_releases_every_read_object(self):
         txn = Transaction.make(0, reads=[0, 1], writes=[])
-        assert tm_commit_metadata(txn, {0: 2, 1: 5}) == []
+        assert tm_commit_metadata(txn, {0: 2, 1: 5}) == [CommitMessage(0, 5, 0), CommitMessage(0, 5, 1)]
 
     def test_one_message_per_written_object(self):
         txn = Transaction.make(0, reads=[], writes=[0, 1])
@@ -61,68 +60,82 @@ class TestBasicCheckpoints:
         dm, r2 = dm_on_timer(dm, 5, 10)
         assert (r1.index, r2.index) == (1, 2)
 
-    def test_threshold_advances_on_multiple_of_z(self):
-        dm = DataManagerState(obj=0, index=3, v_threshold=4)
-        dm, rec = dm_on_timer(dm, 0, 5, z=4)
-        assert rec.index == 4 and dm.v_threshold == 8
-
 
 class TestForcedCheckpointsA:
+    """Protocol A is z = 1: force whenever the index lags the maximum."""
+
     def test_lagging_index_forces_pre_write_snapshot(self):
         dm = DataManagerState(obj=0, index=0, version=1)
-        dm, rec = dm_on_commit_a(dm, CommitMessage(5, 3, 0), now=7, next_deadline=20)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7, next_deadline=20)
         assert rec == CheckpointRecord(0, 3, KIND_FORCED, 1, 7)
         assert dm.index == 3 and dm.version == 2 and dm.timer_deadline == 20
 
     def test_ahead_index_only_applies(self):
         dm = DataManagerState(obj=0, index=5, version=0, timer_deadline=9)
-        dm, rec = dm_on_commit_a(dm, CommitMessage(5, 3, 0), now=7, next_deadline=20)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7, next_deadline=20)
         assert rec is None and dm.index == 5 and dm.version == 1
         assert dm.timer_deadline == 9  # timer untouched without a checkpoint
 
     def test_equal_index_does_not_force(self):
         dm = DataManagerState(obj=0, index=3)
-        dm, rec = dm_on_commit_a(dm, CommitMessage(5, 3, 0), now=7, next_deadline=20)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7, next_deadline=20)
         assert rec is None and dm.version == 1
 
     def test_wrong_destination_rejected(self):
-        dm = DataManagerState(obj=0)
-        with pytest.raises(ProtocolError, match="delivered to data manager"):
-            dm_on_commit_a(dm, CommitMessage(5, 3, 1), 0, 0)
+        for step in (dm_on_commit, dm_on_release):
+            with pytest.raises(ProtocolError, match="delivered to data manager"):
+                step(DataManagerState(obj=0), CommitMessage(5, 3, 1), 1, 0, 0)
 
     def test_release_forces_without_apply(self):
         dm = DataManagerState(obj=0, index=0, version=2)
-        dm, rec = dm_on_release_a(dm, CommitMessage(5, 4, 0), now=3, next_deadline=9)
+        dm, rec = dm_on_release(dm, CommitMessage(5, 4, 0), 1, now=3, next_deadline=9)
         assert rec == CheckpointRecord(0, 4, KIND_FORCED, 2, 3)
         assert dm.index == 4 and dm.version == 2
 
 
 class TestForcedCheckpointsB:
     def test_rounds_down_to_multiple(self):
-        dm = DataManagerState(obj=0, index=0, v_threshold=0)
-        dm, rec = dm_on_commit_b(dm, CommitMessage(5, 6, 0), z=4, now=2, next_deadline=9)
-        assert rec is not None and rec.index == 4
-        assert dm.index == 4 and dm.v_threshold == 8
+        dm = DataManagerState(obj=0, index=0)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 6, 0), 4, now=2, next_deadline=9)
+        assert rec == CheckpointRecord(0, 4, KIND_FORCED, 0, 2)
+        assert dm.index == 4 and dm.version == 1
 
     def test_same_epoch_does_not_force(self):
-        dm = DataManagerState(obj=0, index=4, v_threshold=8)
-        dm, rec = dm_on_commit_b(dm, CommitMessage(5, 7, 0), z=4, now=2, next_deadline=9)
+        dm = DataManagerState(obj=0, index=4)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 7, 0), 4, now=2, next_deadline=9)
         assert rec is None and dm.index == 4 and dm.version == 1
 
-    def test_z_one_matches_protocol_a_indices(self):
-        for index, max_index in ((0, 0), (0, 1), (2, 3), (3, 3), (5, 4)):
-            dm_a = DataManagerState(obj=0, index=index)
-            dm_b = DataManagerState(obj=0, index=index)
-            out_a, rec_a = dm_on_commit_a(dm_a, CommitMessage(1, max_index, 0), 0, 5)
-            out_b, rec_b = dm_on_commit_b(dm_b, CommitMessage(1, max_index, 0), 1, 0, 5)
-            assert out_a.index == out_b.index
-            assert (rec_a is None) == (rec_b is None)
-            if rec_a is not None:
-                assert rec_a.index == rec_b.index
+    def test_release_rounds_down_without_apply(self):
+        dm = DataManagerState(obj=0, index=1, version=3)
+        dm, rec = dm_on_release(dm, CommitMessage(5, 7, 0), 3, now=2, next_deadline=9)
+        assert rec == CheckpointRecord(0, 6, KIND_FORCED, 3, 2)
+        assert dm.index == 6 and dm.version == 3
 
     def test_z_must_be_positive(self):
-        with pytest.raises(ProtocolError, match="at least 1"):
-            dm_on_commit_b(DataManagerState(obj=0), CommitMessage(1, 1, 0), 0, 0, 5)
+        for step in (dm_on_commit, dm_on_release):
+            with pytest.raises(ProtocolError, match="at least 1"):
+                step(DataManagerState(obj=0), CommitMessage(1, 1, 0), 0, 0, 5)
+
+    def test_z_one_matches_protocol_a_indices(self):
+        # Whole runs: protocol A (whatever its z_param) and protocol B with
+        # z = 1 produce the same events and the same checkpoint log.
+        forced = 0
+        for seed in range(24):
+            objects, txns = (3, 20) if seed % 2 else (5, 40)
+            workload = WorkloadSpec(num_objects=objects, num_txns=txns, write_probability=0.6, seed=seed)
+            traces = [
+                run_simulation(workload, SimConfig(
+                    seed=seed, num_objects=objects, protocol=protocol, z_param=z,
+                    timer_period=5, message_delay_range=(1, 8),
+                ))
+                for protocol, z in (("B", 1), ("A", 1), ("A", 3))
+            ]
+            reference = traces[0]
+            for other in traces[1:]:
+                assert other.events == reference.events
+                assert other.checkpoint_log == reference.checkpoint_log
+            forced += sum(r.kind == KIND_FORCED for r in reference.checkpoint_log)
+        assert forced > 0
 
 
 def small_trace(protocol="A", z=1, seed=0):

@@ -13,7 +13,6 @@ from txckpt.scenario import (
     ScenarioError,
     WorkloadSpec,
     builtin_scenario,
-    fig3_reconstruction_facts,
     generate_random,
     load_scenario,
     save_scenario,
@@ -21,6 +20,8 @@ from txckpt.scenario import (
     scenario_to_dict,
     workload_transactions,
 )
+
+from conftest import fig3_reconstruction_facts
 
 
 class TestBuiltins:

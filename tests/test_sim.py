@@ -120,16 +120,6 @@ class TestCheckpointBehavior:
         for indices in per_obj.values():
             assert all(a < b for a, b in zip(indices, indices[1:]))
 
-    def test_threshold_stays_multiple_of_z(self):
-        # replay a protocol-B run through the pure steps and watch the threshold
-        from txckpt.protocol import DataManagerState, dm_on_timer
-
-        dm = DataManagerState(obj=0)
-        for now in range(0, 40, 5):
-            dm, _ = dm_on_timer(dm, now, now + 5, z=3)
-            assert dm.v_threshold % 3 == 0
-            assert dm.v_threshold in (0, dm.index + 3) or dm.v_threshold > dm.index
-
     def test_forced_checkpoint_snapshots_pre_commit_version(self):
         # A forced checkpoint's version must be strictly below the version the
         # triggering write produces, and the triggering delivery follows it.
