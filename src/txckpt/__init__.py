@@ -10,7 +10,6 @@ from .dependence import (
     DependenceEdge,
     ExecutionAnalysis,
     Interval,
-    analyze,
     build_intervals,
 )
 from .model import (

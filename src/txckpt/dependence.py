@@ -12,7 +12,8 @@ Two relations are derived from an execution:
   ordered by the (transitively closed) serialization relation, a dashed edge
   runs from each pre-state of the earlier writer to each post-state of the
   later one.  Over this closure the edge set coincides exactly with the
-  happened_before pairs, which the test suite checks.
+  happened_before pairs, which the test suite checks.  Only reports and the
+  recovery-line check read the set, so it is built on first use.
 
 Dependence paths (DP) chain edges through checkpoint intervals.  Timing
 convention: a checkpoint saves its version as soon as that version exists, so
@@ -22,13 +23,22 @@ previous version's interval is still the last saved one.  Consequently a path
 "arrives before" a checkpoint when its last edge lands at a version less than
 or equal to the checkpoint's version.  This convention is what makes the
 pairwise DP condition exactly equivalent to brute-force extendability.
+
+Paths are searched over transactions, as Netzer and Xu's zigzag paths are,
+not over the edge set.  The serialization order is the closure of each
+object's conflict chain (writer of version k -> its readers -> writer of
+version k+1): a path starts at the writers of its origin interval, follows
+chains, and lands in the interval of each visited writer's pre-version of an
+object it writes, where that object's later writers carry it on.  So each
+interval's reach is one tuple: per object, the lowest interval reached.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from .model import (
     LocalState,
@@ -72,10 +82,11 @@ class ExecutionAnalysis:
         self.execution = execution
         self.graph: SerializationGraph = build_serialization_graph(execution)
         self.timeline: StateTimeline = assign_versions(execution)
-        self.txn_by_id = {t.id: t for t in execution.transactions}
-        self.edges: tuple[DependenceEdge, ...] = tuple(
-            sorted(self._derive_edges(), key=DependenceEdge.sort_key)
-        )
+
+    @cached_property
+    def edges(self) -> tuple[DependenceEdge, ...]:
+        """Every dependence edge, in sort_key order; O(n^2 k^2), built on first use."""
+        return tuple(sorted(self._derive_edges(), key=DependenceEdge.sort_key))
 
     def _derive_edges(self) -> Iterable[DependenceEdge]:
         timeline = self.timeline
@@ -214,9 +225,6 @@ def build_intervals(pattern: CheckpointPattern, timeline: StateTimeline) -> dict
     return assignment
 
 
-Node = tuple[int, int]  # (object, interval rank)
-
-
 class CheckpointAnalysis:
     """Dependence-path reachability for one execution and checkpoint pattern.
 
@@ -234,61 +242,78 @@ class CheckpointAnalysis:
         self.base = base
         self.pattern = pattern.with_final_states(base.timeline)
         self.intervals = build_intervals(self.pattern, base.timeline)
-        self._interval_rank = {
-            obj: [self.intervals[LocalState(obj, v)].rank for v in range(base.timeline.max_version(obj) + 1)]
-            for obj in range(base.timeline.num_objects)
-        }
-        self._succ: dict[Node, list[Node]] = {}
-        self._dep: dict[Node, list[Node]] = {}
-        self._dep_witness: dict[tuple[Node, Node], DependenceEdge] = {}
-        self._build_interval_graph()
-        self._dp_reach = {node: self._reach_with_dependence(node) for node in self._nodes()}
+        timeline, versions = base.timeline, self.pattern.versions
+        # Per transaction: its conflict-chain successors (the readers of each
+        # version it wrote, the next writer of each object it accessed), and
+        # its landings (written object, interval of its pre-version there).
+        hops: dict[int, set[int]] = {t.id: set() for t in base.execution.transactions}
+        landings: dict[int, list[tuple[int, int]]] = {t.id: [] for t in base.execution.transactions}
+        for (txn, obj), pre in timeline.pre_version.items():
+            wrote = (txn, obj) in timeline.post_version
+            if wrote:
+                landings[txn].append((obj, bisect_right(versions[obj], pre) - 1))
+            elif pre:
+                hops[timeline.writers[obj][pre - 1]].add(txn)
+            after = pre + 1 if wrote else pre
+            if after < timeline.max_version(obj):
+                hops[txn].add(timeline.writers[obj][after])
+        self._hops = {txn: sorted(nxt) for txn, nxt in hops.items()}
+        self._landings = {txn: sorted(landed) for txn, landed in landings.items()}
+        # Per interval (object, rank): the reach tuple of its dependence paths.
+        self._reach: list[list[tuple[int, ...]]] = [
+            [tuple(reach) for reach, _, _ in self._search(obj, range(len(vs) - 1, -1, -1))][::-1]
+            for obj, vs in enumerate(versions)
+        ]
 
-    # -- interval graph ------------------------------------------------------
+    def _search(self, obj: int, ranks: Iterable[int]) -> Iterator[tuple[list[int], dict, list]]:
+        """Paths out of intervals (obj, rank), one layer per dependence edge.
 
-    def _nodes(self) -> list[Node]:
-        return [(obj, rank) for obj in range(self.pattern.num_objects) for rank in self.pattern.ranks(obj)]
+        For each rank in turn (descending, each search extends the last) the
+        writers of obj from interval rank upward start, each followed by its
+        chain closure.  Every landing of a layer's writer lowers reach and
+        starts the landed object's writers as the next layer.  Yields reach
+        (per object the lowest interval landed in, else its interval count),
+        each visited transaction's parent - (previous, None) after a hop,
+        (landing transaction or None, object entered) at a start - and per
+        object the (interval, transaction) of each landing that lowered reach.
+        """
+        versions = self.pattern.versions
+        writers = self.base.timeline.writers
+        reach = [len(vs) for vs in versions]
+        started = list(reach)
+        parent: dict[int, tuple[int | None, int | None]] = {}
+        lowered: list[list[tuple[int, int]]] = [[] for _ in versions]
 
-    def _build_interval_graph(self) -> None:
-        for obj, rank in self._nodes():
-            nxt = []
-            if rank + 1 in self.pattern.ranks(obj):
-                nxt.append((obj, rank + 1))
-            self._succ[(obj, rank)] = nxt
-            self._dep[(obj, rank)] = []
-        dep_pairs: set[tuple[Node, Node]] = set()
-        for edge in self.base.edges:
-            start = (edge.source.obj, self._interval_rank[edge.source.obj][edge.source.version])
-            # The target version comes into being while the previous version's
-            # interval is the last one saved: arrival lands there.
-            arrive = (edge.target.obj, self._interval_rank[edge.target.obj][edge.target.version - 1])
-            pair = (start, arrive)
-            if pair not in dep_pairs:
-                dep_pairs.add(pair)
-                self._dep[start].append(arrive)
-                self._dep_witness[pair] = edge
-        for node in self._dep:
-            self._dep[node].sort()
+        def start(x: int, rank: int, via: int | None, layer: list[int]) -> None:
+            stop = versions[x][started[x]] if started[x] < len(versions[x]) else None
+            for txn in writers[x][versions[x][rank]:stop]:
+                if txn not in parent:
+                    parent[txn] = (via, x)
+                    i = len(layer)
+                    layer.append(txn)
+                    while i < len(layer):  # txn's chain closure joins the layer
+                        for nxt in self._hops[layer[i]]:
+                            if nxt not in parent:
+                                parent[nxt] = (layer[i], None)
+                                layer.append(nxt)
+                        i += 1
+            started[x] = rank
 
-    def _reach_with_dependence(self, origin: Node) -> frozenset[Node]:
-        """Interval nodes reachable from origin using at least one dependence edge."""
-        seen: set[tuple[Node, bool]] = {(origin, False)}
-        queue = deque([(origin, False)])
-        reached: set[Node] = set()
-        while queue:
-            node, used = queue.popleft()
-            for nxt in self._succ[node]:
-                if (nxt, used) not in seen:
-                    seen.add((nxt, used))
-                    queue.append((nxt, used))
-            for nxt in self._dep[node]:
-                if (nxt, True) not in seen:
-                    seen.add((nxt, True))
-                    queue.append((nxt, True))
-        for node, used in seen:
-            if used:
-                reached.add(node)
-        return frozenset(reached)
+        for rank in ranks:
+            layer: list[int] = []
+            if rank < started[obj]:
+                start(obj, rank, None, layer)
+            while layer:
+                following: list[int] = []
+                for txn in layer:
+                    for x, landed in self._landings[txn]:
+                        if landed < reach[x]:
+                            reach[x] = landed
+                            lowered[x].append((landed, txn))
+                        if landed < started[x]:
+                            start(x, landed, txn, following)
+                layer = following
+            yield reach, parent, lowered
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -298,9 +323,6 @@ class CheckpointAnalysis:
     def checkpoint_at_version(self, obj: int, version: int) -> Checkpoint:
         return self.checkpoint(obj, self.pattern.rank_of(obj, version))
 
-    def checkpoints(self, obj: int) -> list[Checkpoint]:
-        return [self.checkpoint(obj, r) for r in self.pattern.ranks(obj)]
-
     # -- dependence paths ----------------------------------------------------
 
     def dp_reachable(self, src: Checkpoint, dst: Checkpoint) -> bool:
@@ -309,57 +331,35 @@ class CheckpointAnalysis:
         self.pattern.version_of(dst.obj, dst.rank)
         if src.obj == dst.obj and src.rank < dst.rank:
             return True
-        if dst.rank == 0:
-            return False
-        return (dst.obj, dst.rank - 1) in self._dp_reach[(src.obj, src.rank)]
+        return dst.rank - 1 >= self._reach[src.obj][src.rank][dst.obj]
 
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.
 
         For a pure same-object rank step the witness is the empty list.
+        Otherwise it has the fewest dependence edges of any path, one edge
+        per chain segment.  Ties go to the first path the search finds: it
+        starts writers in version order, each claiming its chain closure,
+        hops in ascending transaction order and lands in ascending object
+        order.
         """
         if not self.dp_reachable(src, dst):
             return None
-        origin: Node = (src.obj, src.rank)
-        if dst.rank > 0 and (dst.obj, dst.rank - 1) in self._dp_reach[origin]:
-            goal = (dst.obj, dst.rank - 1)
-            parents: dict[tuple[Node, bool], tuple[tuple[Node, bool], DependenceEdge | None]] = {}
-            start_key = (origin, False)
-            seen = {start_key}
-            queue = deque([start_key])
-            goal_key = (goal, True)
-            while queue:
-                key = queue.popleft()
-                if key == goal_key:
-                    break
-                node, used = key
-                for nxt in self._succ[node]:
-                    nkey = (nxt, used)
-                    if nkey not in seen:
-                        seen.add(nkey)
-                        parents[nkey] = (key, None)
-                        queue.append(nkey)
-                for nxt in self._dep[node]:
-                    nkey = (nxt, True)
-                    if nkey not in seen:
-                        seen.add(nkey)
-                        parents[nkey] = (key, self._dep_witness[(node, nxt)])
-                        queue.append(nkey)
-            witness: list[DependenceEdge] = []
-            key = goal_key
-            while key != start_key:
-                key, edge = parents[key]
-                if edge is not None:
-                    witness.append(edge)
-            witness.reverse()
-            return witness
-        return []  # same-object rank step
+        if dst.rank - 1 < self._reach[src.obj][src.rank][dst.obj]:
+            return []  # same-object rank step
+        _, parent, lowered = next(self._search(src.obj, [src.rank]))
+        timeline = self.base.timeline
+        last, obj = next(txn for rank, txn in lowered[dst.obj] if rank < dst.rank), dst.obj
+        witness: list[DependenceEdge] = []
+        while last is not None:
+            first = last
+            while parent[first][1] is None:
+                first = parent[first][0]
+            via, entry = parent[first]
+            source = LocalState(entry, timeline.pre_version[(first, entry)])
+            target = LocalState(obj, timeline.post_version[(last, obj)])
+            witness.append(DependenceEdge(source, target, BLACK if first == last else DASHED, (first, last)))
+            last, obj = via, entry
+        witness.reverse()
+        return witness
 
-
-def analyze(execution: ValidatedExecution, pattern: CheckpointPattern | None = None,
-            raw_checkpoints: Mapping[int, Sequence[int]] | None = None) -> CheckpointAnalysis:
-    """Convenience constructor for the full analysis stack."""
-    base = ExecutionAnalysis(execution)
-    if pattern is None:
-        pattern = CheckpointPattern.make(raw_checkpoints or {}, base.timeline)
-    return CheckpointAnalysis(base, pattern)

@@ -114,10 +114,6 @@ class SerializationGraph:
     direct_edges: frozenset[tuple[int, int]]
     _successors: Mapping[int, frozenset[int]] = field(repr=False, hash=False, compare=False, default=None)  # type: ignore[assignment]
 
-    def successors(self, txn_id: int) -> frozenset[int]:
-        """All transactions strictly after txn_id in the serialization order."""
-        return self._successors[txn_id]
-
     def reaches(self, a: int, b: int) -> bool:
         """True iff a precedes b in the transitive serialization order."""
         return b in self._successors[a]

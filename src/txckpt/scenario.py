@@ -64,13 +64,26 @@ class Scenario:
         return idx
 
 
-def _expect(data: Mapping[str, Any], field: str, kind: type, where: str) -> Any:
+def _expect(data: Mapping[str, Any], field: str, kind: type | tuple[type, ...], where: str,
+            default: Any = None) -> Any:
+    """data[field], which must be of kind (never a bool); default when absent, if not None."""
     if field not in data:
-        raise ScenarioError(f"{where}: missing field {field!r}")
+        if default is None:
+            raise ScenarioError(f"{where}: missing field {field!r}")
+        return default
     value = data[field]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ScenarioError(f"{where}.{field}: expected {kind.__name__}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ScenarioError(f"{where}.{field}: expected {getattr(kind, '__name__', 'number')}")
     return value
+
+
+def _records(data: Mapping[str, Any], field: str, where: str, default: Any = None) -> list[Mapping]:
+    """data[field], which must be a list of mappings."""
+    items = _expect(data, field, list, where, default)
+    for i, item in enumerate(items):
+        if not isinstance(item, Mapping):
+            raise ScenarioError(f"{where}.{field}[{i}]: expected an object")
+    return items
 
 
 def _int_list(value: Any, where: str) -> list[int]:
@@ -79,40 +92,36 @@ def _int_list(value: Any, where: str) -> list[int]:
     return list(value)
 
 
-def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scenario:
-    allowed = {"objects", "object_names", "transactions", "commit_order", "checkpoints"}
-    unknown = set(data) - allowed
+def _execution_from_dict(data: Mapping[str, Any], where: str, extra: tuple[str, ...] = ()) -> ValidatedExecution:
+    """The validated execution of a scenario or trace: objects, transactions,
+    commit order.  Fields other than these and extra are rejected."""
+    unknown = set(data) - {"objects", "transactions", "commit_order", *extra}
     if unknown:
-        raise ScenarioError(f"{name}: unknown fields {sorted(unknown)}")
-    num_objects = _expect(data, "objects", int, name)
+        raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
+    num_objects = _expect(data, "objects", int, where)
+    txns = []
+    for i, raw in enumerate(_records(data, "transactions", where, [])):
+        at = f"{where}.transactions[{i}]"
+        unknown = set(raw) - {"id", "reads", "writes"}
+        if unknown:
+            raise ScenarioError(f"{at}: unknown fields {sorted(unknown)}")
+        reads, writes = (_int_list(raw.get(k, []), f"{at}.{k}") for k in ("reads", "writes"))
+        txns.append(Transaction.make(_expect(raw, "id", int, at), reads, writes))
+    order = _int_list(data.get("commit_order", []), f"{where}.commit_order")
+    try:
+        return validate_execution(Execution(num_objects, tuple(txns), tuple(order)))
+    except ExecutionError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scenario:
+    execution = _execution_from_dict(data, name, extra=("object_names", "checkpoints"))
+    num_objects = execution.num_objects
     names = data.get("object_names", [str(i) for i in range(num_objects)])
     if not isinstance(names, list) or len(names) != num_objects or not all(isinstance(s, str) for s in names):
         raise ScenarioError(f"{name}.object_names: expected {num_objects} strings")
     if len(set(names)) != num_objects:
         raise ScenarioError(f"{name}.object_names: names must be unique")
-    txns = []
-    raw_txns = data.get("transactions", [])
-    if not isinstance(raw_txns, list):
-        raise ScenarioError(f"{name}.transactions: expected a list")
-    for i, raw in enumerate(raw_txns):
-        where = f"{name}.transactions[{i}]"
-        if not isinstance(raw, Mapping):
-            raise ScenarioError(f"{where}: expected an object")
-        extra = set(raw) - {"id", "reads", "writes"}
-        if extra:
-            raise ScenarioError(f"{where}: unknown fields {sorted(extra)}")
-        txns.append(
-            Transaction.make(
-                _expect(raw, "id", int, where),
-                _int_list(raw.get("reads", []), f"{where}.reads"),
-                _int_list(raw.get("writes", []), f"{where}.writes"),
-            )
-        )
-    order = _int_list(data.get("commit_order", []), f"{name}.commit_order")
-    try:
-        execution = validate_execution(Execution(num_objects, tuple(txns), tuple(order)))
-    except ExecutionError as exc:
-        raise ScenarioError(f"{name}: {exc}") from exc
     timeline = assign_versions(execution)
     raw_ckpt = data.get("checkpoints", {})
     if not isinstance(raw_ckpt, Mapping):
@@ -252,11 +261,13 @@ class WorkloadSpec:
             raise ScenarioError("ops_per_txn range must satisfy 1 <= lo <= hi")
         if not 0.0 <= self.write_probability <= 1.0:
             raise ScenarioError("write_probability must lie in [0, 1]")
-        if self.access_skew < 0.0:
+        if not self.access_skew >= 0.0:  # also rejects NaN
             raise ScenarioError("access_skew must be non-negative")
 
 
 def workload_from_dict(data: Mapping[str, Any], where: str = "workload") -> WorkloadSpec:
+    if not isinstance(data, Mapping):
+        raise ScenarioError(f"{where}: expected an object")
     allowed = {"num_objects", "num_txns", "ops_per_txn", "write_probability", "access_skew", "seed"}
     unknown = set(data) - allowed
     if unknown:
@@ -268,9 +279,9 @@ def workload_from_dict(data: Mapping[str, Any], where: str = "workload") -> Work
         num_objects=_expect(data, "num_objects", int, where),
         num_txns=_expect(data, "num_txns", int, where),
         ops_per_txn=(ops[0], ops[1]),
-        write_probability=float(data.get("write_probability", 0.5)),
-        access_skew=float(data.get("access_skew", 0.0)),
-        seed=int(data.get("seed", 0)),
+        write_probability=float(_expect(data, "write_probability", (int, float), where, 0.5)),
+        access_skew=float(_expect(data, "access_skew", (int, float), where, 0.0)),
+        seed=_expect(data, "seed", int, where, 0),
     )
 
 

@@ -42,7 +42,8 @@ from .protocol import (
     initial_record,
     tm_commit_metadata,
 )
-from .scenario import WorkloadSpec, _expect, _int_list, workload_from_dict, workload_transactions
+from .scenario import WorkloadSpec, workload_from_dict, workload_transactions
+from .scenario import _execution_from_dict, _expect, _int_list, _records
 
 EV_TXN_BEGIN = "txn_begin"
 EV_LOCK_ACQUIRED = "lock_acquired"
@@ -139,9 +140,9 @@ class Trace:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Trace":
-        if data.get("schema_version") != 1:
+        if not isinstance(data, Mapping) or data.get("schema_version") != 1:
             raise SimulationError("unsupported trace schema version")
-        cfg = dict(data["config"])
+        cfg = dict(_expect(data, "config", Mapping, "trace"))
         cfg.pop("object_placement", None)  # written by older versions, never read
         known = [f.name for f in fields(SimConfig)]
         unknown = set(cfg) - set(known)
@@ -153,27 +154,17 @@ class Trace:
             elif name != "protocol":
                 _expect(cfg, name, int, "trace.config")
         config = SimConfig(**cfg)
-        workload = workload_from_dict(data["workload"])
-        exe = data["execution"]
-        execution = validate_execution(
-            Execution(
-                exe["objects"],
-                tuple(Transaction.make(t["id"], t["reads"], t["writes"]) for t in exe["transactions"]),
-                tuple(exe["commit_order"]),
-            )
-        )
-        events = tuple(
-            SimEvent(
-                e["time"],
-                e["seq"],
-                e["kind"],
-                tuple(sorted((k, v) for k, v in e.items() if k not in ("time", "seq", "kind"))),
-            )
-            for e in data["events"]
-        )
+        workload = workload_from_dict(_expect(data, "workload", Mapping, "trace"))
+        execution = _execution_from_dict(_expect(data, "execution", Mapping, "trace"), "trace.execution")
+        events = []
+        for i, e in enumerate(_records(data, "events", "trace")):
+            where = f"trace.events[{i}]"
+            time, seq, kind = (_expect(e, k, t, where) for k, t in (("time", int), ("seq", int), ("kind", str)))
+            rest = sorted((k, _expect(e, k, int, where)) for k in e if k not in ("time", "seq", "kind"))
+            events.append(SimEvent(time, seq, kind, tuple(rest)))
         last_version = Counter(obj for txn in execution.transactions for obj in txn.write_set)
         log = []
-        for i, r in enumerate(data["checkpoint_log"]):
+        for i, r in enumerate(_records(data, "checkpoint_log", "trace")):
             where = f"trace.checkpoint_log[{i}]"
             obj, index, version, time = (_expect(r, k, int, where) for k in ("obj", "index", "version", "time"))
             if r.get("kind") not in (KIND_INITIAL, KIND_BASIC, KIND_FORCED):
@@ -185,7 +176,7 @@ class Trace:
                     f"{where}: version {version} outside object {obj}'s versions 0..{last_version[obj]}"
                 )
             log.append(CheckpointRecord(obj, index, r["kind"], version, time))
-        return Trace(config, workload, execution, events, tuple(log))
+        return Trace(config, workload, execution, tuple(events), tuple(log))
 
     @staticmethod
     def from_json(text: str) -> "Trace":

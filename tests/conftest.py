@@ -98,6 +98,75 @@ def dp_oracle(analysis: CheckpointAnalysis, src, dst) -> bool:
     return False
 
 
+def interval_dp_distances(analysis: CheckpointAnalysis) -> dict:
+    """Per origin interval, the fewest dependence edges on a path to each
+    interval, over paths with at least one edge: a 0-1 BFS over the interval
+    graph of the materialized edge set.
+
+    Nodes are (object, interval rank).  An interval steps to the next one of
+    its object at no cost; each dependence edge joins the interval of its
+    source version to the interval of its target version - 1 at cost one.
+    The search state also records whether an edge has been used yet.
+    """
+    rank = lambda obj, version: analysis.intervals[LocalState(obj, version)].rank
+    dep: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for e in analysis.base.edges:
+        dep.setdefault((e.source.obj, rank(e.source.obj, e.source.version)), set()).add(
+            (e.target.obj, rank(e.target.obj, e.target.version - 1))
+        )
+    out = {}
+    for obj in range(analysis.pattern.num_objects):
+        for origin_rank in analysis.pattern.ranks(obj):
+            start = ((obj, origin_rank), False)
+            dist = {start: 0}
+            queue = deque([start])
+            while queue:
+                state = queue.popleft()
+                (o, r), used = state
+                moves = [(((o, r + 1), used), 0)] if r + 1 in analysis.pattern.ranks(o) else []
+                moves += [((node, True), 1) for node in dep.get((o, r), ())]
+                for nxt, cost in moves:
+                    if dist[state] + cost < dist.get(nxt, float("inf")):
+                        dist[nxt] = dist[state] + cost
+                        queue.appendleft(nxt) if cost == 0 else queue.append(nxt)
+            out[(obj, origin_rank)] = {node: d for (node, used), d in dist.items() if used}
+    return out
+
+
+def interval_dp_reachable(distances: dict, src, dst) -> bool:
+    """dp_reachable read from interval_dp_distances."""
+    if src.obj == dst.obj and src.rank < dst.rank:
+        return True
+    return (dst.obj, dst.rank - 1) in distances[(src.obj, src.rank)]
+
+
+def assert_witness_chain(analysis: CheckpointAnalysis, distances: dict, src, dst) -> None:
+    """dp_witness(src, dst) is None, [] or a fewest-edge chain, as the oracle says.
+
+    The first edge leaves src's object from its interval or a later one; each
+    next edge leaves the previous target's object from the interval the
+    previous edge arrived in (that of target version - 1) or a later one; the
+    last arrives on dst's object before dst's interval.
+    """
+    witness = analysis.dp_witness(src, dst)
+    fewest = distances[(src.obj, src.rank)].get((dst.obj, dst.rank - 1))
+    if not interval_dp_reachable(distances, src, dst):
+        assert witness is None
+        return
+    if fewest is None:
+        assert witness == []
+        return
+    assert len(witness) == fewest
+    edges = set(analysis.base.edges)
+    rank = lambda obj, version: analysis.intervals[LocalState(obj, version)].rank
+    obj, floor = src.obj, src.rank
+    for e in witness:
+        assert e in edges
+        assert e.source.obj == obj and rank(obj, e.source.version) >= floor
+        obj, floor = e.target.obj, rank(e.target.obj, e.target.version - 1)
+    assert obj == dst.obj and floor <= dst.rank - 1
+
+
 def analysis_for(execution, raw_checkpoints=None) -> CheckpointAnalysis:
     base = ExecutionAnalysis(execution)
     pattern = CheckpointPattern.make(raw_checkpoints or {}, base.timeline)

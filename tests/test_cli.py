@@ -181,25 +181,36 @@ class TestSimulateAndVerify:
         assert code == 0
 
     @pytest.mark.parametrize("corrupt", [
-        ("checkpoint_log", "obj", 99),
-        ("checkpoint_log", "kind", "weird"),
-        ("checkpoint_log", "version", 999),
-        ("config", "timer_period", "x"),
-        ("workload", "ops_per_txn", ["a", 2]),
+        (("checkpoint_log", -1, "obj"), 99),
+        (("checkpoint_log", -1, "kind"), "weird"),
+        (("checkpoint_log", -1, "version"), 999),
+        (("config", "timer_period"), "x"),
+        (("workload", "ops_per_txn"), ["a", 2]),
+        (("execution", "objects"), "3"),
+        (("execution", "transactions", 0, "reads"), "ab"),
+        (("events", -1), 5),
+        (("checkpoint_log", -1), 5),
+        (("config",), [1]),
+        (("workload", "seed"), "x"),
+        (("workload", "write_probability"), None),
+        (("workload", "seed"), 2.7),
+        (("workload", "access_skew"), float("nan")),
     ])
     def test_corrupt_trace_or_workload_exits_2(self, capsys, tmp_path, corrupt):
-        section, field, value = corrupt
+        path, value = corrupt
         out = tmp_path / "trace.json"
         run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--seed", "4",
                 "--timer", "5", "--out", str(out))
         data = json.loads(out.read_text())
-        if section == "workload":
-            path = tmp_path / "wl.json"
-            path.write_text(json.dumps({**data["workload"], field: value}))
-            args = ("simulate", "--workload", str(path))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        if path[0] == "workload":
+            wl = tmp_path / "wl.json"
+            wl.write_text(json.dumps(data["workload"]))
+            args = ("simulate", "--workload", str(wl))
         else:
-            target = data[section][-1] if section == "checkpoint_log" else data[section]
-            target[field] = value
             out.write_text(json.dumps(data))
             args = ("verify", str(out))
         code, report = run_cli(capsys, *args)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,24 @@ from txckpt.dependence import (
     ExecutionAnalysis,
     build_intervals,
 )
+from txckpt import protocol as protocol_module
 from txckpt.model import LocalState, assign_versions
+from txckpt.protocol import trace_pattern
+from txckpt.scenario import WorkloadSpec
+from txckpt.sim import SimConfig, run_simulation
 
-from conftest import analyses, analysis_for, dp_oracle, executions, hb_oracle, make_execution, scenario_analysis
+from conftest import (
+    analyses,
+    analysis_for,
+    assert_witness_chain,
+    dp_oracle,
+    executions,
+    hb_oracle,
+    interval_dp_distances,
+    interval_dp_reachable,
+    make_execution,
+    scenario_analysis,
+)
 
 
 def edge_pairs(analysis):
@@ -220,17 +236,44 @@ class TestDependencePaths:
             if analysis.dp_reachable(a, b) and analysis.dp_reachable(b, c):
                 assert analysis.dp_reachable(a, c)
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(analyses())
     def test_witness_edges_are_sound(self, analysis):
         base = analysis.base
-        for obj in range(analysis.pattern.num_objects):
-            for rank in analysis.pattern.ranks(obj):
-                src = analysis.checkpoint(obj, rank)
-                for obj_b in range(analysis.pattern.num_objects):
-                    for rank_b in analysis.pattern.ranks(obj_b):
-                        dst = analysis.checkpoint(obj_b, rank_b)
-                        witness = analysis.dp_witness(src, dst)
-                        if witness:
-                            for e in witness:
-                                assert base.happened_before(e.source, e.target)
+        distances = interval_dp_distances(analysis)
+        cks = [analysis.checkpoint(o, r) for o in range(analysis.pattern.num_objects) for r in analysis.pattern.ranks(o)]
+        for src, dst in itertools.product(cks, repeat=2):
+            assert_witness_chain(analysis, distances, src, dst)
+            for e in analysis.dp_witness(src, dst) or []:
+                assert base.happened_before(e.source, e.target)
+
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 2)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_interval_graph_on_simulated_traces(self, protocol, z, seed):
+        spec = WorkloadSpec(6, 60, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+        config = SimConfig(seed=seed, num_objects=6, protocol=protocol, z_param=z, timer_period=10)
+        _, analysis = trace_pattern(run_simulation(spec, config))
+        distances = interval_dp_distances(analysis)
+        cks = [analysis.checkpoint(o, r) for o in range(analysis.pattern.num_objects) for r in analysis.pattern.ranks(o)]
+        pairs = list(itertools.product(cks, repeat=2))
+        assert len(cks) > 30 and sum(analysis.dp_reachable(a, b) for a, b in pairs) > len(pairs) // 4
+        for src, dst in pairs:
+            assert analysis.dp_reachable(src, dst) == interval_dp_reachable(distances, src, dst)
+        for src, dst in random.Random(seed).sample(pairs, 100):
+            assert_witness_chain(analysis, distances, src, dst)
+
+    def test_verify_never_builds_the_edge_set(self, monkeypatch):
+        built = []
+
+        def kept(trace):
+            built.append(trace_pattern(trace))
+            return built[-1]
+
+        monkeypatch.setattr(protocol_module, "trace_pattern", kept)
+        spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=5)
+        report = protocol_module.verify_protocol_guarantees(
+            run_simulation(spec, SimConfig(seed=5, num_objects=4, timer_period=6))
+        )
+        (base, _), = built
+        assert report.ok and "edges" not in base.__dict__
+        assert base.edges and "edges" in base.__dict__
