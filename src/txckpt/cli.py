@@ -96,9 +96,15 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     analysis = _scenario_analysis(scenario)
     base = analysis.base
     names = scenario.object_names
-    counts = {"black": 0, "dashed": 0}
-    for edge in base.edges:
-        counts[edge.kind] += 1
+    # A writer of |W| objects has |W|^2 black edges; each ordered pair of
+    # writers joined by the serialization order has |Wi| * |Wj| dashed ones.
+    width = {t.id: len(t.write_set) for t in scenario.execution.transactions if t.write_set}
+    counts = {
+        "black": sum(w * w for w in width.values()),
+        "dashed": sum(
+            wi * wj for i, wi in width.items() for j, wj in width.items() if base.graph.reaches(i, j)
+        ),
+    }
     intervals = {
         names[obj]: [
             [iv.start, iv.end]

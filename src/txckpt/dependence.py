@@ -243,21 +243,12 @@ class CheckpointAnalysis:
         self.pattern = pattern.with_final_states(base.timeline)
         self.intervals = build_intervals(self.pattern, base.timeline)
         timeline, versions = base.timeline, self.pattern.versions
-        # Per transaction: its conflict-chain successors (the readers of each
-        # version it wrote, the next writer of each object it accessed), and
-        # its landings (written object, interval of its pre-version there).
-        hops: dict[int, set[int]] = {t.id: set() for t in base.execution.transactions}
+        # Per transaction: its landings (written object, interval of its
+        # pre-version there).  Paths hop along the serialization graph's
+        # conflict-chain successors.
         landings: dict[int, list[tuple[int, int]]] = {t.id: [] for t in base.execution.transactions}
-        for (txn, obj), pre in timeline.pre_version.items():
-            wrote = (txn, obj) in timeline.post_version
-            if wrote:
-                landings[txn].append((obj, bisect_right(versions[obj], pre) - 1))
-            elif pre:
-                hops[timeline.writers[obj][pre - 1]].add(txn)
-            after = pre + 1 if wrote else pre
-            if after < timeline.max_version(obj):
-                hops[txn].add(timeline.writers[obj][after])
-        self._hops = {txn: sorted(nxt) for txn, nxt in hops.items()}
+        for (txn, obj), post in timeline.post_version.items():
+            landings[txn].append((obj, bisect_right(versions[obj], post - 1) - 1))
         self._landings = {txn: sorted(landed) for txn, landed in landings.items()}
         # Per interval (object, rank): the reach tuple of its dependence paths.
         self._reach: list[list[tuple[int, ...]]] = [
@@ -279,6 +270,7 @@ class CheckpointAnalysis:
         """
         versions = self.pattern.versions
         writers = self.base.timeline.writers
+        hops = self.base.graph.successors
         reach = [len(vs) for vs in versions]
         started = list(reach)
         parent: dict[int, tuple[int | None, int | None]] = {}
@@ -292,7 +284,7 @@ class CheckpointAnalysis:
                     i = len(layer)
                     layer.append(txn)
                     while i < len(layer):  # txn's chain closure joins the layer
-                        for nxt in self._hops[layer[i]]:
+                        for nxt in hops[layer[i]]:
                             if nxt not in parent:
                                 parent[nxt] = (layer[i], None)
                                 layer.append(nxt)
@@ -327,11 +319,44 @@ class CheckpointAnalysis:
 
     def dp_reachable(self, src: Checkpoint, dst: Checkpoint) -> bool:
         """True iff a dependence path leads from checkpoint src to checkpoint dst."""
+        # Indexing the reach tuples is the bounds check; they have the
+        # pattern's shape, so when it fails version_of raises the error for
+        # the first endpoint out of range.
+        try:
+            if src.rank >= 0 and dst.rank >= 0:
+                reach = self._reach[src.obj][src.rank]
+                self._reach[dst.obj][dst.rank]
+                if src.obj == dst.obj and src.rank < dst.rank:
+                    return True
+                return dst.rank - 1 >= reach[dst.obj]
+        except IndexError:
+            pass
+        for ck in (src, dst):
+            self.pattern.version_of(ck.obj, ck.rank)
+        raise AssertionError("unreachable: every checkpoint has a reach tuple")
+
+    def min_reachable_ranks(self, src: Checkpoint) -> tuple[int, ...]:
+        """Per object, the least rank of a checkpoint that a dependence path
+        from src reaches (a rank past the last when there is none).
+
+        Reachability is upward-closed in rank, so dp_reachable(src, dst) is
+        exactly dst.rank >= min_reachable_ranks(src)[dst.obj].
+        """
         self.pattern.version_of(src.obj, src.rank)
+        out = [landed + 1 for landed in self._reach[src.obj][src.rank]]
+        out[src.obj] = min(out[src.obj], src.rank + 1)
+        return tuple(out)
+
+    def min_safe_rank(self, obj: int, dst: Checkpoint) -> int:
+        """The least rank of obj, an object other than dst's, whose checkpoint
+        has no dependence path to dst.
+
+        The ranks of obj that reach dst form a prefix (a path from a rank
+        leaves from every lower rank too), and obj's last checkpoint, whose
+        interval holds no write, reaches nothing.
+        """
         self.pattern.version_of(dst.obj, dst.rank)
-        if src.obj == dst.obj and src.rank < dst.rank:
-            return True
-        return dst.rank - 1 >= self._reach[src.obj][src.rank][dst.obj]
+        return next(rank for rank, reach in enumerate(self._reach[obj]) if dst.rank - 1 < reach[dst.obj])
 
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.

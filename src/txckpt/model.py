@@ -14,7 +14,8 @@ an object (in commit order) moves it from version k-1 to version k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -100,52 +101,87 @@ def validate_execution(execution: Execution) -> ValidatedExecution:
     )
 
 
-@dataclass(frozen=True)
 class SerializationGraph:
-    """Direct conflict-order edges between committed transactions.
+    """The serialization order between committed transactions.
 
-    Edge (i, j) means i committed before j and they conflict on some object
-    (both access it, at least one of the two accesses is a write).  Edges
-    always point forward in commit order, so the graph is acyclic and the
-    commit order is one of its linear extensions.
+    Two transactions conflict when both access an object and at least one of
+    the two accesses is a write; the earlier in commit order precedes the
+    later.  The order is the transitive closure of each object's conflict
+    chain (the writer of a version -> the readers of that version -> the next
+    writer), so only chain steps are kept: ``successors`` maps each
+    transaction to its chain successors, ascending.  The closure is one int
+    per transaction, a bitset over commit positions, and ``reaches`` is a bit
+    test.  Chain steps point forward in commit order, so the order is acyclic
+    and the commit order is one of its linear extensions.
     """
 
-    nodes: tuple[int, ...]
-    direct_edges: frozenset[tuple[int, int]]
-    _successors: Mapping[int, frozenset[int]] = field(repr=False, hash=False, compare=False, default=None)  # type: ignore[assignment]
+    def __init__(self, execution: ValidatedExecution, successors: Mapping[int, tuple[int, ...]]):
+        self.nodes: tuple[int, ...] = execution.commit_order
+        self.successors = successors
+        self._execution = execution
+        self._position = {txn: pos for pos, txn in enumerate(self.nodes)}
+        closure = [0] * len(self.nodes)
+        for pos in range(len(self.nodes) - 1, -1, -1):
+            reached = 0
+            for nxt in successors[self.nodes[pos]]:
+                q = self._position[nxt]
+                reached |= closure[q] | 1 << q
+            closure[pos] = reached
+        self._closure = closure
 
     def reaches(self, a: int, b: int) -> bool:
         """True iff a precedes b in the transitive serialization order."""
-        return b in self._successors[a]
+        return self._closure[self._position[a]] >> self._position[b] & 1 == 1
+
+    def reaches_any(self, sources: Iterable[int], targets: Iterable[int]) -> bool:
+        """True iff some target is a source or is reached from one."""
+        position, closure = self._position, self._closure
+        reached = 0
+        for txn in sources:
+            pos = position[txn]
+            reached |= closure[pos] | 1 << pos
+        return any(reached >> position[txn] & 1 for txn in targets)
+
+    @cached_property
+    def direct_edges(self) -> frozenset[tuple[int, int]]:
+        """Every conflicting pair (i, j), i committed first; O(n^2), built on first use."""
+        txn_by_id = {t.id: t for t in self._execution.transactions}
+        order = self.nodes
+        edges: set[tuple[int, int]] = set()
+        for pos_i, i in enumerate(order):
+            ti = txn_by_id[i]
+            for j in order[pos_i + 1 :]:
+                tj = txn_by_id[j]
+                if (ti.write_set & tj.access_set) or (ti.read_set & tj.write_set):
+                    edges.add((i, j))
+        return frozenset(edges)
 
 
 def build_serialization_graph(execution: ValidatedExecution) -> SerializationGraph:
-    """Derive the serialization relation from commit order and access sets.
+    """Derive the serialization order from commit order and access sets.
 
-    Read-read sharing does not order transactions; any pair where at least
-    one side writes a commonly accessed object is ordered by commit order.
+    One pass in commit order links each writer to the readers of its version
+    and to the next writer, and each reader to the next writer.  Read-read
+    sharing does not order transactions.
     """
     txn_by_id = {t.id: t for t in execution.transactions}
-    order = execution.commit_order
-    edges: set[tuple[int, int]] = set()
-    for pos_i, i in enumerate(order):
-        ti = txn_by_id[i]
-        for j in order[pos_i + 1 :]:
-            tj = txn_by_id[j]
-            if (ti.write_set & tj.access_set) or (ti.read_set & tj.write_set):
-                edges.add((i, j))
-    # Transitive closure, walking backwards in commit order.
-    succ: dict[int, set[int]] = {i: set() for i in order}
-    direct: dict[int, set[int]] = {i: set() for i in order}
-    for i, j in edges:
-        direct[i].add(j)
-    for i in reversed(order):
-        acc = set(direct[i])
-        for j in direct[i]:
-            acc |= succ[j]
-        succ[i] = acc
-    closed = {i: frozenset(s) for i, s in succ.items()}
-    return SerializationGraph(tuple(order), frozenset(edges), closed)
+    last_writer: list[int | None] = [None] * execution.num_objects
+    readers: list[list[int]] = [[] for _ in range(execution.num_objects)]
+    successors: dict[int, set[int]] = {t: set() for t in execution.commit_order}
+    for txn_id in execution.commit_order:
+        txn = txn_by_id[txn_id]
+        for obj in txn.access_set:
+            writer = last_writer[obj]
+            if writer is not None:
+                successors[writer].add(txn_id)
+            if obj in txn.write_set:
+                for reader in readers[obj]:
+                    successors[reader].add(txn_id)
+                last_writer[obj] = txn_id
+                readers[obj] = []
+            else:
+                readers[obj].append(txn_id)
+    return SerializationGraph(execution, {t: tuple(sorted(s)) for t, s in successors.items()})
 
 
 @dataclass(frozen=True)

@@ -71,13 +71,22 @@ def _complete_states(states: Mapping[int, int], analysis: ExecutionAnalysis) -> 
 def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAnalysis) -> bool:
     """True iff no member state happened-before another member state.
 
-    states maps every object to a version.
+    states maps every object to a version.  Member a happened-before member
+    b exactly when the writer that replaces a is, or reaches, the writer
+    that produced b; no state happened-before itself, since its producer
+    commits before its replacer.  So one closure union over the replacing
+    writers and one membership test per producing writer decide it.
     """
     members = _complete_states(states, analysis)
-    for a, b in itertools.combinations(members, 2):
-        if analysis.happened_before(a, b) or analysis.happened_before(b, a):
-            return False
-    return True
+    timeline = analysis.timeline
+    for s in members:
+        if not timeline.has_state(s):
+            raise AnalysisError(f"unknown state {s}")
+    replacers = [timeline.writer_of(s.obj, s.version + 1) for s in members]
+    producers = [timeline.writer_of(s.obj, s.version) for s in members]
+    return not analysis.graph.reaches_any(
+        (t for t in replacers if t is not None), (t for t in producers if t is not None)
+    )
 
 
 def _resolve_candidate(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> list[Checkpoint]:
@@ -134,19 +143,8 @@ def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis)
         if obj in candidate:
             chosen.append(analysis.checkpoint(obj, candidate[obj]))
             continue
-        per_member: dict[int, int] = {}
-        for member in members:
-            if member.rank == 0:
-                per_member[member.obj] = 0
-                continue
-            safe = 0
-            for rank in analysis.pattern.ranks(obj):
-                if not analysis.dp_reachable(analysis.checkpoint(obj, rank), member):
-                    safe = rank
-                    break
-            per_member[member.obj] = safe
-        min_safe[obj] = per_member
-        chosen.append(analysis.checkpoint(obj, max(per_member.values())))
+        min_safe[obj] = {member.obj: analysis.min_safe_rank(obj, member) for member in members}
+        chosen.append(analysis.checkpoint(obj, max(min_safe[obj].values())))
     return ExtensionResult(GlobalCheckpoint(tuple(chosen)), min_safe)
 
 
@@ -227,15 +225,15 @@ def assemble_indexed_gc(
     """Pick, per object, the checkpoint with protocol index n, else the first
     with a greater index; None when some object has no checkpoint indexed >= n.
     """
-    per_obj: dict[int, list[IndexedCheckpoint]] = {
-        obj: [] for obj in range(analysis.pattern.num_objects)
-    }
+    picks: dict[int, IndexedCheckpoint] = {}
     for record in log:
-        per_obj[record.obj].append(record)
+        if record.index >= n:
+            pick = picks.get(record.obj)
+            if pick is None or record.index < pick.index:
+                picks[record.obj] = record
     members: list[Checkpoint] = []
     for obj in range(analysis.pattern.num_objects):
-        candidates = sorted((r for r in per_obj[obj] if r.index >= n), key=lambda r: r.index)
-        if not candidates:
+        if obj not in picks:
             return None
-        members.append(analysis.checkpoint_at_version(obj, candidates[0].version))
+        members.append(analysis.checkpoint_at_version(obj, picks[obj].version))
     return GlobalCheckpoint(tuple(members))

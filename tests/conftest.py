@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import pytest
@@ -15,6 +16,7 @@ from txckpt.model import (
     assign_versions,
     validate_execution,
 )
+from txckpt.protocol import trace_pattern
 from txckpt.scenario import builtin_scenario
 
 
@@ -165,6 +167,85 @@ def assert_witness_chain(analysis: CheckpointAnalysis, distances: dict, src, dst
         assert e.source.obj == obj and rank(obj, e.source.version) >= floor
         obj, floor = e.target.obj, rank(e.target.obj, e.target.version - 1)
     assert obj == dst.obj and floor <= dst.rank - 1
+
+
+def serialization_closure_oracle(execution) -> dict[int, frozenset[int]]:
+    """The serialization order by all pairs: every commit-order pair that
+    conflicts (both access an object, one of them writes it) is an edge, and
+    the closure is collected backwards in commit order.
+    """
+    txn_by_id = {t.id: t for t in execution.transactions}
+    order = execution.commit_order
+    succ: dict[int, set[int]] = {i: set() for i in order}
+    for pos_i in range(len(order) - 1, -1, -1):
+        i = order[pos_i]
+        ti = txn_by_id[i]
+        for j in order[pos_i + 1 :]:
+            tj = txn_by_id[j]
+            if (ti.write_set & tj.access_set) or (ti.read_set & tj.write_set):
+                succ[i] |= {j} | succ[j]
+    return {i: frozenset(s) for i, s in succ.items()}
+
+
+def consistent_oracle(states, base: ExecutionAnalysis) -> bool:
+    """is_consistent_global_state by happened_before on every pair of members."""
+    members = [LocalState(obj, states[obj]) for obj in range(base.execution.num_objects)]
+    return not any(
+        base.happened_before(a, b) or base.happened_before(b, a)
+        for a, b in itertools.combinations(members, 2)
+    )
+
+
+def guarantee_violations_oracle(trace) -> tuple[str, ...]:
+    """verify_protocol_guarantees' violations, with every ordered pair of
+    scoped checkpoints tested for a dependence path, each equal-index
+    assembly filtered from the whole log, each gap-filled assembly taken
+    from a sorted candidate list, and consistency tested pairwise.
+    """
+    z = trace.config.z
+    base, analysis = trace_pattern(trace)
+    records = list(trace.checkpoint_log)
+    violations: list[str] = []
+    per_obj: dict[int, list] = {}
+    for record in records:
+        per_obj.setdefault(record.obj, []).append(record)
+    for obj, obj_records in sorted(per_obj.items()):
+        indices = [r.index for r in obj_records]
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            violations.append(f"object {obj}: checkpoint indices not strictly increasing: {indices}")
+    scoped = [r for r in records if r.index % z == 0]
+    ckpt_of = {id(r): analysis.checkpoint_at_version(r.obj, r.version) for r in records}
+    for record in scoped:
+        ck = ckpt_of[id(record)]
+        if analysis.dp_reachable(ck, ck):
+            violations.append(f"checkpoint {ck} (index {record.index}) has a dependence path to itself")
+    for r1 in scoped:
+        c1 = ckpt_of[id(r1)]
+        for r2 in scoped:
+            if r1 is not r2 and analysis.dp_reachable(c1, ckpt_of[id(r2)]) and not r1.index < r2.index:
+                violations.append(
+                    f"dependence path from {c1} (index {r1.index}) to "
+                    f"{ckpt_of[id(r2)]} (index {r2.index}) without index increase"
+                )
+    objects = set(range(trace.execution.num_objects))
+    for n in sorted({r.index for r in scoped}):
+        exact = {r.obj: r for r in scoped if r.index == n}
+        if set(exact) == objects and not consistent_oracle({o: r.version for o, r in exact.items()}, base):
+            violations.append(f"equal-index assembly at index {n} is not consistent")
+    if trace.config.protocol == "A":
+        for n in range(max((r.index for r in records), default=0) + 1):
+            picks = [sorted((r for r in per_obj.get(o, []) if r.index >= n), key=lambda r: r.index) for o in sorted(objects)]
+            if all(picks) and not consistent_oracle({p[0].obj: p[0].version for p in picks}, base):
+                violations.append(f"gap-filled assembly at index {n} is not consistent")
+    return tuple(violations)
+
+
+def min_safe_rank_oracle(analysis: CheckpointAnalysis, obj: int, dst) -> int:
+    """min_safe_rank by testing obj's ranks upward with dp_reachable."""
+    for rank in analysis.pattern.ranks(obj):
+        if not analysis.dp_reachable(analysis.checkpoint(obj, rank), dst):
+            return rank
+    raise AssertionError(f"every rank of object {obj} reaches {dst}")
 
 
 def analysis_for(execution, raw_checkpoints=None) -> CheckpointAnalysis:

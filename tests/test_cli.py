@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from txckpt import cli
 from txckpt.cli import main
 from txckpt.scenario import builtin_scenario, save_scenario
+
+from conftest import scenario_analysis
 
 
 def run_cli(capsys, *args):
@@ -26,6 +29,23 @@ class TestAnalyze:
         matrix = report["results"]["happened_before"]
         assert ["u:0", "y:2"] in matrix
         assert ["u:0", "x:2"] not in matrix
+
+    def test_edge_counts_leave_the_edge_set_unbuilt(self, capsys, monkeypatch):
+        built = []
+
+        def kept(scenario):
+            built.append(scenario_analysis(scenario))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_scenario_analysis", kept)
+        for name in ("fig1a", "fig1b", "fig3"):
+            code, report = run_cli(capsys, "analyze", name)
+            base = built[-1].base
+            assert code == 0 and "edges" not in base.__dict__
+            counts = {"black": 0, "dashed": 0}
+            for edge in base.edges:
+                counts[edge.kind] += 1
+            assert report["results"]["edge_counts"] == counts
 
     def test_empty_scenario(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

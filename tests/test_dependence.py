@@ -10,6 +10,7 @@ from txckpt.dependence import (
     BLACK,
     DASHED,
     AnalysisError,
+    Checkpoint,
     CheckpointPattern,
     ExecutionAnalysis,
     build_intervals,
@@ -30,8 +31,18 @@ from conftest import (
     interval_dp_distances,
     interval_dp_reachable,
     make_execution,
+    min_safe_rank_oracle,
     scenario_analysis,
 )
+
+
+def assert_min_safe_ranks_match(analysis):
+    for dst_obj in range(analysis.pattern.num_objects):
+        for rank in analysis.pattern.ranks(dst_obj):
+            dst = analysis.checkpoint(dst_obj, rank)
+            for obj in range(analysis.pattern.num_objects):
+                if obj != dst_obj:
+                    assert analysis.min_safe_rank(obj, dst) == min_safe_rank_oracle(analysis, obj, dst)
 
 
 def edge_pairs(analysis):
@@ -206,6 +217,47 @@ class TestDependencePaths:
             for rank in analysis.pattern.ranks(obj):
                 ck = analysis.checkpoint(obj, rank)
                 assert not analysis.dp_reachable(ck, ck)
+
+    def test_dp_reachable_validates_like_version_of(self, fig3):
+        analysis = scenario_analysis(fig3)
+        m = analysis.pattern.num_objects
+        valid = analysis.checkpoint(0, 0)
+
+        def outcome(call):
+            try:
+                return call()
+            except AnalysisError as exc:
+                return str(exc)
+
+        for obj in range(-m - 2, m + 2):
+            for rank in range(-2, 6):
+                ck = Checkpoint(obj, rank, LocalState(obj, 0))
+                expected = outcome(lambda: analysis.pattern.version_of(obj, rank))
+                if isinstance(expected, str):
+                    assert outcome(lambda: analysis.dp_reachable(ck, valid)) == expected
+                    assert outcome(lambda: analysis.dp_reachable(valid, ck)) == expected
+                    assert outcome(lambda: analysis.min_reachable_ranks(ck)) == expected
+                else:
+                    analysis.dp_reachable(ck, valid)
+                    analysis.dp_reachable(valid, ck)
+
+    def test_min_reachable_ranks_is_dp_reachable(self, fig3):
+        analysis = scenario_analysis(fig3)
+        cks = [analysis.checkpoint(o, r) for o in range(analysis.pattern.num_objects) for r in analysis.pattern.ranks(o)]
+        for src in cks:
+            least = analysis.min_reachable_ranks(src)
+            for dst in cks:
+                assert analysis.dp_reachable(src, dst) == (dst.rank >= least[dst.obj])
+
+    @given(analyses())
+    def test_min_safe_rank_matches_upward_scan(self, analysis):
+        assert_min_safe_ranks_match(analysis)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_min_safe_rank_matches_upward_scan_on_simulated_traces(self, seed):
+        spec = WorkloadSpec(6, 60, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+        config = SimConfig(seed=seed, num_objects=6, timer_period=10)
+        assert_min_safe_ranks_match(trace_pattern(run_simulation(spec, config))[1])
 
     def test_unknown_checkpoint_rejected(self, fig3):
         analysis = scenario_analysis(fig3)

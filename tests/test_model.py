@@ -12,7 +12,10 @@ from txckpt.model import (
     validate_execution,
 )
 
-from conftest import executions, make_execution
+from txckpt.scenario import WorkloadSpec
+from txckpt.sim import SimConfig, run_simulation
+
+from conftest import executions, make_execution, serialization_closure_oracle
 
 
 def test_validate_fig1a_shape(fig1a):
@@ -124,3 +127,32 @@ def test_serialization_graph_deterministic(execution):
     assert build_serialization_graph(execution).direct_edges == build_serialization_graph(
         execution
     ).direct_edges
+
+
+def assert_reaches_matches_oracle(execution):
+    graph = build_serialization_graph(execution)
+    closure = serialization_closure_oracle(execution)
+    for a in execution.commit_order:
+        for b in execution.commit_order:
+            assert graph.reaches(a, b) == (b in closure[a])
+    # Chain steps are conflicting pairs, so they sit among the direct edges.
+    assert {(a, b) for a, nxt in graph.successors.items() for b in nxt} <= graph.direct_edges
+
+
+@settings(max_examples=150)
+@given(executions(max_objects=4, max_txns=8))
+def test_reaches_matches_all_pairs_closure(execution):
+    assert_reaches_matches_oracle(execution)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reaches_matches_all_pairs_closure_on_simulated_traces(seed):
+    spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.5, seed=seed)
+    trace = run_simulation(spec, SimConfig(seed=seed, num_objects=6))
+    assert_reaches_matches_oracle(trace.execution)
+
+
+def test_direct_edges_built_on_first_use(fig3):
+    graph = build_serialization_graph(fig3.execution)
+    assert "direct_edges" not in graph.__dict__
+    assert graph.direct_edges and "direct_edges" in graph.__dict__

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+from txckpt import protocol as protocol_module
+from txckpt.dependence import CheckpointAnalysis
 from txckpt.model import Transaction
 from txckpt.protocol import (
     KIND_BASIC,
@@ -20,6 +25,8 @@ from txckpt.protocol import (
 )
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import SimConfig, Trace, run_simulation
+
+from conftest import guarantee_violations_oracle
 
 
 class TestCommitMetadata:
@@ -179,3 +186,63 @@ class TestVerification:
         trace = small_trace()
         initials = [r for r in trace.checkpoint_log if r.kind == "initial"]
         assert initials == [initial_record(obj) for obj in range(3)]
+
+
+def doctored(trace, how, seed):
+    """The trace with its checkpoint log changed as named."""
+    rng = random.Random(seed)
+    records = list(trace.checkpoint_log)
+    if how == "clamped":
+        records = [dataclasses.replace(r, index=min(r.index, 1)) for r in records]
+    elif how == "random":
+        records = [dataclasses.replace(r, index=rng.randint(0, 5)) for r in records]
+    elif how == "shuffled":
+        rng.shuffle(records)
+    return dataclasses.replace(trace, checkpoint_log=tuple(records))
+
+
+class TestVerificationMatchesPairwiseOracle:
+    @pytest.mark.parametrize("how", ["clean", "clamped", "random", "shuffled"])
+    @pytest.mark.parametrize("z", [1, 2, 3])
+    @pytest.mark.parametrize("protocol", ["A", "B"])
+    def test_same_violations_in_same_order(self, protocol, z, how):
+        pair_violations = 0
+        for seed in range(6):
+            spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=seed)
+            config = SimConfig(seed=seed, num_objects=4, protocol=protocol, z_param=z, timer_period=5)
+            trace = doctored(run_simulation(spec, config), how, seed)
+            # An A trace is also checked as if it were a B trace with this z.
+            for relabelled in {trace.config, dataclasses.replace(trace.config, protocol="B", z_param=z)}:
+                checked = dataclasses.replace(trace, config=relabelled)
+                violations = verify_protocol_guarantees(checked).violations
+                assert violations == guarantee_violations_oracle(checked)
+                pair_violations += sum("without index increase" in v for v in violations)
+        # Clamped to 1, only the index-0 checkpoints are scoped when z > 1.
+        if how == "random" or how == "clamped" and z == 1:
+            assert pair_violations > 0
+        if how == "clean":
+            assert pair_violations == 0
+
+    def test_verify_makes_one_dp_reachable_call_per_checkpoint(self, monkeypatch):
+        calls = []
+        built = []
+        dp_reachable = CheckpointAnalysis.dp_reachable
+        trace_pattern = protocol_module.trace_pattern
+
+        def counted(self, src, dst):
+            calls.append((src, dst))
+            return dp_reachable(self, src, dst)
+
+        def kept(trace):
+            built.append(trace_pattern(trace))
+            return built[-1]
+
+        monkeypatch.setattr(CheckpointAnalysis, "dp_reachable", counted)
+        monkeypatch.setattr(protocol_module, "trace_pattern", kept)
+        spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.6, seed=4)
+        trace = run_simulation(spec, SimConfig(seed=4, num_objects=6, timer_period=5))
+        report = verify_protocol_guarantees(trace)
+        (base, _), = built
+        assert report.ok and len(trace.checkpoint_log) > 50
+        assert 0 < len(calls) <= len(trace.checkpoint_log)
+        assert "direct_edges" not in base.graph.__dict__ and "edges" not in base.__dict__

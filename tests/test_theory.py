@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txckpt.dependence import AnalysisError, ExecutionAnalysis
 from txckpt.protocol import CheckpointRecord
@@ -19,7 +21,18 @@ from txckpt.theory import (
     theorem_condition,
 )
 
-from conftest import analyses, analysis_for, make_execution, scenario_analysis
+from txckpt.protocol import trace_pattern
+from txckpt.scenario import WorkloadSpec
+from txckpt.sim import SimConfig, run_simulation
+
+from conftest import (
+    analyses,
+    analysis_for,
+    consistent_oracle,
+    executions,
+    make_execution,
+    scenario_analysis,
+)
 
 
 class TestConsistency:
@@ -42,6 +55,43 @@ class TestConsistency:
         base = ExecutionAnalysis(fig1a.execution)
         with pytest.raises(AnalysisError, match="every object"):
             is_consistent_global_state({0: 0}, base)
+
+    def test_unknown_state_rejected(self, fig1a):
+        base = ExecutionAnalysis(fig1a.execution)
+        with pytest.raises(AnalysisError, match=r"unknown state s\(1,5\)"):
+            is_consistent_global_state({0: 0, 1: 5, 2: -1}, base)
+        single = ExecutionAnalysis(make_execution(1, [(0, [], [0])]))
+        with pytest.raises(AnalysisError, match="unknown state"):
+            is_consistent_global_state({0: 2}, single)
+
+    @settings(max_examples=150)
+    @given(executions(max_objects=4, max_txns=8), st.randoms(use_true_random=False))
+    def test_matches_pairwise_oracle(self, execution, rng):
+        base = ExecutionAnalysis(execution)
+        top = [base.timeline.max_version(o) for o in range(execution.num_objects)]
+        for _ in range(10):
+            states = {o: rng.randint(0, t) for o, t in enumerate(top)}
+            assert is_consistent_global_state(states, base) == consistent_oracle(states, base)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_pairwise_oracle_on_simulated_traces(self, seed):
+        spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+        trace = run_simulation(spec, SimConfig(seed=seed, num_objects=6, timer_period=8))
+        base, analysis = trace_pattern(trace)
+        rng = random.Random(seed)
+        outcomes = []
+        for n in range(max(r.index for r in trace.checkpoint_log) + 1):
+            # Each assembly verify checks, then the same with one member moved.
+            gc = assemble_indexed_gc(n, trace.checkpoint_log, analysis)
+            if gc is None:
+                continue
+            moved = dict(gc.states())
+            obj = rng.randrange(len(moved))
+            moved[obj] = rng.randint(0, base.timeline.max_version(obj))
+            for states in (gc.states(), moved):
+                outcomes.append(is_consistent_global_state(states, base))
+                assert outcomes[-1] == consistent_oracle(states, base)
+        assert len(outcomes) > 20 and any(outcomes) and not all(outcomes)
 
 
 class TestTheoremCondition:
