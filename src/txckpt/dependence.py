@@ -31,6 +31,8 @@ version k+1): a path starts at the writers of its origin interval, follows
 chains, and lands in the interval of each visited writer's pre-version of an
 object it writes, where that object's later writers carry it on.  So each
 interval's reach is one tuple: per object, the lowest interval reached.
+A witness search stops at the first transaction that lands below its
+destination checkpoint, rather than expanding every chain it could reach.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .model import (
@@ -241,7 +244,6 @@ class CheckpointAnalysis:
         )  # revalidate against this timeline
         self.base = base
         self.pattern = pattern.with_final_states(base.timeline)
-        self.intervals = build_intervals(self.pattern, base.timeline)
         timeline, versions = base.timeline, self.pattern.versions
         # Per transaction: its landings (written object, interval of its
         # pre-version there).  Paths hop along the serialization graph's
@@ -256,7 +258,14 @@ class CheckpointAnalysis:
             for obj, vs in enumerate(versions)
         ]
 
-    def _search(self, obj: int, ranks: Iterable[int]) -> Iterator[tuple[list[int], dict, list]]:
+    @cached_property
+    def intervals(self) -> dict[LocalState, Interval]:
+        """Every local state's interval; built on first use (reports, tests)."""
+        return build_intervals(self.pattern, self.base.timeline)
+
+    def _search(
+        self, obj: int, ranks: Iterable[int], goal: frozenset[int] = frozenset()
+    ) -> Iterator[tuple[list[int], dict, int | None]]:
         """Paths out of intervals (obj, rank), one layer per dependence edge.
 
         For each rank in turn (descending, each search extends the last) the
@@ -265,18 +274,21 @@ class CheckpointAnalysis:
         starts the landed object's writers as the next layer.  Yields reach
         (per object the lowest interval landed in, else its interval count),
         each visited transaction's parent - (previous, None) after a hop,
-        (landing transaction or None, object entered) at a start - and per
-        object the (interval, transaction) of each landing that lowered reach.
+        (landing transaction or None, object entered) at a start - and the
+        first visited transaction in goal, at which the search stops (None
+        when it visits none).  Layers are scanned in the order their
+        transactions joined, so that is the first goal transaction a full
+        search would scan.
         """
         versions = self.pattern.versions
         writers = self.base.timeline.writers
         hops = self.base.graph.successors
+        landings = self._landings
         reach = [len(vs) for vs in versions]
         started = list(reach)
         parent: dict[int, tuple[int | None, int | None]] = {}
-        lowered: list[list[tuple[int, int]]] = [[] for _ in versions]
 
-        def start(x: int, rank: int, via: int | None, layer: list[int]) -> None:
+        def start(x: int, rank: int, via: int | None, layer: list[int]) -> int | None:
             stop = versions[x][started[x]] if started[x] < len(versions[x]) else None
             for txn in writers[x][versions[x][rank]:stop]:
                 if txn not in parent:
@@ -284,28 +296,34 @@ class CheckpointAnalysis:
                     i = len(layer)
                     layer.append(txn)
                     while i < len(layer):  # txn's chain closure joins the layer
+                        if layer[i] in goal:
+                            return layer[i]
                         for nxt in hops[layer[i]]:
                             if nxt not in parent:
                                 parent[nxt] = (layer[i], None)
                                 layer.append(nxt)
                         i += 1
             started[x] = rank
+            return None
 
-        for rank in ranks:
+        def run(rank: int) -> int | None:
             layer: list[int] = []
-            if rank < started[obj]:
-                start(obj, rank, None, layer)
+            if rank < started[obj] and (hit := start(obj, rank, None, layer)) is not None:
+                return hit
             while layer:
                 following: list[int] = []
                 for txn in layer:
-                    for x, landed in self._landings[txn]:
+                    for x, landed in landings[txn]:
                         if landed < reach[x]:
                             reach[x] = landed
-                            lowered[x].append((landed, txn))
-                        if landed < started[x]:
-                            start(x, landed, txn, following)
+                        if landed < started[x] and (hit := start(x, landed, txn, following)) is not None:
+                            return hit
                 layer = following
-            yield reach, parent, lowered
+            return None
+
+        for rank in ranks:
+            hit = run(rank)
+            yield reach, parent, hit
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -356,7 +374,11 @@ class CheckpointAnalysis:
         interval holds no write, reaches nothing.
         """
         self.pattern.version_of(dst.obj, dst.rank)
-        return next(rank for rank, reach in enumerate(self._reach[obj]) if dst.rank - 1 < reach[dst.obj])
+        if not 0 <= obj < self.pattern.num_objects:
+            raise AnalysisError(f"unknown object {obj}")
+        if obj == dst.obj:
+            raise AnalysisError(f"object {obj} is the checkpoint's own object")
+        return bisect_right(self._reach[obj], dst.rank - 1, key=itemgetter(dst.obj))
 
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.
@@ -366,15 +388,20 @@ class CheckpointAnalysis:
         per chain segment.  Ties go to the first path the search finds: it
         starts writers in version order, each claiming its chain closure,
         hops in ascending transaction order and lands in ascending object
-        order.
+        order.  The search stops at the first transaction it visits that
+        writes dst's object from a version below dst's: its landing there is
+        the first below dst's rank that the whole search would make, so the
+        witness is the one the whole search gives.
         """
         if not self.dp_reachable(src, dst):
             return None
         if dst.rank - 1 < self._reach[src.obj][src.rank][dst.obj]:
             return []  # same-object rank step
-        _, parent, lowered = next(self._search(src.obj, [src.rank]))
         timeline = self.base.timeline
-        last, obj = next(txn for rank, txn in lowered[dst.obj] if rank < dst.rank), dst.obj
+        # The writers of dst's object whose landing there is below dst's rank.
+        goal = frozenset(timeline.writers[dst.obj][: self.pattern.versions[dst.obj][dst.rank]])
+        _, parent, last = next(self._search(src.obj, [src.rank], goal))
+        obj = dst.obj
         witness: list[DependenceEdge] = []
         while last is not None:
             first = last

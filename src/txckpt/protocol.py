@@ -34,7 +34,8 @@ this is restricted to indices that are multiples of z.  The index check
 makes no pairwise pass: a checkpoint's dependence paths reach, per object,
 every rank from CheckpointAnalysis.min_reachable_ranks on, so it is compared
 once per object with the least index logged at or above that rank, and the
-offending pairs are listed only when there is one.
+offending pairs are listed only when there is one.  The gap-filled
+assemblies are taken in one sweep from the highest index down.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .dependence import CheckpointAnalysis, CheckpointPattern, ExecutionAnalysis
 from .model import Transaction
-from .theory import assemble_indexed_gc, is_consistent_global_state
+from .theory import is_consistent_global_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import Trace
@@ -244,11 +245,24 @@ def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
             if not is_consistent_global_state(states, base):
                 violations.append(f"equal-index assembly at index {n} is not consistent")
     if protocol == PROTOCOL_A:
-        max_index = max((r.index for r in records), default=0)
-        for n in range(max_index + 1):
-            gc = assemble_indexed_gc(n, records, analysis)
-            if gc is not None and not is_consistent_global_state(gc.states(), base):
-                violations.append(f"gap-filled assembly at index {n} is not consistent")
+        # assemble_indexed_gc(n) for every n in one downward sweep (z is 1,
+        # so by_index holds every record): the records at index n replace
+        # their objects' picks, the first in log order winning, and
+        # consistency is retested only when a pick changed.
+        picks: dict[int, CheckpointRecord] = {}
+        consistent = True
+        inconsistent: list[int] = []
+        for n in range(max(by_index, default=0), -1, -1):
+            changed = by_index.get(n, ())
+            for record in reversed(changed):
+                picks[record.obj] = record
+            if len(picks) < len(all_objects):
+                continue
+            if changed:
+                consistent = is_consistent_global_state({o: r.version for o, r in picks.items()}, base)
+            if not consistent:
+                inconsistent.append(n)
+        violations.extend(f"gap-filled assembly at index {n} is not consistent" for n in reversed(inconsistent))
 
     counts = {KIND_INITIAL: 0, KIND_BASIC: 0, KIND_FORCED: 0}
     for record in records:

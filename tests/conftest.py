@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import deque
 
 import pytest
 from hypothesis import strategies as st
 
-from txckpt.dependence import CheckpointAnalysis, CheckpointPattern, ExecutionAnalysis
+from txckpt.dependence import (
+    BLACK,
+    DASHED,
+    CheckpointAnalysis,
+    CheckpointPattern,
+    DependenceEdge,
+    ExecutionAnalysis,
+)
 from txckpt.model import (
     Execution,
     LocalState,
@@ -167,6 +175,68 @@ def assert_witness_chain(analysis: CheckpointAnalysis, distances: dict, src, dst
         assert e.source.obj == obj and rank(obj, e.source.version) >= floor
         obj, floor = e.target.obj, rank(e.target.obj, e.target.version - 1)
     assert obj == dst.obj and floor <= dst.rank - 1
+
+
+def witness_oracle(analysis: CheckpointAnalysis, src, dst):
+    """dp_witness by the whole search: expand every chain reachable from
+    src's interval layer by layer, record each landing that lowers an
+    object's reach, and rebuild the path from the first landing on dst's
+    object below dst's rank.
+    """
+    if not analysis.dp_reachable(src, dst):
+        return None
+    versions = analysis.pattern.versions
+    timeline, hops = analysis.base.timeline, analysis.base.graph.successors
+    landings: dict[int, list[tuple[int, int]]] = {}
+    for (txn, obj), post in sorted(timeline.post_version.items()):
+        landings.setdefault(txn, []).append((obj, bisect.bisect_right(versions[obj], post - 1) - 1))
+    reach = [len(vs) for vs in versions]
+    started = list(reach)
+    parent: dict[int, tuple] = {}
+    lowered: list[list[tuple[int, int]]] = [[] for _ in versions]
+
+    def start(x, rank, via, layer):
+        stop = versions[x][started[x]] if started[x] < len(versions[x]) else None
+        for txn in timeline.writers[x][versions[x][rank]:stop]:
+            if txn not in parent:
+                parent[txn] = (via, x)
+                i = len(layer)
+                layer.append(txn)
+                while i < len(layer):
+                    for nxt in hops[layer[i]]:
+                        if nxt not in parent:
+                            parent[nxt] = (layer[i], None)
+                            layer.append(nxt)
+                    i += 1
+        started[x] = rank
+
+    layer: list[int] = []
+    start(src.obj, src.rank, None, layer)
+    while layer:
+        following: list[int] = []
+        for txn in layer:
+            for x, landed in landings.get(txn, ()):
+                if landed < reach[x]:
+                    reach[x] = landed
+                    lowered[x].append((landed, txn))
+                if landed < started[x]:
+                    start(x, landed, txn, following)
+        layer = following
+    found = [txn for rank, txn in lowered[dst.obj] if rank < dst.rank]
+    if not found:
+        return []  # same-object rank step
+    last, obj = found[0], dst.obj
+    witness = []
+    while last is not None:
+        first = last
+        while parent[first][1] is None:
+            first = parent[first][0]
+        via, entry = parent[first]
+        source = LocalState(entry, timeline.pre_version[(first, entry)])
+        target = LocalState(obj, timeline.post_version[(last, obj)])
+        witness.append(DependenceEdge(source, target, BLACK if first == last else DASHED, (first, last)))
+        last, obj = via, entry
+    return witness[::-1]
 
 
 def serialization_closure_oracle(execution) -> dict[int, frozenset[int]]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from conftest import (
     make_execution,
     min_safe_rank_oracle,
     scenario_analysis,
+    witness_oracle,
 )
 
 
@@ -43,6 +45,32 @@ def assert_min_safe_ranks_match(analysis):
             for obj in range(analysis.pattern.num_objects):
                 if obj != dst_obj:
                     assert analysis.min_safe_rank(obj, dst) == min_safe_rank_oracle(analysis, obj, dst)
+
+
+def simulated_analysis(objects, txns, seed, **config):
+    spec = WorkloadSpec(objects, txns, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+    return trace_pattern(run_simulation(spec, SimConfig(seed=seed, num_objects=objects, **config)))[1]
+
+
+def all_checkpoints(analysis):
+    return [analysis.checkpoint(o, r) for o in range(analysis.pattern.num_objects) for r in analysis.pattern.ranks(o)]
+
+
+def verified_stack(monkeypatch):
+    """verify_protocol_guarantees on a small clean trace: (report, base, analysis)."""
+    built = []
+
+    def kept(trace):
+        built.append(trace_pattern(trace))
+        return built[-1]
+
+    monkeypatch.setattr(protocol_module, "trace_pattern", kept)
+    spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=5)
+    report = protocol_module.verify_protocol_guarantees(
+        run_simulation(spec, SimConfig(seed=5, num_objects=4, timer_period=6))
+    )
+    (base, analysis), = built
+    return report, base, analysis
 
 
 def edge_pairs(analysis):
@@ -259,6 +287,14 @@ class TestDependencePaths:
         config = SimConfig(seed=seed, num_objects=6, timer_period=10)
         assert_min_safe_ranks_match(trace_pattern(run_simulation(spec, config))[1])
 
+    @pytest.mark.parametrize("case", ["past_the_last", "negative", "own_object"])
+    def test_min_safe_rank_rejects_a_bad_object(self, fig3, case):
+        analysis = scenario_analysis(fig3)
+        dst = analysis.checkpoint(fig3.object_index("z"), 1)
+        obj = {"past_the_last": analysis.pattern.num_objects, "negative": -1, "own_object": dst.obj}[case]
+        with pytest.raises(AnalysisError):
+            analysis.min_safe_rank(obj, dst)
+
     def test_unknown_checkpoint_rejected(self, fig3):
         analysis = scenario_analysis(fig3)
         u = fig3.object_index("u")
@@ -315,17 +351,64 @@ class TestDependencePaths:
             assert_witness_chain(analysis, distances, src, dst)
 
     def test_verify_never_builds_the_edge_set(self, monkeypatch):
-        built = []
-
-        def kept(trace):
-            built.append(trace_pattern(trace))
-            return built[-1]
-
-        monkeypatch.setattr(protocol_module, "trace_pattern", kept)
-        spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=5)
-        report = protocol_module.verify_protocol_guarantees(
-            run_simulation(spec, SimConfig(seed=5, num_objects=4, timer_period=6))
-        )
-        (base, _), = built
+        report, base, _ = verified_stack(monkeypatch)
         assert report.ok and "edges" not in base.__dict__
         assert base.edges and "edges" in base.__dict__
+
+    def test_verify_never_builds_the_intervals(self, monkeypatch):
+        report, _, analysis = verified_stack(monkeypatch)
+        assert report.ok and "intervals" not in analysis.__dict__
+        assert analysis.intervals and "intervals" in analysis.__dict__
+
+
+class TestWitnessMatchesWholeSearch:
+    """dp_witness stops at its first goal transaction; the whole search,
+    kept in witness_oracle, must pick the same witness."""
+
+    @pytest.fixture(scope="class")
+    def query_analysis(self):
+        # The query_mix benchmark's trace: 12 objects, 200 transactions.
+        return simulated_analysis(12, 200, 1, protocol="A", timer_period=20)
+
+    def test_matches_on_a_12x200_trace(self, query_analysis):
+        cks = all_checkpoints(query_analysis)
+        pairs = random.Random(1).sample(list(itertools.product(cks, repeat=2)), 3000)
+        lengths = Counter()
+        for src, dst in pairs:
+            witness = query_analysis.dp_witness(src, dst)
+            assert witness == witness_oracle(query_analysis, src, dst)
+            lengths[None if witness is None else len(witness)] += 1
+        assert lengths[None] > 1000 and lengths[1] > 1000
+        assert sum(n for length, n in lengths.items() if length and length >= 2) > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_on_protocol_b_traces(self, seed):
+        analysis = simulated_analysis(6, 80, seed, protocol="B", z_param=2, timer_period=10)
+        longest = 0
+        for src, dst in itertools.product(all_checkpoints(analysis), repeat=2):
+            witness = analysis.dp_witness(src, dst)
+            assert witness == witness_oracle(analysis, src, dst)
+            longest = max(longest, len(witness or ()))
+        assert longest >= 2
+
+    def test_one_segment_witness_stops_early(self, query_analysis, monkeypatch):
+        search = query_analysis._search
+        visited = []
+
+        def counted(*args):
+            for reach, parent, hit in search(*args):
+                visited.append(len(parent))
+                yield reach, parent, hit
+
+        monkeypatch.setattr(query_analysis, "_search", counted)
+        cks = all_checkpoints(query_analysis)
+        stopped, whole = 0, 0
+        for src, dst in random.Random(2).sample(list(itertools.product(cks, repeat=2)), 400):
+            visited.clear()
+            witness = query_analysis.dp_witness(src, dst)
+            if witness and len(witness) == 1:
+                full = len(next(search(src.obj, [src.rank]))[1])
+                (seen,) = visited
+                assert seen <= full
+                stopped, whole = stopped + seen, whole + full
+        assert whole > 0 and stopped < whole / 2

@@ -196,17 +196,19 @@ def doctored(trace, how, seed):
         records = [dataclasses.replace(r, index=min(r.index, 1)) for r in records]
     elif how == "random":
         records = [dataclasses.replace(r, index=rng.randint(0, 5)) for r in records]
+    elif how == "sparse":  # random indices with gaps, so assemblies repeat
+        records = [dataclasses.replace(r, index=3 * rng.randint(0, 5)) for r in records]
     elif how == "shuffled":
         rng.shuffle(records)
     return dataclasses.replace(trace, checkpoint_log=tuple(records))
 
 
 class TestVerificationMatchesPairwiseOracle:
-    @pytest.mark.parametrize("how", ["clean", "clamped", "random", "shuffled"])
+    @pytest.mark.parametrize("how", ["clean", "clamped", "random", "shuffled", "sparse"])
     @pytest.mark.parametrize("z", [1, 2, 3])
     @pytest.mark.parametrize("protocol", ["A", "B"])
     def test_same_violations_in_same_order(self, protocol, z, how):
-        pair_violations = 0
+        pair_violations = gap_filled = 0
         for seed in range(6):
             spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=seed)
             config = SimConfig(seed=seed, num_objects=4, protocol=protocol, z_param=z, timer_period=5)
@@ -217,11 +219,14 @@ class TestVerificationMatchesPairwiseOracle:
                 violations = verify_protocol_guarantees(checked).violations
                 assert violations == guarantee_violations_oracle(checked)
                 pair_violations += sum("without index increase" in v for v in violations)
+                gap_filled += sum("gap-filled" in v for v in violations)
         # Clamped to 1, only the index-0 checkpoints are scoped when z > 1.
         if how == "random" or how == "clamped" and z == 1:
             assert pair_violations > 0
         if how == "clean":
             assert pair_violations == 0
+        if how == "sparse" and protocol == "A":
+            assert gap_filled > 0
 
     def test_verify_makes_one_dp_reachable_call_per_checkpoint(self, monkeypatch):
         calls = []
