@@ -9,8 +9,6 @@ from .dependence import (
     CheckpointPattern,
     DependenceEdge,
     ExecutionAnalysis,
-    Interval,
-    build_intervals,
 )
 from .model import (
     Execution,
@@ -63,8 +61,6 @@ from .theory import (
     enumerate_consistent_globals,
     extend_to_global,
     is_consistent_global_state,
-    recovery_line_check,
-    recovery_line_violations,
     theorem_condition,
 )
 

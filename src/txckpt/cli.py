@@ -30,6 +30,7 @@ from .scenario import (
 from .sim import SimConfig, SimulationError, Trace, run_simulation
 from .theory import (
     ConditionViolated,
+    GlobalCheckpoint,
     OracleBoundExceeded,
     enumerate_consistent_globals,
     extend_to_global,
@@ -105,15 +106,11 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             wi * wj for i, wi in width.items() for j, wj in width.items() if base.graph.reaches(i, j)
         ),
     }
+    # Each checkpoint's interval runs up to the next one; the pattern is
+    # closed with every object's final state, which ends the last interval.
     intervals = {
-        names[obj]: [
-            [iv.start, iv.end]
-            for iv in sorted(
-                {analysis.intervals[s] for s in base.timeline.states(obj)},
-                key=lambda iv: iv.rank,
-            )
-        ]
-        for obj in range(scenario.execution.num_objects)
+        names[obj]: [[s, e] for s, e in zip(vs, [v - 1 for v in vs[1:]] + [base.timeline.max_version(obj)])]
+        for obj, vs in enumerate(analysis.pattern.versions)
     }
     results: dict[str, Any] = {
         "objects": {names[o]: base.timeline.max_version(o) + 1 for o in range(len(names))},
@@ -245,6 +242,21 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return {"results": results, "ok": True}, 0
 
 
+def _single_members(analysis: CheckpointAnalysis) -> list[dict[int, int]]:
+    """One candidate per checkpoint, in object and rank order."""
+    pattern = analysis.pattern
+    return [{obj: rank} for obj in range(pattern.num_objects) for rank in pattern.ranks(obj)]
+
+
+def _disagreements(
+    candidates: Sequence[dict[int, int]], analysis: CheckpointAnalysis, globals_: Sequence[GlobalCheckpoint]
+) -> list[dict[int, int]]:
+    """The candidates on which the dependence-path condition and the
+    brute-force oracle (membership in some consistent global checkpoint)
+    disagree, in candidate order."""
+    return [c for c in candidates if theorem_condition(c, analysis) != any(gc.contains(c) for gc in globals_)]
+
+
 def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, Any]:
     base, analysis = trace_pattern(trace)
     try:
@@ -253,10 +265,7 @@ def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, An
         return {"checked": False, "reason": "candidate space beyond bound"}
     rng = random.Random(trace.config.seed)
     num_objects = analysis.pattern.num_objects
-    candidates: list[dict[int, int]] = []
-    for obj in range(num_objects):
-        for rank in analysis.pattern.ranks(obj):
-            candidates.append({obj: rank})
+    candidates = _single_members(analysis)
     for _ in range(samples):
         if num_objects < 2:
             break
@@ -267,13 +276,8 @@ def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, An
                 b: rng.randrange(len(analysis.pattern.versions[b])),
             }
         )
-    disagreements = 0
-    for candidate in candidates:
-        holds = theorem_condition(candidate, analysis)
-        extendable = any(gc.contains(candidate) for gc in globals_)
-        if holds != extendable:
-            disagreements += 1
-    return {"checked": True, "candidates": len(candidates), "disagreements": disagreements}
+    disagreements = _disagreements(candidates, analysis, globals_)
+    return {"checked": True, "candidates": len(candidates), "disagreements": len(disagreements)}
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
@@ -317,19 +321,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         execution, pattern = generate_random(replace(workload, seed=workload.seed + i))
         analysis = CheckpointAnalysis(ExecutionAnalysis(execution), pattern)
         globals_ = enumerate_consistent_globals(analysis, bound=args.oracle_bound)
-        num_objects = analysis.pattern.num_objects
-        singles = [(obj, rank) for obj in range(num_objects) for rank in analysis.pattern.ranks(obj)]
-        sets = [dict([s]) for s in singles]
-        sets.extend(
-            {a[0]: a[1], b[0]: b[1]}
-            for a, b in itertools.combinations(singles, 2)
-            if a[0] != b[0]
+        singles = _single_members(analysis)
+        pairs = [a | b for a, b in itertools.combinations(singles, 2) if a.keys() != b.keys()]
+        disagreements.extend(
+            {"instance": i, "candidate": {str(k): v for k, v in candidate.items()}}
+            for candidate in _disagreements(singles + pairs, analysis, globals_)
         )
-        for candidate in sets:
-            holds = theorem_condition(candidate, analysis)
-            extendable = any(gc.contains(candidate) for gc in globals_)
-            if holds != extendable:
-                disagreements.append({"instance": i, "candidate": {str(k): v for k, v in candidate.items()}})
     results = {"instances": args.theorem_batch, "disagreements": disagreements}
     return {"results": results, "ok": not disagreements}, 0 if not disagreements else 1
 

@@ -1,19 +1,13 @@
-"""State-level precedence, dependence edges, checkpoint intervals, dependence paths.
+"""State-level precedence, checkpoint patterns, dependence paths.
 
-Two relations are derived from an execution:
-
-* ``happened_before``: the strict precedence between local states obtained by
-  extending the serialization order with each writer's pre/post states and
-  taking the transitive closure.
-
-* dependence edges: the atomic state-to-state precedences.  A transaction
-  writing objects W contributes one black edge from each of its pre-states to
-  each of its post-states (|W| squared edges), and for every transaction pair
-  ordered by the (transitively closed) serialization relation, a dashed edge
-  runs from each pre-state of the earlier writer to each post-state of the
-  later one.  Over this closure the edge set coincides exactly with the
-  happened_before pairs, which the test suite checks.  Only reports and the
-  recovery-line check read the set, so it is built on first use.
+``happened_before`` is the strict precedence between local states obtained by
+extending the serialization order with each writer's pre/post states and
+taking the transitive closure.  Its atomic steps are dependence edges: a
+writer of objects W has a black edge from each pre-state to each post-state
+(|W| squared), and each serialization-ordered writer pair a dashed edge from
+each pre-state of the earlier to each post-state of the later.  That
+O(n^2 k^2) edge set is built only on first use of ``ExecutionAnalysis.edges``:
+nothing in the library reads it, the tests check the path search against it.
 
 Dependence paths (DP) chain edges through checkpoint intervals.  Timing
 convention: a checkpoint saves its version as soon as that version exists, so
@@ -74,9 +68,6 @@ class DependenceEdge:
     kind: str
     via: tuple[int, int]
 
-    def sort_key(self) -> tuple:
-        return (self.source.obj, self.source.version, self.target.obj, self.target.version)
-
 
 class ExecutionAnalysis:
     """Precomputed derived relations for one validated execution."""
@@ -88,12 +79,10 @@ class ExecutionAnalysis:
 
     @cached_property
     def edges(self) -> tuple[DependenceEdge, ...]:
-        """Every dependence edge, in sort_key order; O(n^2 k^2), built on first use."""
-        return tuple(sorted(self._derive_edges(), key=DependenceEdge.sort_key))
-
-    def _derive_edges(self) -> Iterable[DependenceEdge]:
+        """Every dependence edge, sorted by endpoints; O(n^2 k^2), built on first use."""
         timeline = self.timeline
         writers = [t for t in self.execution.transactions if t.write_set]
+        edges = []
         for ti in writers:
             pre_states = [LocalState(y, timeline.pre_version[(ti.id, y)]) for y in sorted(ti.write_set)]
             for tj in writers:
@@ -106,7 +95,8 @@ class ExecutionAnalysis:
                 for src in pre_states:
                     for x in sorted(tj.write_set):
                         target = LocalState(x, timeline.post_version[(tj.id, x)])
-                        yield DependenceEdge(src, target, kind, (ti.id, tj.id))
+                        edges.append(DependenceEdge(src, target, kind, (ti.id, tj.id)))
+        return tuple(sorted(edges, key=lambda e: (e.source, e.target)))
 
     def happened_before(self, a: LocalState, b: LocalState) -> bool:
         """True iff state a strictly precedes state b.
@@ -199,35 +189,6 @@ class Checkpoint:
         return f"C({self.obj},#{self.rank}=v{self.state.version})"
 
 
-@dataclass(frozen=True)
-class Interval:
-    """States from one checkpoint up to (excluding) the next one."""
-
-    obj: int
-    rank: int
-    start: int
-    end: int  # inclusive
-
-    def __contains__(self, version: int) -> bool:
-        return self.start <= version <= self.end
-
-
-def build_intervals(pattern: CheckpointPattern, timeline: StateTimeline) -> dict[LocalState, Interval]:
-    """Assign every local state to exactly one interval of the given pattern.
-
-    The last checkpoint's interval runs to the object's latest state.
-    """
-    assignment: dict[LocalState, Interval] = {}
-    for obj in range(timeline.num_objects):
-        vs = pattern.versions[obj]
-        for rank, start in enumerate(vs):
-            end = vs[rank + 1] - 1 if rank + 1 < len(vs) else timeline.max_version(obj)
-            interval = Interval(obj, rank, start, end)
-            for version in range(start, end + 1):
-                assignment[LocalState(obj, version)] = interval
-    return assignment
-
-
 class CheckpointAnalysis:
     """Dependence-path reachability for one execution and checkpoint pattern.
 
@@ -257,11 +218,6 @@ class CheckpointAnalysis:
             [tuple(reach) for reach, _, _ in self._search(obj, range(len(vs) - 1, -1, -1))][::-1]
             for obj, vs in enumerate(versions)
         ]
-
-    @cached_property
-    def intervals(self) -> dict[LocalState, Interval]:
-        """Every local state's interval; built on first use (reports, tests)."""
-        return build_intervals(self.pattern, self.base.timeline)
 
     def _search(
         self, obj: int, ranks: Iterable[int], goal: frozenset[int] = frozenset()
@@ -344,8 +300,6 @@ class CheckpointAnalysis:
             if src.rank >= 0 and dst.rank >= 0:
                 reach = self._reach[src.obj][src.rank]
                 self._reach[dst.obj][dst.rank]
-                if src.obj == dst.obj and src.rank < dst.rank:
-                    return True
                 return dst.rank - 1 >= reach[dst.obj]
         except IndexError:
             pass
@@ -383,9 +337,9 @@ class CheckpointAnalysis:
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.
 
-        For a pure same-object rank step the witness is the empty list.
-        Otherwise it has the fewest dependence edges of any path, one edge
-        per chain segment.  Ties go to the first path the search finds: it
+        It has the fewest dependence edges of any path, one edge per chain
+        segment; a step to a later checkpoint of src's object takes one
+        black edge, from the writer of the version after src.  Ties go to the first path the search finds: it
         starts writers in version order, each claiming its chain closure,
         hops in ascending transaction order and lands in ascending object
         order.  The search stops at the first transaction it visits that
@@ -395,13 +349,12 @@ class CheckpointAnalysis:
         """
         if not self.dp_reachable(src, dst):
             return None
-        if dst.rank - 1 < self._reach[src.obj][src.rank][dst.obj]:
-            return []  # same-object rank step
         timeline = self.base.timeline
+        # dp_reachable counts a negative object from the end; so does the search.
+        src_obj, obj = src.obj % self.pattern.num_objects, dst.obj % self.pattern.num_objects
         # The writers of dst's object whose landing there is below dst's rank.
-        goal = frozenset(timeline.writers[dst.obj][: self.pattern.versions[dst.obj][dst.rank]])
-        _, parent, last = next(self._search(src.obj, [src.rank], goal))
-        obj = dst.obj
+        goal = frozenset(timeline.writers[obj][: self.pattern.versions[obj][dst.rank]])
+        _, parent, last = next(self._search(src_obj, [src.rank], goal))
         witness: list[DependenceEdge] = []
         while last is not None:
             first = last

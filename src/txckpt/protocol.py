@@ -70,7 +70,6 @@ class DataManagerState:
     obj: int
     index: int = 0
     version: int = 0
-    timer_deadline: int = 0
 
 
 @dataclass(frozen=True)
@@ -108,17 +107,15 @@ def tm_commit_metadata(txn: Transaction, observed: Mapping[int, int]) -> list[Co
     return [CommitMessage(txn.id, max_index, obj) for obj in sorted(txn.access_set)]
 
 
-def dm_on_timer(
-    dm: DataManagerState, now: int, next_deadline: int
-) -> tuple[DataManagerState, CheckpointRecord]:
+def dm_on_timer(dm: DataManagerState, now: int) -> tuple[DataManagerState, CheckpointRecord]:
     """Basic checkpoint: bump the index and save the current version."""
     index = dm.index + 1
     record = CheckpointRecord(dm.obj, index, KIND_BASIC, dm.version, now)
-    return replace(dm, index=index, timer_deadline=next_deadline), record
+    return replace(dm, index=index), record
 
 
 def _forced_step(
-    dm: DataManagerState, msg: CommitMessage, z: int, now: int, next_deadline: int
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int
 ) -> tuple[DataManagerState, CheckpointRecord | None]:
     if msg.dest != dm.obj:
         raise ProtocolError(f"message for object {msg.dest} delivered to data manager {dm.obj}")
@@ -130,24 +127,24 @@ def _forced_step(
     rounded = (msg.max_index // z) * z
     if rounded > dm.index:
         record = CheckpointRecord(dm.obj, rounded, KIND_FORCED, dm.version, now)
-        return replace(dm, index=rounded, timer_deadline=next_deadline), record
+        return replace(dm, index=rounded), record
     return dm, None
 
 
 def dm_on_commit(
-    dm: DataManagerState, msg: CommitMessage, z: int, now: int, next_deadline: int
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int
 ) -> tuple[DataManagerState, CheckpointRecord | None]:
     """Commit handling: force a checkpoint when msg names a later epoch.
 
     The forced checkpoint saves the state before the incoming write applies;
     the write is applied afterwards in either case.
     """
-    dm, record = _forced_step(dm, msg, z, now, next_deadline)
+    dm, record = _forced_step(dm, msg, z, now)
     return replace(dm, version=dm.version + 1), record
 
 
 def dm_on_release(
-    dm: DataManagerState, msg: CommitMessage, z: int, now: int, next_deadline: int
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int
 ) -> tuple[DataManagerState, CheckpointRecord | None]:
     """Read-lock release from a committed reader: same forcing rule, no write.
 
@@ -158,7 +155,7 @@ def dm_on_release(
     checkpoint taken after the overwrite reuse (or undercut) an index that a
     checkpoint before the reader's snapshot already carries.
     """
-    return _forced_step(dm, msg, z, now, next_deadline)
+    return _forced_step(dm, msg, z, now)
 
 
 @dataclass(frozen=True)

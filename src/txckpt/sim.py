@@ -198,14 +198,13 @@ class _Lock:
 
 
 class _TxnRun:
-    __slots__ = ("txn", "order", "pos", "observed", "commit_scheduled")
+    __slots__ = ("txn", "order", "pos", "observed")
 
     def __init__(self, txn: Transaction):
         self.txn = txn
         self.order = sorted(txn.access_set)
         self.pos = 0
         self.observed: dict[int, int] = {}
-        self.commit_scheduled = False
 
     def mode(self, obj: int) -> str:
         return "write" if obj in self.txn.write_set else "read"
@@ -284,13 +283,14 @@ class _Simulation:
             self._advance(self.txns[txn_id])
 
     def _advance(self, run: _TxnRun) -> None:
+        """Acquire locks until one must wait; with all of them, schedule the
+        commit.  A transaction holding every lock is never queued again, so
+        this happens once per transaction."""
         while run.pos < len(run.order):
             if not self._try_acquire(run):
                 return
-        if not run.commit_scheduled:
-            run.commit_scheduled = True
-            delay = self.rng.randint(*self.config.work_delay_range)
-            self._schedule(self.now + delay, EV_TXN_COMMIT, (run.txn.id,))
+        delay = self.rng.randint(*self.config.work_delay_range)
+        self._schedule(self.now + delay, EV_TXN_COMMIT, (run.txn.id,))
 
     # -- event handlers ------------------------------------------------------
 
@@ -317,12 +317,13 @@ class _Simulation:
         txn_id, obj = msg.txn, msg.dest
         apply_write = int(obj in self.txns[txn_id].txn.write_set)
         step = dm_on_commit if apply_write else dm_on_release
-        dm, record = step(self.dms[obj], msg, self.config.z, self.now, self._next_deadline())
+        deadline = self._next_deadline()  # drawn on every delivery: it advances the jitter RNG
+        dm, record = step(self.dms[obj], msg, self.config.z, self.now)
         self.dms[obj] = dm
         if record is not None:
             self.log.append(record)
             self.timer_gen[obj] += 1
-            self._schedule(dm.timer_deadline, EV_TIMER, (obj, self.timer_gen[obj]))
+            self._schedule(deadline, EV_TIMER, (obj, self.timer_gen[obj]))
         self._record(
             EV_COMMIT_MSG,
             txn=txn_id,
@@ -347,11 +348,11 @@ class _Simulation:
             # checkpoint here would not be reflected in that writer's metadata.
             self._schedule(deadline, EV_TIMER, (obj, gen))
             return
-        dm, record = dm_on_timer(self.dms[obj], self.now, deadline)
+        dm, record = dm_on_timer(self.dms[obj], self.now)
         self.dms[obj] = dm
         self.log.append(record)
         self._record(EV_TIMER, obj=obj, index=dm.index)
-        self._schedule(dm.timer_deadline, EV_TIMER, (obj, gen))
+        self._schedule(deadline, EV_TIMER, (obj, gen))
 
     # -- main loop -------------------------------------------------------
 
@@ -362,9 +363,7 @@ class _Simulation:
             clock += self.rng.randint(lo, hi)
             self._schedule(clock, EV_TXN_BEGIN, (txn_id,))
         for obj in range(self.config.num_objects):
-            deadline = self._next_deadline()
-            self.dms[obj] = DataManagerState(obj, timer_deadline=deadline)
-            self._schedule(deadline, EV_TIMER, (obj, 0))
+            self._schedule(self._next_deadline(), EV_TIMER, (obj, 0))
         while self.heap:
             time, _, kind, payload = heapq.heappop(self.heap)
             self.now = time

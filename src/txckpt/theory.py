@@ -40,9 +40,6 @@ class GlobalCheckpoint:
     def rank_vector(self) -> tuple[int, ...]:
         return tuple(c.rank for c in self.members)
 
-    def version_vector(self) -> tuple[int, ...]:
-        return tuple(c.state.version for c in self.members)
-
     def states(self) -> dict[int, int]:
         return {c.obj: c.state.version for c in self.members}
 
@@ -176,41 +173,6 @@ def enumerate_consistent_globals(
                 GlobalCheckpoint(tuple(analysis.checkpoint(obj, rank) for obj, rank in enumerate(ranks)))
             )
     return out
-
-
-@dataclass(frozen=True)
-class LineCrossing:
-    edge: DependenceEdge
-
-
-def recovery_line_violations(
-    line: Mapping[int, int], analysis: ExecutionAnalysis
-) -> list[LineCrossing]:
-    """Dependence edges that cross the recovery line.
-
-    line maps every object to the version its member checkpoint saved.  An
-    edge crosses when its source sits at or after the saved version of its
-    own object while its target sits at or before the saved version of its
-    object: the source side already reflects the line, the target side is
-    being depended on from beyond it.  Black edges whose endpoints fall
-    strictly on opposite sides always show up here through the mirrored
-    edge of the same transaction, and left-to-right dashed edges (earlier
-    source, later target) never do: they are merely in transit.
-    """
-    _complete_states(line, analysis)
-    violations = []
-    for edge in analysis.edges:
-        if (
-            edge.source.version >= line[edge.source.obj]
-            and edge.target.version <= line[edge.target.obj]
-        ):
-            violations.append(LineCrossing(edge))
-    return violations
-
-
-def recovery_line_check(line: Mapping[int, int], analysis: ExecutionAnalysis) -> bool:
-    """True iff no dependence edge crosses the line (agrees with consistency)."""
-    return not recovery_line_violations(line, analysis)
 
 
 class IndexedCheckpoint(Protocol):

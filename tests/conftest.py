@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -75,6 +77,64 @@ def hb_oracle(execution, a: LocalState, b: LocalState) -> bool:
     return False
 
 
+class Interval(NamedTuple):
+    """States start..end (inclusive) of an object, from its rank-th checkpoint
+    up to the next one."""
+
+    obj: int
+    rank: int
+    start: int
+    end: int
+
+
+def build_intervals(pattern: CheckpointPattern, timeline) -> dict[LocalState, Interval]:
+    """Every local state's interval under the pattern; the last checkpoint's
+    interval runs to the object's latest state."""
+    assignment: dict[LocalState, Interval] = {}
+    for obj in range(timeline.num_objects):
+        vs = pattern.versions[obj]
+        for rank, start in enumerate(vs):
+            end = vs[rank + 1] - 1 if rank + 1 < len(vs) else timeline.max_version(obj)
+            for version in range(start, end + 1):
+                assignment[LocalState(obj, version)] = Interval(obj, rank, start, end)
+    return assignment
+
+
+@functools.lru_cache(maxsize=64)
+def state_intervals(analysis: CheckpointAnalysis) -> dict[LocalState, Interval]:
+    """build_intervals over the analysis's closed pattern."""
+    return build_intervals(analysis.pattern, analysis.base.timeline)
+
+
+def recovery_line_violations(line, base: ExecutionAnalysis) -> list[DependenceEdge]:
+    """The dependence edges that cross a recovery line, read as messages.
+
+    line maps every object to the version its member checkpoint saved.  Each
+    dependence edge is a message, sent in the interval of its source version
+    and received in the interval of its target version - 1 (the timing
+    convention of txckpt.dependence).  It is an orphan when the line records
+    its receipt (target version <= the line's version of that object) but not
+    its send (source version >= the line's version of that object: the state
+    the message leaves is replaced only after the checkpoint).  A line is
+    consistent exactly when no message is an orphan.
+    """
+    assert set(line) == set(range(base.execution.num_objects))
+    return [
+        e for e in base.edges
+        if e.source.version >= line[e.source.obj] and e.target.version <= line[e.target.obj]
+    ]
+
+
+def recovery_line_check(line, base: ExecutionAnalysis) -> bool:
+    """True iff no message crosses the line (agrees with consistency)."""
+    return not recovery_line_violations(line, base)
+
+
+def version_vector(gc) -> tuple[int, ...]:
+    """A global checkpoint's saved versions, in object order."""
+    return tuple(c.state.version for c in gc.members)
+
+
 def dp_oracle(analysis: CheckpointAnalysis, src, dst) -> bool:
     """Dependence-path reachability by direct search over edge sequences.
 
@@ -85,7 +145,7 @@ def dp_oracle(analysis: CheckpointAnalysis, src, dst) -> bool:
     """
     if src.obj == dst.obj and src.rank < dst.rank:
         return True
-    interval_rank = lambda obj, ver: analysis.intervals[LocalState(obj, ver)].rank
+    interval_rank = lambda obj, ver: state_intervals(analysis)[LocalState(obj, ver)].rank
     edges = analysis.base.edges
     start_floor = analysis.pattern.version_of(src.obj, src.rank)
     frontier = deque()
@@ -118,7 +178,7 @@ def interval_dp_distances(analysis: CheckpointAnalysis) -> dict:
     source version to the interval of its target version - 1 at cost one.
     The search state also records whether an edge has been used yet.
     """
-    rank = lambda obj, version: analysis.intervals[LocalState(obj, version)].rank
+    rank = lambda obj, version: state_intervals(analysis)[LocalState(obj, version)].rank
     dep: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for e in analysis.base.edges:
         dep.setdefault((e.source.obj, rank(e.source.obj, e.source.version)), set()).add(
@@ -168,7 +228,7 @@ def assert_witness_chain(analysis: CheckpointAnalysis, distances: dict, src, dst
         return
     assert len(witness) == fewest
     edges = set(analysis.base.edges)
-    rank = lambda obj, version: analysis.intervals[LocalState(obj, version)].rank
+    rank = lambda obj, version: state_intervals(analysis)[LocalState(obj, version)].rank
     obj, floor = src.obj, src.rank
     for e in witness:
         assert e in edges

@@ -28,11 +28,16 @@ from txckpt.theory import (
     enumerate_consistent_globals,
     extend_to_global,
     is_consistent_global_state,
-    recovery_line_check,
     theorem_condition,
 )
 
-from conftest import fig3_reconstruction_facts, scenario_analysis
+from conftest import (
+    fig3_reconstruction_facts,
+    recovery_line_check,
+    scenario_analysis,
+    state_intervals,
+    version_vector,
+)
 
 
 def _instance(i: int):
@@ -169,7 +174,7 @@ def protocol_b_batch():
 def test_criterion_01_fig1a_golden_enumeration():
     started = time.monotonic()
     analysis = scenario_analysis(builtin_scenario("fig1a"))
-    got = [gc.version_vector() for gc in enumerate_consistent_globals(analysis)]
+    got = [version_vector(gc) for gc in enumerate_consistent_globals(analysis)]
     assert got == [(0, 0, 0), (0, 1, 1), (1, 1, 1)]
     assert (1, 0, 1) not in got
     elapsed = time.monotonic() - started
@@ -199,7 +204,7 @@ def test_criterion_03_fig3_hidden_dependence():
     assert not base.happened_before(LocalState(x, 2), LocalState(u, 0))
     assert base.happened_before(LocalState(u, 0), LocalState(y, 2))
     assert analysis.dp_reachable(analysis.checkpoint(u, 0), analysis.checkpoint(x, 1))
-    first_z = [s for s, iv in analysis.intervals.items() if s.obj == z and iv.rank == 0]
+    first_z = [s for s, iv in state_intervals(analysis).items() if s.obj == z and iv.rank == 0]
     assert len(first_z) == 4
     for gc in enumerate_consistent_globals(analysis):
         assert not (

@@ -6,9 +6,9 @@ import pytest
 
 from txckpt import cli
 from txckpt.cli import main
-from txckpt.scenario import builtin_scenario, save_scenario
+from txckpt.scenario import Scenario, WorkloadSpec, builtin_scenario, generate_random, save_scenario
 
-from conftest import scenario_analysis
+from conftest import scenario_analysis, state_intervals
 
 
 def run_cli(capsys, *args):
@@ -46,6 +46,22 @@ class TestAnalyze:
             for edge in base.edges:
                 counts[edge.kind] += 1
             assert report["results"]["edge_counts"] == counts
+
+    def test_intervals_match_the_per_state_map(self, capsys, tmp_path):
+        # Random scenarios with 2-5 objects, 3-11 transactions and up to 3
+        # extra checkpoints per object, read back from disk as analyze reads them.
+        for seed in range(60):
+            spec = WorkloadSpec(2 + seed % 4, 3 + seed % 9, ops_per_txn=(1, 3), write_probability=0.6, seed=seed)
+            execution, pattern = generate_random(spec, max_checkpoints_per_object=1 + seed % 4)
+            names = tuple(f"o{obj}" for obj in range(execution.num_objects))
+            scenario = Scenario(f"random{seed}", execution, pattern, names)
+            path = tmp_path / f"random{seed}.json"
+            save_scenario(scenario, path)
+            code, report = run_cli(capsys, "analyze", str(path))
+            expected: dict[str, list[list[int]]] = {}
+            for iv in sorted(set(state_intervals(scenario_analysis(scenario)).values())):
+                expected.setdefault(names[iv.obj], []).append([iv.start, iv.end])
+            assert code == 0 and report["results"]["intervals"] == expected
 
     def test_empty_scenario(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

@@ -14,7 +14,6 @@ from txckpt.dependence import (
     Checkpoint,
     CheckpointPattern,
     ExecutionAnalysis,
-    build_intervals,
 )
 from txckpt import protocol as protocol_module
 from txckpt.model import LocalState, assign_versions
@@ -26,6 +25,7 @@ from conftest import (
     analyses,
     analysis_for,
     assert_witness_chain,
+    build_intervals,
     dp_oracle,
     executions,
     hb_oracle,
@@ -34,6 +34,7 @@ from conftest import (
     make_execution,
     min_safe_rank_oracle,
     scenario_analysis,
+    state_intervals,
     witness_oracle,
 )
 
@@ -56,25 +57,8 @@ def all_checkpoints(analysis):
     return [analysis.checkpoint(o, r) for o in range(analysis.pattern.num_objects) for r in analysis.pattern.ranks(o)]
 
 
-def verified_stack(monkeypatch):
-    """verify_protocol_guarantees on a small clean trace: (report, base, analysis)."""
-    built = []
-
-    def kept(trace):
-        built.append(trace_pattern(trace))
-        return built[-1]
-
-    monkeypatch.setattr(protocol_module, "trace_pattern", kept)
-    spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=5)
-    report = protocol_module.verify_protocol_guarantees(
-        run_simulation(spec, SimConfig(seed=5, num_objects=4, timer_period=6))
-    )
-    (base, analysis), = built
-    return report, base, analysis
-
-
-def edge_pairs(analysis):
-    return {(e.source, e.target) for e in analysis.edges}
+def edge_pairs(base):
+    return {(e.source, e.target) for e in base.edges}
 
 
 class TestHappenedBefore:
@@ -209,7 +193,7 @@ class TestIntervals:
     def test_intervals_partition_states(self, analysis):
         timeline = analysis.base.timeline
         for obj in range(timeline.num_objects):
-            ranks = [analysis.intervals[s].rank for s in timeline.states(obj)]
+            ranks = [state_intervals(analysis)[s].rank for s in timeline.states(obj)]
             assert ranks == sorted(ranks)
             # contiguous coverage, one interval per checkpoint
             assert set(ranks) == set(analysis.pattern.ranks(obj))
@@ -351,14 +335,36 @@ class TestDependencePaths:
             assert_witness_chain(analysis, distances, src, dst)
 
     def test_verify_never_builds_the_edge_set(self, monkeypatch):
-        report, base, _ = verified_stack(monkeypatch)
+        built = []
+
+        def kept(trace):
+            built.append(trace_pattern(trace))
+            return built[-1]
+
+        monkeypatch.setattr(protocol_module, "trace_pattern", kept)
+        spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=5)
+        report = protocol_module.verify_protocol_guarantees(
+            run_simulation(spec, SimConfig(seed=5, num_objects=4, timer_period=6))
+        )
+        (base, _), = built
         assert report.ok and "edges" not in base.__dict__
         assert base.edges and "edges" in base.__dict__
 
-    def test_verify_never_builds_the_intervals(self, monkeypatch):
-        report, _, analysis = verified_stack(monkeypatch)
-        assert report.ok and "intervals" not in analysis.__dict__
-        assert analysis.intervals and "intervals" in analysis.__dict__
+    def test_negative_object_counts_from_the_end(self, fig3):
+        # dp_reachable accepts Checkpoint(o - m, r) as object o's checkpoint
+        # of rank r; dp_witness must give the same answer for it.
+        analysis = scenario_analysis(fig3)
+        m = analysis.pattern.num_objects
+        cks = all_checkpoints(analysis)
+        alias = lambda ck: Checkpoint(ck.obj - m, ck.rank, ck.state)
+        reachable = 0
+        for src, dst in itertools.product(cks, repeat=2):
+            expected = analysis.dp_witness(src, dst)
+            reachable += expected is not None
+            for pair in ((alias(src), dst), (src, alias(dst)), (alias(src), alias(dst))):
+                assert analysis.dp_reachable(*pair) == (expected is not None)
+                assert analysis.dp_witness(*pair) == expected
+        assert reachable > len(cks)
 
 
 class TestWitnessMatchesWholeSearch:

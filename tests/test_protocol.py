@@ -53,18 +53,18 @@ class TestCommitMetadata:
 class TestBasicCheckpoints:
     def test_increments_index(self):
         dm = DataManagerState(obj=0, index=0, version=2)
-        dm, rec = dm_on_timer(dm, now=10, next_deadline=35)
-        assert dm.index == 1 and dm.timer_deadline == 35
+        dm, rec = dm_on_timer(dm, now=10)
+        assert dm.index == 1
         assert rec == CheckpointRecord(0, 1, KIND_BASIC, 2, 10)
 
     def test_from_any_index(self):
         dm = DataManagerState(obj=0, index=7)
-        assert dm_on_timer(dm, 0, 5)[0].index == 8
+        assert dm_on_timer(dm, 0)[0].index == 8
 
     def test_consecutive_expirations_strictly_increase(self):
         dm = DataManagerState(obj=0)
-        dm, r1 = dm_on_timer(dm, 0, 5)
-        dm, r2 = dm_on_timer(dm, 5, 10)
+        dm, r1 = dm_on_timer(dm, 0)
+        dm, r2 = dm_on_timer(dm, 5)
         assert (r1.index, r2.index) == (1, 2)
 
 
@@ -73,29 +73,28 @@ class TestForcedCheckpointsA:
 
     def test_lagging_index_forces_pre_write_snapshot(self):
         dm = DataManagerState(obj=0, index=0, version=1)
-        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7, next_deadline=20)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7)
         assert rec == CheckpointRecord(0, 3, KIND_FORCED, 1, 7)
-        assert dm.index == 3 and dm.version == 2 and dm.timer_deadline == 20
+        assert dm.index == 3 and dm.version == 2
 
     def test_ahead_index_only_applies(self):
-        dm = DataManagerState(obj=0, index=5, version=0, timer_deadline=9)
-        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7, next_deadline=20)
+        dm = DataManagerState(obj=0, index=5, version=0)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7)
         assert rec is None and dm.index == 5 and dm.version == 1
-        assert dm.timer_deadline == 9  # timer untouched without a checkpoint
 
     def test_equal_index_does_not_force(self):
         dm = DataManagerState(obj=0, index=3)
-        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7, next_deadline=20)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 3, 0), 1, now=7)
         assert rec is None and dm.version == 1
 
     def test_wrong_destination_rejected(self):
         for step in (dm_on_commit, dm_on_release):
             with pytest.raises(ProtocolError, match="delivered to data manager"):
-                step(DataManagerState(obj=0), CommitMessage(5, 3, 1), 1, 0, 0)
+                step(DataManagerState(obj=0), CommitMessage(5, 3, 1), 1, 0)
 
     def test_release_forces_without_apply(self):
         dm = DataManagerState(obj=0, index=0, version=2)
-        dm, rec = dm_on_release(dm, CommitMessage(5, 4, 0), 1, now=3, next_deadline=9)
+        dm, rec = dm_on_release(dm, CommitMessage(5, 4, 0), 1, now=3)
         assert rec == CheckpointRecord(0, 4, KIND_FORCED, 2, 3)
         assert dm.index == 4 and dm.version == 2
 
@@ -103,25 +102,25 @@ class TestForcedCheckpointsA:
 class TestForcedCheckpointsB:
     def test_rounds_down_to_multiple(self):
         dm = DataManagerState(obj=0, index=0)
-        dm, rec = dm_on_commit(dm, CommitMessage(5, 6, 0), 4, now=2, next_deadline=9)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 6, 0), 4, now=2)
         assert rec == CheckpointRecord(0, 4, KIND_FORCED, 0, 2)
         assert dm.index == 4 and dm.version == 1
 
     def test_same_epoch_does_not_force(self):
         dm = DataManagerState(obj=0, index=4)
-        dm, rec = dm_on_commit(dm, CommitMessage(5, 7, 0), 4, now=2, next_deadline=9)
+        dm, rec = dm_on_commit(dm, CommitMessage(5, 7, 0), 4, now=2)
         assert rec is None and dm.index == 4 and dm.version == 1
 
     def test_release_rounds_down_without_apply(self):
         dm = DataManagerState(obj=0, index=1, version=3)
-        dm, rec = dm_on_release(dm, CommitMessage(5, 7, 0), 3, now=2, next_deadline=9)
+        dm, rec = dm_on_release(dm, CommitMessage(5, 7, 0), 3, now=2)
         assert rec == CheckpointRecord(0, 6, KIND_FORCED, 3, 2)
         assert dm.index == 6 and dm.version == 3
 
     def test_z_must_be_positive(self):
         for step in (dm_on_commit, dm_on_release):
             with pytest.raises(ProtocolError, match="at least 1"):
-                step(DataManagerState(obj=0), CommitMessage(1, 1, 0), 0, 0, 5)
+                step(DataManagerState(obj=0), CommitMessage(1, 1, 0), 0, 0)
 
     def test_z_one_matches_protocol_a_indices(self):
         # Whole runs: protocol A (whatever its z_param) and protocol B with

@@ -112,6 +112,24 @@ class TestCheckpointBehavior:
         kinds = {r.kind for r in trace.checkpoint_log}
         assert "basic" in kinds
 
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 2), ("B", 3)])
+    def test_basic_checkpoints_keep_the_timer_period(self, protocol, z):
+        # Without jitter, every checkpoint (re)arms its object's timer one
+        # period ahead, and an expiry during a write re-arms it once more.
+        basic = forced = 0
+        for seed in range(20):
+            for period in range(3, 9):
+                trace = run(seed=seed, txns=60, objects=5, protocol=protocol, z=z, timer=period)
+                last = {}
+                for r in trace.checkpoint_log:
+                    if r.kind == "basic":
+                        gap = r.time - last[r.obj]
+                        assert gap > 0 and gap % period == 0, (seed, period, r)
+                        basic += 1
+                    forced += r.kind == "forced"
+                    last[r.obj] = r.time
+        assert basic > 10000 and forced > 1000
+
     def test_indices_strictly_increase_per_object(self):
         trace = run(seed=11, txns=30, timer=4, protocol="B", z=2)
         per_obj: dict[int, list[int]] = {}

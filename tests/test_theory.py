@@ -16,8 +16,6 @@ from txckpt.theory import (
     enumerate_consistent_globals,
     extend_to_global,
     is_consistent_global_state,
-    recovery_line_check,
-    recovery_line_violations,
     theorem_condition,
 )
 
@@ -31,7 +29,10 @@ from conftest import (
     consistent_oracle,
     executions,
     make_execution,
+    recovery_line_check,
+    recovery_line_violations,
     scenario_analysis,
+    version_vector,
 )
 
 
@@ -171,18 +172,18 @@ class TestExtension:
 class TestEnumeration:
     def test_fig1a_golden(self, fig1a):
         analysis = scenario_analysis(fig1a)
-        got = [gc.version_vector() for gc in enumerate_consistent_globals(analysis)]
+        got = [version_vector(gc) for gc in enumerate_consistent_globals(analysis)]
         assert got == [(0, 0, 0), (0, 1, 1), (1, 1, 1)]
 
     def test_fig1b_golden(self, fig1b):
         analysis = scenario_analysis(fig1b)
-        got = [gc.version_vector() for gc in enumerate_consistent_globals(analysis)]
+        got = [version_vector(gc) for gc in enumerate_consistent_globals(analysis)]
         assert got == [(0, 0, 0), (1, 0, 0), (1, 1, 1)]
 
     def test_no_transactions_single_initial(self):
         analysis = analysis_for(make_execution(2, []))
         got = enumerate_consistent_globals(analysis)
-        assert len(got) == 1 and got[0].version_vector() == (0, 0)
+        assert len(got) == 1 and version_vector(got[0]) == (0, 0)
 
     def test_bound_enforced(self, fig1a):
         with pytest.raises(OracleBoundExceeded):
@@ -206,7 +207,7 @@ class TestRecoveryLine:
         x, y, z = (fig1a.object_index(n) for n in "xyz")
         violations = recovery_line_violations({x: 1, y: 0, z: 1}, base)
         assert violations
-        crossing = {(v.edge.source, v.edge.target) for v in violations}
+        crossing = {(e.source, e.target) for e in violations}
         assert any(src.obj == y and src.version == 0 for src, _ in crossing)
 
     def test_no_transactions_all_initial_line(self):
@@ -234,7 +235,7 @@ class TestIndexedAssembly:
         analysis = scenario_analysis(fig1a)
         log = [record(obj, 0, 0) for obj in range(3)]
         gc = assemble_indexed_gc(0, log, analysis)
-        assert gc is not None and gc.version_vector() == (0, 0, 0)
+        assert gc is not None and version_vector(gc) == (0, 0, 0)
 
     def test_gap_filled_with_next_greater_index(self, fig1a):
         analysis = scenario_analysis(fig1a)
