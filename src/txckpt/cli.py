@@ -41,6 +41,9 @@ from .theory import (
 
 SCHEMA_VERSION = 1
 
+# Options that count something; a negative value is an input error.
+COUNT_OPTIONS = ("max_states", "oracle_bound", "sim_batch", "theorem_batch", "spot_samples")
+
 
 class InputError(ValueError):
     pass
@@ -236,7 +239,10 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     config = _config_from_args(args, workload.num_objects)
     trace = run_simulation(workload, config)
     if args.out:
-        Path(args.out).write_text(trace.to_json())
+        try:
+            Path(args.out).write_text(trace.to_json())
+        except OSError as exc:
+            raise InputError(f"cannot write trace {args.out}: {exc}") from exc
     results = _trace_summary(trace)
     results["trace_file"] = args.out or ""
     return {"results": results, "ok": True}, 0
@@ -401,6 +407,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "command": args.command,
     }
     try:
+        for name in COUNT_OPTIONS:
+            value = getattr(args, name, 0)
+            if value < 0:
+                raise InputError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
         body, code = args.func(args)
     except (
         AnalysisError, ScenarioError, ExecutionError, SimulationError, InputError, OracleBoundExceeded

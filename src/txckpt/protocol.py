@@ -32,16 +32,18 @@ increasing protocol indices; equal-index assemblies (exact, and gap-filled
 for protocol A) are consistent global checkpoints.  For protocol B all of
 this is restricted to indices that are multiples of z.  The index check
 makes no pairwise pass: a checkpoint's dependence paths reach, per object,
-every rank from CheckpointAnalysis.min_reachable_ranks on, so it is compared
-once per object with the least index logged at or above that rank, and the
-offending pairs are listed only when there is one.  The gap-filled
-assemblies are taken in one sweep from the highest index down.
+every rank from CheckpointAnalysis.min_reachable_ranks on, so each distinct
+checkpoint gets one bar, the least index logged at or above those ranks.
+Each record is then one comparison with its checkpoint's bar, and the
+offending pairs are listed only when a record's index is not below it.  The
+gap-filled assemblies are taken in one sweep from the highest index down,
+and each distinct version vector is tested for consistency once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .dependence import CheckpointAnalysis, CheckpointPattern, ExecutionAnalysis
@@ -100,18 +102,19 @@ def tm_commit_metadata(txn: Transaction, observed: Mapping[int, int]) -> list[Co
     the maximum observed index.  Written objects apply the write on delivery,
     read-only ones release their read lock.
     """
-    missing = sorted(txn.access_set - set(observed))
+    objs = sorted(txn.access_set)
+    missing = [obj for obj in objs if obj not in observed]
     if missing:
         raise ProtocolError(f"transaction {txn.id}: no observed index for objects {missing}")
-    max_index = max((observed[obj] for obj in txn.access_set), default=0)
-    return [CommitMessage(txn.id, max_index, obj) for obj in sorted(txn.access_set)]
+    max_index = max((observed[obj] for obj in objs), default=0)
+    return [CommitMessage(txn.id, max_index, obj) for obj in objs]
 
 
 def dm_on_timer(dm: DataManagerState, now: int) -> tuple[DataManagerState, CheckpointRecord]:
     """Basic checkpoint: bump the index and save the current version."""
     index = dm.index + 1
     record = CheckpointRecord(dm.obj, index, KIND_BASIC, dm.version, now)
-    return replace(dm, index=index), record
+    return DataManagerState(dm.obj, index, dm.version), record
 
 
 def _forced_step(
@@ -127,7 +130,7 @@ def _forced_step(
     rounded = (msg.max_index // z) * z
     if rounded > dm.index:
         record = CheckpointRecord(dm.obj, rounded, KIND_FORCED, dm.version, now)
-        return replace(dm, index=rounded), record
+        return DataManagerState(dm.obj, rounded, dm.version), record
     return dm, None
 
 
@@ -140,7 +143,7 @@ def dm_on_commit(
     the write is applied afterwards in either case.
     """
     dm, record = _forced_step(dm, msg, z, now)
-    return replace(dm, version=dm.version + 1), record
+    return DataManagerState(dm.obj, dm.index, dm.version + 1), record
 
 
 def dm_on_release(
@@ -198,66 +201,85 @@ def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
             violations.append(f"object {obj}: checkpoint indices not strictly increasing: {indices}")
 
     scoped = [r for r in records if r.index % z == 0]
-    ckpt_of = {id(r): analysis.checkpoint_at_version(r.obj, r.version) for r in records}
+    # Reach is a property of a checkpoint, not of the records that save it
+    # (a basic checkpoint often re-saves a version), so every search below
+    # runs once per distinct (object, version).
+    ckpt_of = {
+        (obj, version): analysis.checkpoint(obj, rank)
+        for obj, vs in enumerate(analysis.pattern.versions)
+        for rank, version in enumerate(vs)
+    }
+    keyed = [((r.obj, r.version), r) for r in scoped]
+    distinct = dict.fromkeys(key for key, _ in keyed)
 
-    for record in scoped:
-        ck = ckpt_of[id(record)]
-        if analysis.dp_reachable(ck, ck):
+    cyclic = {key for key in distinct if analysis.dp_reachable(ckpt_of[key], ckpt_of[key])}
+    for key, record in keyed:
+        if key in cyclic:
             violations.append(
-                f"checkpoint {ck} (index {record.index}) has a dependence path to itself"
+                f"checkpoint {ckpt_of[key]} (index {record.index}) has a dependence path to itself"
             )
     # A dependence path from a checkpoint reaches, per object, every rank from
-    # min_reachable_ranks on.  So r1 needs no pairwise look when every scoped
-    # record from those ranks on carries a greater index: per object and
-    # rank, keep the least index of a scoped record at that rank or above.
+    # min_reachable_ranks on.  Per object and rank, keep the least index of a
+    # scoped record at that rank or above; the least of these over the ranks
+    # a checkpoint reaches is its bar.  A record whose index is below its
+    # checkpoint's bar needs no pairwise look.
     least_index = [[math.inf] * (len(vs) + 2) for vs in analysis.pattern.versions]
-    for record in scoped:
+    for key, record in keyed:
         row = least_index[record.obj]
-        rank = ckpt_of[id(record)].rank
+        rank = ckpt_of[key].rank
         row[rank] = min(row[rank], record.index)
     for row in least_index:
         for rank in range(len(row) - 2, -1, -1):
             row[rank] = min(row[rank], row[rank + 1])
-    for r1 in scoped:
-        c1 = ckpt_of[id(r1)]
-        least = analysis.min_reachable_ranks(c1)
-        if all(least_index[x][rank] > r1.index for x, rank in enumerate(least)):
+    least_of = {key: analysis.min_reachable_ranks(ckpt_of[key]) for key in distinct}
+    bar = {key: min(map(list.__getitem__, least_index, least)) for key, least in least_of.items()}
+    for key1, r1 in keyed:
+        if bar[key1] > r1.index:
             continue
-        for r2 in scoped:
-            c2 = ckpt_of[id(r2)]
+        c1, least = ckpt_of[key1], least_of[key1]
+        for key2, r2 in keyed:
+            c2 = ckpt_of[key2]
             if r2 is not r1 and c2.rank >= least[c2.obj] and not r1.index < r2.index:
                 violations.append(
                     f"dependence path from {c1} (index {r1.index}) to "
                     f"{c2} (index {r2.index}) without index increase"
                 )
 
+    # Consistency depends only on the version vector, and assemblies often
+    # pick the same versions: each vector is tested once.
+    tested: dict[tuple[int, ...], bool] = {}
+
+    def consistent(states: Mapping[int, int]) -> bool:
+        vector = tuple(states[obj] for obj in range(trace.execution.num_objects))
+        if vector not in tested:
+            tested[vector] = is_consistent_global_state(states, base)
+        return tested[vector]
+
     all_objects = set(range(trace.execution.num_objects))
     by_index: dict[int, list[CheckpointRecord]] = {}
     for record in scoped:
         by_index.setdefault(record.index, []).append(record)
     for n in sorted(by_index):
-        exact = {r.obj: r for r in by_index[n]}
-        if set(exact) == all_objects:
-            states = {obj: r.version for obj, r in exact.items()}
-            if not is_consistent_global_state(states, base):
-                violations.append(f"equal-index assembly at index {n} is not consistent")
+        exact = {r.obj: r.version for r in by_index[n]}
+        if set(exact) == all_objects and not consistent(exact):
+            violations.append(f"equal-index assembly at index {n} is not consistent")
     if protocol == PROTOCOL_A:
         # assemble_indexed_gc(n) for every n in one downward sweep (z is 1,
         # so by_index holds every record): the records at index n replace
         # their objects' picks, the first in log order winning, and
-        # consistency is retested only when a pick changed.
-        picks: dict[int, CheckpointRecord] = {}
-        consistent = True
+        # consistency is looked up again only when a pick changed.
+        picks: dict[int, int] = {}
+        ok = True
         inconsistent: list[int] = []
         for n in range(max(by_index, default=0), -1, -1):
             changed = by_index.get(n, ())
             for record in reversed(changed):
-                picks[record.obj] = record
+                picks[record.obj] = record.version
             if len(picks) < len(all_objects):
                 continue
             if changed:
-                consistent = is_consistent_global_state({o: r.version for o, r in picks.items()}, base)
-            if not consistent:
+                ok = consistent(picks)
+            if not ok:
                 inconsistent.append(n)
         violations.extend(f"gap-filled assembly at index {n} is not consistent" for n in reversed(inconsistent))
 

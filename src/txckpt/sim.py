@@ -24,7 +24,7 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .model import Execution, Transaction, ValidatedExecution, validate_execution
 from .protocol import (
@@ -88,8 +88,9 @@ class SimConfig:
         return self.z_param if self.protocol == PROTOCOL_B else 1
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One logged event; data holds its (key, value) pairs sorted by key."""
+
     time: int
     seq: int
     kind: str
@@ -235,10 +236,9 @@ class _Simulation:
         heapq.heappush(self.heap, (time, self.seq, kind, payload))
         self.seq += 1
 
-    def _record(self, kind: str, **data: int) -> None:
-        self.events.append(
-            SimEvent(self.now, len(self.events), kind, tuple(sorted(data.items())))
-        )
+    def _record(self, kind: str, data: tuple[tuple[str, int], ...]) -> None:
+        """Log an event; each call site writes data already sorted by key."""
+        self.events.append(SimEvent(self.now, len(self.events), kind, data))
 
     def _next_deadline(self) -> int:
         jitter = self.rng.randint(0, self.config.timer_jitter) if self.config.timer_jitter else 0
@@ -258,7 +258,7 @@ class _Simulation:
         else:
             lock.readers.add(txn_id)
         run.observed[obj] = self.dms[obj].index
-        self._record(EV_LOCK_ACQUIRED, txn=txn_id, obj=obj, write=int(mode == "write"))
+        self._record(EV_LOCK_ACQUIRED, (("obj", obj), ("txn", txn_id), ("write", int(mode == "write"))))
         run.pos += 1
 
     def _try_acquire(self, run: _TxnRun) -> bool:
@@ -295,14 +295,14 @@ class _Simulation:
     # -- event handlers ------------------------------------------------------
 
     def _on_begin(self, txn_id: int) -> None:
-        self._record(EV_TXN_BEGIN, txn=txn_id)
+        self._record(EV_TXN_BEGIN, (("txn", txn_id),))
         self._advance(self.txns[txn_id])
 
     def _on_commit(self, txn_id: int) -> None:
         run = self.txns[txn_id]
         self.commit_order.append(txn_id)
         msgs = tm_commit_metadata(run.txn, run.observed)
-        self._record(EV_TXN_COMMIT, txn=txn_id, max_index=msgs[0].max_index)
+        self._record(EV_TXN_COMMIT, (("max_index", msgs[0].max_index), ("txn", txn_id)))
         lo, hi = self.config.message_delay_range
         # Commit metadata rides every lock release this transaction owes:
         # commit messages to written objects, release notifications to
@@ -326,11 +326,13 @@ class _Simulation:
             self._schedule(deadline, EV_TIMER, (obj, self.timer_gen[obj]))
         self._record(
             EV_COMMIT_MSG,
-            txn=txn_id,
-            obj=obj,
-            max_index=msg.max_index,
-            apply=apply_write,
-            forced=int(record is not None),
+            (
+                ("apply", apply_write),
+                ("forced", int(record is not None)),
+                ("max_index", msg.max_index),
+                ("obj", obj),
+                ("txn", txn_id),
+            ),
         )
         if apply_write:
             self.locks[obj].writer = None
@@ -351,7 +353,7 @@ class _Simulation:
         dm, record = dm_on_timer(self.dms[obj], self.now)
         self.dms[obj] = dm
         self.log.append(record)
-        self._record(EV_TIMER, obj=obj, index=dm.index)
+        self._record(EV_TIMER, (("index", dm.index), ("obj", obj)))
         self._schedule(deadline, EV_TIMER, (obj, gen))
 
     # -- main loop -------------------------------------------------------

@@ -252,6 +252,25 @@ class TestSimulateAndVerify:
         code, report = run_cli(capsys, *args)
         assert code == 2 and "error" in report and report["ok"] is False
 
+    def test_simulate_out_into_missing_directory_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "trace.json"
+        code, report = run_cli(capsys, "simulate", "--objects", "2", "--txns", "3", "--out", str(out))
+        assert code == 2 and "error" in report and report["ok"] is False
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--sim-batch", "-2"),
+        ("verify", "--theorem-batch", "-1"),
+        ("verify", "--sim-batch", "1", "--spot-samples", "-5"),
+        ("verify", "--sim-batch", "1", "--oracle-bound", "-1"),
+        ("check", "fig3", "u:0", "--oracle-bound", "-1"),
+        ("analyze", "fig3", "--max-states", "-1"),
+    ])
+    def test_negative_count_exits_2(self, capsys, args):
+        code, report = run_cli(capsys, *args)
+        assert code == 2 and "error" in report and report["ok"] is False
+        assert "results" not in report
+
     def test_verify_unreadable_trace_exits_2(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("{broken")

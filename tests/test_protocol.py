@@ -25,6 +25,7 @@ from txckpt.protocol import (
 )
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import SimConfig, Trace, run_simulation
+from txckpt.theory import assemble_indexed_gc
 
 from conftest import guarantee_violations_oracle
 
@@ -229,24 +230,51 @@ class TestVerificationMatchesPairwiseOracle:
 
     def test_verify_makes_one_dp_reachable_call_per_checkpoint(self, monkeypatch):
         calls = []
+        reach_calls = []
+        consistency_calls = []
         built = []
         dp_reachable = CheckpointAnalysis.dp_reachable
+        min_reachable_ranks = CheckpointAnalysis.min_reachable_ranks
+        is_consistent_global_state = protocol_module.is_consistent_global_state
         trace_pattern = protocol_module.trace_pattern
 
         def counted(self, src, dst):
             calls.append((src, dst))
             return dp_reachable(self, src, dst)
 
+        def counted_reach(self, src):
+            reach_calls.append(src)
+            return min_reachable_ranks(self, src)
+
+        def counted_consistency(states, base):
+            consistency_calls.append(dict(states))
+            return is_consistent_global_state(states, base)
+
         def kept(trace):
             built.append(trace_pattern(trace))
             return built[-1]
 
         monkeypatch.setattr(CheckpointAnalysis, "dp_reachable", counted)
+        monkeypatch.setattr(CheckpointAnalysis, "min_reachable_ranks", counted_reach)
+        monkeypatch.setattr(protocol_module, "is_consistent_global_state", counted_consistency)
         monkeypatch.setattr(protocol_module, "trace_pattern", kept)
         spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.6, seed=4)
         trace = run_simulation(spec, SimConfig(seed=4, num_objects=6, timer_period=5))
         report = verify_protocol_guarantees(trace)
-        (base, _), = built
-        assert report.ok and len(trace.checkpoint_log) > 50
-        assert 0 < len(calls) <= len(trace.checkpoint_log)
+        (base, analysis), = built
+        log = trace.checkpoint_log
+        assert report.ok and len(log) > 50
+        assert 0 < len(calls) <= len(log)
         assert "direct_edges" not in base.graph.__dict__ and "edges" not in base.__dict__
+        # Protocol A scopes every record; records that re-save a version
+        # share one reach lookup.
+        distinct = {(r.obj, r.version) for r in log}
+        assert len(distinct) < len(log)
+        assert 0 < len(reach_calls) <= len(distinct)
+        # Assemblies that pick the same versions share one consistency test.
+        vectors = {
+            tuple(c.state.version for c in gc.members)
+            for n in range(max(r.index for r in log) + 1)
+            if (gc := assemble_indexed_gc(n, log, analysis)) is not None
+        }
+        assert 0 < len(consistency_calls) <= len(vectors)

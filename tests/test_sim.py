@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from txckpt.model import build_serialization_graph
+from txckpt.protocol import verify_protocol_guarantees
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import (
     EV_COMMIT_MSG,
@@ -35,6 +38,33 @@ class TestDeterminism:
         trace = run(seed=9, protocol="B", z=4, jitter=2)
         again = Trace.from_json(trace.to_json())
         assert again.to_json() == trace.to_json()
+
+    @pytest.mark.parametrize("protocol, z, jitter", [("A", 1, 0), ("B", 2, 0), ("A", 1, 3)])
+    def test_trace_round_trips_in_memory(self, protocol, z, jitter):
+        # to_json sorts keys, so only object equality shows an event whose
+        # data is out of key order.
+        trace = run(seed=3, txns=30, objects=5, protocol=protocol, z=z, timer=4, jitter=jitter)
+        again = Trace.from_json(trace.to_json())
+        assert again.events == trace.events
+        assert again.checkpoint_log == trace.checkpoint_log
+
+    def test_trace_and_report_digest(self):
+        # One sha256 over 120 traces and their guarantee reports pins both
+        # byte for byte.
+        digest = hashlib.sha256()
+        for objects, txns in [(3, 20), (5, 40), (8, 60)]:
+            for protocol, z in [("A", 1), ("A", 3), ("B", 1), ("B", 2), ("B", 4)]:
+                for seed in range(1, 5):
+                    for jitter in (0, 2):
+                        spec = WorkloadSpec(objects, txns, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+                        config = SimConfig(
+                            seed=seed, num_objects=objects, protocol=protocol, z_param=z,
+                            timer_period=7 + seed % 5, timer_jitter=jitter,
+                        )
+                        trace = run_simulation(spec, config)
+                        digest.update(trace.to_json().encode())
+                        digest.update(repr(verify_protocol_guarantees(trace)).encode())
+        assert digest.hexdigest() == "980d545b74b2512cf48b229305b697384e45d2fe5b59b7022cae7e7cbdc4399a"
 
 
 class TestConfigValidation:
