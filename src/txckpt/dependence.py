@@ -27,11 +27,16 @@ object it writes, where that object's later writers carry it on.  So each
 interval's reach is one tuple: per object, the lowest interval reached.
 A witness search stops at the first transaction that lands below its
 destination checkpoint, rather than expanding every chain it could reach.
+
+A CheckpointAnalysis builds each Checkpoint of its closed pattern once, in a
+table with one tuple per object in rank order; queries return its entries
+instead of new objects, and a saved version's rank is a bisection of the
+object's sorted versions, O(log k) for k checkpoints.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -171,10 +176,14 @@ class CheckpointPattern:
         raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
 
     def rank_of(self, obj: int, version: int) -> int:
+        vs = self.versions[obj]
         try:
-            return self.versions[obj].index(version)
-        except ValueError:
-            raise AnalysisError(f"version {version} of object {obj} is not checkpointed") from None
+            rank = bisect_left(vs, version)
+        except TypeError:  # not comparable with a version: not one of them
+            rank = len(vs)
+        if rank < len(vs) and vs[rank] == version:
+            return rank
+        raise AnalysisError(f"version {version} of object {obj} is not checkpointed")
 
 
 @dataclass(frozen=True)
@@ -206,6 +215,12 @@ class CheckpointAnalysis:
         self.base = base
         self.pattern = pattern.with_final_states(base.timeline)
         timeline, versions = base.timeline, self.pattern.versions
+        # Per object, its checkpoints in rank order: queries hand these out
+        # rather than building new ones.
+        self.checkpoints: tuple[tuple[Checkpoint, ...], ...] = tuple(
+            tuple(Checkpoint(obj, rank, LocalState(obj, v)) for rank, v in enumerate(vs))
+            for obj, vs in enumerate(versions)
+        )
         # Per transaction: its landings (written object, interval of its
         # pre-version there).  Paths hop along the serialization graph's
         # conflict-chain successors.
@@ -284,6 +299,13 @@ class CheckpointAnalysis:
     # -- checkpoints ---------------------------------------------------------
 
     def checkpoint(self, obj: int, rank: int) -> Checkpoint:
+        """The rank-th checkpoint of obj; a negative obj counts from the end,
+        as the pattern's index does, and keeps its negative number."""
+        if obj >= 0 and rank >= 0:
+            try:
+                return self.checkpoints[obj][rank]
+            except IndexError:
+                pass
         return Checkpoint(obj, rank, LocalState(obj, self.pattern.version_of(obj, rank)))
 
     def checkpoint_at_version(self, obj: int, version: int) -> Checkpoint:
@@ -328,11 +350,14 @@ class CheckpointAnalysis:
         interval holds no write, reaches nothing.
         """
         self.pattern.version_of(dst.obj, dst.rank)
-        if not 0 <= obj < self.pattern.num_objects:
+        num_objects = self.pattern.num_objects
+        if not 0 <= obj < num_objects:
             raise AnalysisError(f"unknown object {obj}")
-        if obj == dst.obj:
+        # version_of counts a negative object from the end; so does this check.
+        dst_obj = dst.obj % num_objects
+        if obj == dst_obj:
             raise AnalysisError(f"object {obj} is the checkpoint's own object")
-        return bisect_right(self._reach[obj], dst.rank - 1, key=itemgetter(dst.obj))
+        return bisect_right(self._reach[obj], dst.rank - 1, key=itemgetter(dst_obj))
 
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.

@@ -203,20 +203,15 @@ def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
     scoped = [r for r in records if r.index % z == 0]
     # Reach is a property of a checkpoint, not of the records that save it
     # (a basic checkpoint often re-saves a version), so every search below
-    # runs once per distinct (object, version).
-    ckpt_of = {
-        (obj, version): analysis.checkpoint(obj, rank)
-        for obj, vs in enumerate(analysis.pattern.versions)
-        for rank, version in enumerate(vs)
-    }
+    # runs once per distinct (object, version), keyed to its checkpoint.
     keyed = [((r.obj, r.version), r) for r in scoped]
-    distinct = dict.fromkeys(key for key, _ in keyed)
+    distinct = {key: analysis.checkpoint_at_version(*key) for key in dict.fromkeys(key for key, _ in keyed)}
 
-    cyclic = {key for key in distinct if analysis.dp_reachable(ckpt_of[key], ckpt_of[key])}
+    cyclic = {key for key, ck in distinct.items() if analysis.dp_reachable(ck, ck)}
     for key, record in keyed:
         if key in cyclic:
             violations.append(
-                f"checkpoint {ckpt_of[key]} (index {record.index}) has a dependence path to itself"
+                f"checkpoint {distinct[key]} (index {record.index}) has a dependence path to itself"
             )
     # A dependence path from a checkpoint reaches, per object, every rank from
     # min_reachable_ranks on.  Per object and rank, keep the least index of a
@@ -226,19 +221,19 @@ def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
     least_index = [[math.inf] * (len(vs) + 2) for vs in analysis.pattern.versions]
     for key, record in keyed:
         row = least_index[record.obj]
-        rank = ckpt_of[key].rank
+        rank = distinct[key].rank
         row[rank] = min(row[rank], record.index)
     for row in least_index:
         for rank in range(len(row) - 2, -1, -1):
             row[rank] = min(row[rank], row[rank + 1])
-    least_of = {key: analysis.min_reachable_ranks(ckpt_of[key]) for key in distinct}
+    least_of = {key: analysis.min_reachable_ranks(ck) for key, ck in distinct.items()}
     bar = {key: min(map(list.__getitem__, least_index, least)) for key, least in least_of.items()}
     for key1, r1 in keyed:
         if bar[key1] > r1.index:
             continue
-        c1, least = ckpt_of[key1], least_of[key1]
+        c1, least = distinct[key1], least_of[key1]
         for key2, r2 in keyed:
-            c2 = ckpt_of[key2]
+            c2 = distinct[key2]
             if r2 is not r1 and c2.rank >= least[c2.obj] and not r1.index < r2.index:
                 violations.append(
                     f"dependence path from {c1} (index {r1.index}) to "

@@ -44,8 +44,10 @@ class GlobalCheckpoint:
         return {c.obj: c.state.version for c in self.members}
 
     def contains(self, candidate: Mapping[int, int]) -> bool:
-        """True iff every (object -> rank) entry of candidate appears here."""
-        return all(self.members[obj].rank == rank for obj, rank in candidate.items())
+        """True iff every (object -> rank) entry of candidate appears here;
+        an object outside 0..m-1 appears nowhere."""
+        members = self.members
+        return all(0 <= obj < len(members) and members[obj].rank == rank for obj, rank in candidate.items())
 
 
 class ConditionViolated(Exception):
@@ -58,13 +60,6 @@ class ConditionViolated(Exception):
         super().__init__(f"dependence path from {source} to {target}")
 
 
-def _complete_states(states: Mapping[int, int], analysis: ExecutionAnalysis) -> list[LocalState]:
-    num_objects = analysis.execution.num_objects
-    if set(states) != set(range(num_objects)):
-        raise AnalysisError("global state must name every object exactly once")
-    return [LocalState(obj, states[obj]) for obj in range(num_objects)]
-
-
 def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAnalysis) -> bool:
     """True iff no member state happened-before another member state.
 
@@ -74,16 +69,20 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
     commits before its replacer.  So one closure union over the replacing
     writers and one membership test per producing writer decide it.
     """
-    members = _complete_states(states, analysis)
-    timeline = analysis.timeline
-    for s in members:
-        if not timeline.has_state(s):
-            raise AnalysisError(f"unknown state {s}")
-    replacers = [timeline.writer_of(s.obj, s.version + 1) for s in members]
-    producers = [timeline.writer_of(s.obj, s.version) for s in members]
-    return not analysis.graph.reaches_any(
-        (t for t in replacers if t is not None), (t for t in producers if t is not None)
-    )
+    num_objects = analysis.execution.num_objects
+    if set(states) != set(range(num_objects)):
+        raise AnalysisError("global state must name every object exactly once")
+    replacers: list[int] = []
+    producers: list[int] = []
+    for obj, obj_writers in enumerate(analysis.timeline.writers):
+        version = states[obj]
+        if not 0 <= version <= len(obj_writers):
+            raise AnalysisError(f"unknown state {LocalState(obj, version)}")
+        if version < len(obj_writers):
+            replacers.append(obj_writers[version])
+        if version:
+            producers.append(obj_writers[version - 1])
+    return not analysis.graph.reaches_any(replacers, producers)
 
 
 def _resolve_candidate(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> list[Checkpoint]:
@@ -136,12 +135,12 @@ def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis)
     members = _resolve_candidate(candidate, analysis)
     chosen: list[Checkpoint] = []
     min_safe: dict[int, dict[int, int]] = {}
-    for obj in range(analysis.pattern.num_objects):
+    for obj, table in enumerate(analysis.checkpoints):
         if obj in candidate:
-            chosen.append(analysis.checkpoint(obj, candidate[obj]))
+            chosen.append(table[candidate[obj]])
             continue
         min_safe[obj] = {member.obj: analysis.min_safe_rank(obj, member) for member in members}
-        chosen.append(analysis.checkpoint(obj, max(min_safe[obj].values())))
+        chosen.append(table[max(min_safe[obj].values())])
     return ExtensionResult(GlobalCheckpoint(tuple(chosen)), min_safe)
 
 
@@ -165,13 +164,9 @@ def enumerate_consistent_globals(
             raise OracleBoundExceeded(f"{space}+ candidate global checkpoints exceeds bound {bound}")
     base = analysis.base
     out: list[GlobalCheckpoint] = []
-    rank_ranges = [pattern.ranks(obj) for obj in range(pattern.num_objects)]
-    for ranks in itertools.product(*rank_ranges):
-        states = {obj: pattern.version_of(obj, rank) for obj, rank in enumerate(ranks)}
-        if is_consistent_global_state(states, base):
-            out.append(
-                GlobalCheckpoint(tuple(analysis.checkpoint(obj, rank) for obj, rank in enumerate(ranks)))
-            )
+    for members in itertools.product(*analysis.checkpoints):
+        if is_consistent_global_state({c.obj: c.state.version for c in members}, base):
+            out.append(GlobalCheckpoint(members))
     return out
 
 

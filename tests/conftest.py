@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from txckpt.dependence import (
     BLACK,
     DASHED,
+    AnalysisError,
+    Checkpoint,
     CheckpointAnalysis,
     CheckpointPattern,
     DependenceEdge,
@@ -368,6 +370,19 @@ def guarantee_violations_oracle(trace) -> tuple[str, ...]:
             if all(picks) and not consistent_oracle({p[0].obj: p[0].version for p in picks}, base):
                 violations.append(f"gap-filled assembly at index {n} is not consistent")
     return tuple(violations)
+
+
+def checkpoint_oracle(analysis: CheckpointAnalysis, obj: int, rank: int) -> Checkpoint:
+    """CheckpointAnalysis.checkpoint as a new object per call, not a table entry."""
+    return Checkpoint(obj, rank, LocalState(obj, analysis.pattern.version_of(obj, rank)))
+
+
+def rank_oracle(pattern: CheckpointPattern, obj: int, version: int) -> int:
+    """CheckpointPattern.rank_of by a linear scan of obj's versions."""
+    try:
+        return pattern.versions[obj].index(version)
+    except ValueError:
+        raise AnalysisError(f"version {version} of object {obj} is not checkpointed") from None
 
 
 def min_safe_rank_oracle(analysis: CheckpointAnalysis, obj: int, dst) -> int:

@@ -26,6 +26,7 @@ from conftest import (
     analysis_for,
     assert_witness_chain,
     build_intervals,
+    checkpoint_oracle,
     dp_oracle,
     executions,
     hb_oracle,
@@ -33,6 +34,7 @@ from conftest import (
     interval_dp_reachable,
     make_execution,
     min_safe_rank_oracle,
+    rank_oracle,
     scenario_analysis,
     state_intervals,
     witness_oracle,
@@ -205,6 +207,68 @@ class TestIntervals:
         assert analysis.checkpoint(0, 1).state.version == 1
 
 
+def outcome(call):
+    """The call's result, or the type and text of the error it raises."""
+    try:
+        return call()
+    except (AnalysisError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_table_matches_oracle(analysis):
+    pattern = analysis.pattern
+    m = pattern.num_objects
+    for obj, versions in enumerate(pattern.versions):
+        assert len(analysis.checkpoints[obj]) == len(versions)
+        for rank, version in enumerate(versions):
+            expected = Checkpoint(obj, rank, LocalState(obj, version))
+            assert analysis.checkpoint(obj, rank) == expected
+            assert analysis.checkpoint(obj, rank) is analysis.checkpoints[obj][rank]
+            assert analysis.checkpoint_at_version(obj, version) is analysis.checkpoints[obj][rank]
+    # Out-of-range ranks, versions and objects: the same answer or error text
+    # as one new Checkpoint per call and a linear version scan.  A negative
+    # object counts from the end and keeps its number.
+    for obj in (-1, *range(m), m):
+        size = len(pattern.versions[obj % m])
+        top = analysis.base.timeline.max_version(obj % m)
+        for rank in (-1, 0, size - 1, size):
+            assert outcome(lambda: analysis.checkpoint(obj, rank)) == outcome(
+                lambda: checkpoint_oracle(analysis, obj, rank)
+            )
+        for version in (-1, *range(top + 2)):
+            assert outcome(lambda: analysis.checkpoint_at_version(obj, version)) == outcome(
+                lambda: checkpoint_oracle(analysis, obj, rank_oracle(pattern, obj, version))
+            )
+    for obj in range(m):
+        for rank in (-1, len(pattern.versions[obj])):
+            with pytest.raises(AnalysisError, match=f"object {obj} has no checkpoint of rank {rank}"):
+                analysis.checkpoint(obj, rank)
+        top = analysis.base.timeline.max_version(obj)
+        for version in sorted(set(range(top + 2)) - set(pattern.versions[obj])):
+            with pytest.raises(AnalysisError, match=f"version {version} of object {obj} is not checkpointed"):
+                analysis.checkpoint_at_version(obj, version)
+    with pytest.raises(AnalysisError, match=f"object {m} has no checkpoint of rank 0"):
+        analysis.checkpoint(m, 0)
+    assert analysis.checkpoint(-1, 0) == Checkpoint(-1, 0, LocalState(-1, 0))
+
+
+class TestCheckpointTable:
+    @settings(max_examples=150, deadline=None)
+    @given(analyses())
+    def test_matches_new_checkpoints(self, analysis):
+        assert_table_matches_oracle(analysis)
+
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 2)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_new_checkpoints_on_simulated_traces(self, protocol, z, seed):
+        analysis = simulated_analysis(6, 80, seed, protocol=protocol, z_param=z, timer_period=10)
+        assert any(
+            set(range(analysis.base.timeline.max_version(o))) - set(analysis.pattern.versions[o])
+            for o in range(analysis.pattern.num_objects)
+        ), "the trace saves every version, so no unsaved version is probed"
+        assert_table_matches_oracle(analysis)
+
+
 class TestDependencePaths:
     def test_fig3_hidden_path(self, fig3):
         analysis = scenario_analysis(fig3)
@@ -278,6 +342,15 @@ class TestDependencePaths:
         obj = {"past_the_last": analysis.pattern.num_objects, "negative": -1, "own_object": dst.obj}[case]
         with pytest.raises(AnalysisError):
             analysis.min_safe_rank(obj, dst)
+
+    def test_min_safe_rank_counts_a_negative_destination_from_the_end(self, fig3):
+        analysis = scenario_analysis(fig3)
+        last = analysis.pattern.num_objects - 1
+        dst = Checkpoint(-1, 1, LocalState(-1, analysis.pattern.version_of(-1, 1)))
+        with pytest.raises(AnalysisError, match=f"object {last} is the checkpoint's own object"):
+            analysis.min_safe_rank(last, dst)
+        for obj in range(last):
+            assert analysis.min_safe_rank(obj, dst) == analysis.min_safe_rank(obj, analysis.checkpoint(last, 1))
 
     def test_unknown_checkpoint_rejected(self, fig3):
         analysis = scenario_analysis(fig3)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txckpt.dependence import AnalysisError, ExecutionAnalysis
-from txckpt.protocol import CheckpointRecord
+from txckpt.dependence import AnalysisError, Checkpoint, ExecutionAnalysis
+from txckpt.model import LocalState
+from txckpt.protocol import CheckpointRecord, verify_protocol_guarantees
 from txckpt.theory import (
     ConditionViolated,
     OracleBoundExceeded,
@@ -248,3 +249,51 @@ class TestIndexedAssembly:
         analysis = scenario_analysis(fig1a)
         log = [record(obj, 0, 0) for obj in range(3)]
         assert assemble_indexed_gc(1, log, analysis) is None
+
+
+class TestGlobalCheckpointContains:
+    def test_object_outside_the_range_is_not_contained(self, fig3):
+        analysis = scenario_analysis(fig3)
+        m = analysis.pattern.num_objects
+        gc = extend_to_global({obj: 0 for obj in range(m)}, analysis).global_checkpoint
+        assert gc.contains({m - 1: 0})
+        # Object -1 is not the last object, and object m is not an object.
+        assert not gc.contains({-1: 0})
+        assert not gc.contains({m: 0})
+        assert not gc.contains({0: 0, m: 0})
+
+
+class TestQueriesReadTheTable:
+    def test_queries_build_no_checkpoints_or_states(self, monkeypatch):
+        spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.6, seed=1)
+        trace = run_simulation(spec, SimConfig(seed=1, num_objects=6, timer_period=8))
+        base, analysis = trace_pattern(trace)
+        log = trace.checkpoint_log
+        built = {Checkpoint: 0, LocalState: 0}
+        for cls in built:
+
+            def counted(self, *args, _init=cls.__init__, _cls=cls):
+                built[_cls] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        assemblies = [
+            gc
+            for n in range(max(r.index for r in log) + 1)
+            if (gc := assemble_indexed_gc(n, log, analysis)) is not None
+        ]
+        extended = 0
+        for gc in assemblies:
+            assert is_consistent_global_state(gc.states(), base)
+            candidate = {obj: gc.members[obj].rank for obj in (0, 2, 5)}
+            assert theorem_condition(candidate, analysis)
+            result = extend_to_global(candidate, analysis)
+            extended += result.global_checkpoint.contains(candidate)
+        assert len(assemblies) > 5 and extended == len(assemblies)
+        assert built == {Checkpoint: 0, LocalState: 0}
+
+        # verify builds one table, and no checkpoint or state beyond it.
+        verify_protocol_guarantees(trace)
+        table_size = sum(len(vs) for vs in analysis.pattern.versions)
+        assert built == {Checkpoint: table_size, LocalState: table_size}
