@@ -28,6 +28,14 @@ interval's reach is one tuple: per object, the lowest interval reached.
 A witness search stops at the first transaction that lands below its
 destination checkpoint, rather than expanding every chain it could reach.
 
+The reach tuples are stored by column: per object and per destination
+object, the lowest interval reached, in rank order.  A column never
+decreases with rank, because a path that leaves from a rank also leaves
+from every lower rank (a lower interval starts every writer a higher one
+starts).  So the ranks of an object whose checkpoints reach a destination
+form a prefix, and ``min_safe_ranks`` finds each object's least safe rank
+toward one checkpoint with one plain bisection per object.
+
 A CheckpointAnalysis builds each Checkpoint of its closed pattern once, in a
 table with one tuple per object in rank order; queries return its entries
 instead of new objects, and a saved version's rank is a bisection of the
@@ -39,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .model import (
@@ -201,17 +208,22 @@ class Checkpoint:
 class CheckpointAnalysis:
     """Dependence-path reachability for one execution and checkpoint pattern.
 
-    The supplied pattern is closed with each object's final state before
-    intervals are formed (see CheckpointPattern.with_final_states); ranks of
-    the supplied checkpoints are unchanged by the closure.
+    The supplied pattern must be as CheckpointPattern.make builds it, each
+    object's versions strictly increasing from 0; it is closed with each
+    object's final state before intervals are formed (see
+    CheckpointPattern.with_final_states), and ranks of the supplied
+    checkpoints are unchanged by the closure.
     """
 
     def __init__(self, base: ExecutionAnalysis, pattern: CheckpointPattern):
         if pattern.num_objects != base.execution.num_objects:
             raise AnalysisError("pattern and execution disagree on object count")
-        CheckpointPattern.make(
-            {o: vs for o, vs in enumerate(pattern.versions)}, base.timeline
-        )  # revalidate against this timeline
+        made = CheckpointPattern.make({o: vs for o, vs in enumerate(pattern.versions)}, base.timeline)
+        # Ranks index the caller's tuples, so a pattern that make would
+        # reorder, deduplicate or extend with version 0 is rejected, not fixed.
+        for obj, (given, valid) in enumerate(zip(pattern.versions, made.versions)):
+            if given != valid:
+                raise PatternError(f"object {obj}: checkpoint versions {given} are not strictly increasing from 0")
         self.base = base
         self.pattern = pattern.with_final_states(base.timeline)
         timeline, versions = base.timeline, self.pattern.versions
@@ -228,11 +240,12 @@ class CheckpointAnalysis:
         for (txn, obj), post in timeline.post_version.items():
             landings[txn].append((obj, bisect_right(versions[obj], post - 1) - 1))
         self._landings = {txn: sorted(landed) for txn, landed in landings.items()}
-        # Per interval (object, rank): the reach tuple of its dependence paths.
-        self._reach: list[list[tuple[int, ...]]] = [
-            [tuple(reach) for reach, _, _ in self._search(obj, range(len(vs) - 1, -1, -1))][::-1]
-            for obj, vs in enumerate(versions)
-        ]
+        # Per object and destination object: the column of the reach tuples
+        # of its intervals, _reach[obj][y][rank], non-decreasing in rank.
+        self._reach: list[tuple[tuple[int, ...], ...]] = []
+        for obj, vs in enumerate(versions):
+            rows = [tuple(reach) for reach, _, _ in self._search(obj, range(len(vs) - 1, -1, -1))]
+            self._reach.append(tuple(zip(*reversed(rows))))
 
     def _search(
         self, obj: int, ranks: Iterable[int], goal: frozenset[int] = frozenset()
@@ -315,14 +328,13 @@ class CheckpointAnalysis:
 
     def dp_reachable(self, src: Checkpoint, dst: Checkpoint) -> bool:
         """True iff a dependence path leads from checkpoint src to checkpoint dst."""
-        # Indexing the reach tuples is the bounds check; they have the
-        # pattern's shape, so when it fails version_of raises the error for
-        # the first endpoint out of range.
+        # Indexing the reach columns and the checkpoint table is the bounds
+        # check; they have the pattern's shape, so when it fails version_of
+        # raises the error for the first endpoint out of range.
         try:
             if src.rank >= 0 and dst.rank >= 0:
-                reach = self._reach[src.obj][src.rank]
-                self._reach[dst.obj][dst.rank]
-                return dst.rank - 1 >= reach[dst.obj]
+                self.checkpoints[dst.obj][dst.rank]
+                return dst.rank - 1 >= self._reach[src.obj][dst.obj][src.rank]
         except IndexError:
             pass
         for ck in (src, dst):
@@ -337,27 +349,35 @@ class CheckpointAnalysis:
         exactly dst.rank >= min_reachable_ranks(src)[dst.obj].
         """
         self.pattern.version_of(src.obj, src.rank)
-        out = [landed + 1 for landed in self._reach[src.obj][src.rank]]
-        out[src.obj] = min(out[src.obj], src.rank + 1)
+        rank = src.rank
+        out = [column[rank] + 1 for column in self._reach[src.obj]]
+        out[src.obj] = min(out[src.obj], rank + 1)
         return tuple(out)
+
+    def min_safe_ranks(self, dst: Checkpoint) -> tuple[int, ...]:
+        """Per object, the least rank whose checkpoint has no dependence path
+        to dst; for dst's own object, that is dst's rank unless dst has a
+        path to itself.  A negative dst.obj counts from the end.
+
+        The ranks of an object that reach dst form a prefix (its reach
+        column never decreases), so each entry is one bisection; every
+        object's last checkpoint, whose interval holds no write, reaches
+        nothing.
+        """
+        self.pattern.version_of(dst.obj, dst.rank)
+        bar, dst_obj = dst.rank - 1, dst.obj
+        return tuple([bisect_right(columns[dst_obj], bar) for columns in self._reach])
 
     def min_safe_rank(self, obj: int, dst: Checkpoint) -> int:
         """The least rank of obj, an object other than dst's, whose checkpoint
-        has no dependence path to dst.
-
-        The ranks of obj that reach dst form a prefix (a path from a rank
-        leaves from every lower rank too), and obj's last checkpoint, whose
-        interval holds no write, reaches nothing.
-        """
-        self.pattern.version_of(dst.obj, dst.rank)
-        num_objects = self.pattern.num_objects
-        if not 0 <= obj < num_objects:
+        has no dependence path to dst: one entry of min_safe_ranks(dst)."""
+        safe = self.min_safe_ranks(dst)
+        if not 0 <= obj < len(safe):
             raise AnalysisError(f"unknown object {obj}")
-        # version_of counts a negative object from the end; so does this check.
-        dst_obj = dst.obj % num_objects
-        if obj == dst_obj:
+        # min_safe_ranks counts a negative object from the end; so does this check.
+        if obj == dst.obj % len(safe):
             raise AnalysisError(f"object {obj} is the checkpoint's own object")
-        return bisect_right(self._reach[obj], dst.rank - 1, key=itemgetter(dst_obj))
+        return safe[obj]
 
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.

@@ -86,9 +86,27 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
 
 
 def _resolve_candidate(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> list[Checkpoint]:
+    """The candidate's members in object order; each object must be one of
+    0..m-1 (analysis.checkpoint alone would count a negative one from the end)."""
     if not candidate:
         raise AnalysisError("candidate set must contain at least one checkpoint")
-    return [analysis.checkpoint(obj, rank) for obj, rank in sorted(candidate.items())]
+    num_objects = len(analysis.checkpoints)
+    members = []
+    for obj, rank in sorted(candidate.items()):
+        if not 0 <= obj < num_objects:
+            raise AnalysisError(f"unknown object {obj}")
+        members.append(analysis.checkpoint(obj, rank))
+    return members
+
+
+def _first_violating_pair(
+    members: list[Checkpoint], analysis: CheckpointAnalysis
+) -> tuple[Checkpoint, Checkpoint] | None:
+    for a in members:
+        for b in members:
+            if analysis.dp_reachable(a, b):
+                return a, b
+    return None
 
 
 def violating_pair(
@@ -100,12 +118,7 @@ def violating_pair(
 
     candidate maps object -> checkpoint rank, at most one entry per object.
     """
-    members = _resolve_candidate(candidate, analysis)
-    for a in members:
-        for b in members:
-            if analysis.dp_reachable(a, b):
-                return a, b
-    return None
+    return _first_violating_pair(_resolve_candidate(candidate, analysis), analysis)
 
 
 def theorem_condition(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> bool:
@@ -129,18 +142,19 @@ def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis)
     whose checkpoint has no dependence path to that member (rank 0 when the
     member has rank 0).
     """
-    pair = violating_pair(candidate, analysis)
+    members = _resolve_candidate(candidate, analysis)
+    pair = _first_violating_pair(members, analysis)
     if pair is not None:
         raise ConditionViolated(*pair, analysis.dp_witness(*pair) or [])
-    members = _resolve_candidate(candidate, analysis)
+    safe = [(member.obj, analysis.min_safe_ranks(member)) for member in members]
     chosen: list[Checkpoint] = []
     min_safe: dict[int, dict[int, int]] = {}
     for obj, table in enumerate(analysis.checkpoints):
         if obj in candidate:
             chosen.append(table[candidate[obj]])
             continue
-        min_safe[obj] = {member.obj: analysis.min_safe_rank(obj, member) for member in members}
-        chosen.append(table[max(min_safe[obj].values())])
+        min_safe[obj] = toward = {member: ranks[obj] for member, ranks in safe}
+        chosen.append(table[max(toward.values())])
     return ExtensionResult(GlobalCheckpoint(tuple(chosen)), min_safe)
 
 

@@ -30,6 +30,7 @@ from txckpt.model import (
 )
 from txckpt.protocol import trace_pattern
 from txckpt.scenario import builtin_scenario
+from txckpt.theory import ConditionViolated, ExtensionResult, GlobalCheckpoint
 
 
 def make_execution(num_objects, txns, order=None):
@@ -391,6 +392,26 @@ def min_safe_rank_oracle(analysis: CheckpointAnalysis, obj: int, dst) -> int:
         if not analysis.dp_reachable(analysis.checkpoint(obj, rank), dst):
             return rank
     raise AssertionError(f"every rank of object {obj} reaches {dst}")
+
+
+def extension_oracle(candidate, analysis: CheckpointAnalysis) -> ExtensionResult:
+    """extend_to_global pair by pair: the first member pair in object order
+    joined by dp_reachable raises ConditionViolated with witness_oracle's
+    path; otherwise each other object takes the greatest, over the members,
+    of min_safe_rank_oracle toward that member."""
+    members = [checkpoint_oracle(analysis, obj, rank) for obj, rank in sorted(candidate.items())]
+    for a in members:
+        for b in members:
+            if analysis.dp_reachable(a, b):
+                raise ConditionViolated(a, b, witness_oracle(analysis, a, b) or [])
+    chosen, min_safe = [], {}
+    for obj in range(analysis.pattern.num_objects):
+        if obj in candidate:
+            chosen.append(checkpoint_oracle(analysis, obj, candidate[obj]))
+            continue
+        min_safe[obj] = {member.obj: min_safe_rank_oracle(analysis, obj, member) for member in members}
+        chosen.append(checkpoint_oracle(analysis, obj, max(min_safe[obj].values())))
+    return ExtensionResult(GlobalCheckpoint(tuple(chosen)), min_safe)
 
 
 def analysis_for(execution, raw_checkpoints=None) -> CheckpointAnalysis:

@@ -12,8 +12,10 @@ from txckpt.dependence import (
     DASHED,
     AnalysisError,
     Checkpoint,
+    CheckpointAnalysis,
     CheckpointPattern,
     ExecutionAnalysis,
+    PatternError,
 )
 from txckpt import protocol as protocol_module
 from txckpt.model import LocalState, assign_versions
@@ -42,12 +44,15 @@ from conftest import (
 
 
 def assert_min_safe_ranks_match(analysis):
-    for dst_obj in range(analysis.pattern.num_objects):
-        for rank in analysis.pattern.ranks(dst_obj):
-            dst = analysis.checkpoint(dst_obj, rank)
-            for obj in range(analysis.pattern.num_objects):
-                if obj != dst_obj:
-                    assert analysis.min_safe_rank(obj, dst) == min_safe_rank_oracle(analysis, obj, dst)
+    """min_safe_ranks against the upward scan for every object, the
+    destination's own included, and min_safe_rank as its entries."""
+    num_objects = analysis.pattern.num_objects
+    for dst in all_checkpoints(analysis):
+        safe = analysis.min_safe_ranks(dst)
+        assert safe == tuple(min_safe_rank_oracle(analysis, obj, dst) for obj in range(num_objects))
+        for obj in range(num_objects):
+            if obj != dst.obj:
+                assert analysis.min_safe_rank(obj, dst) == safe[obj]
 
 
 def simulated_analysis(objects, txns, seed, **config):
@@ -252,6 +257,27 @@ def assert_table_matches_oracle(analysis):
     assert analysis.checkpoint(-1, 0) == Checkpoint(-1, 0, LocalState(-1, 0))
 
 
+class TestPatternShape:
+    """CheckpointAnalysis analyses the caller's tuples by rank, so a pattern
+    that CheckpointPattern.make would reorder, deduplicate or extend is
+    rejected rather than renormalised."""
+
+    @pytest.fixture
+    def base(self):
+        # Object 0 reaches version 3, object 1 version 2.
+        return ExecutionAnalysis(make_execution(2, [(0, [], [0]), (1, [], [0, 1]), (2, [0], [0]), (3, [], [1])]))
+
+    @pytest.mark.parametrize("versions", [(0, 1, 1), (1,), (0, 2, 1)])
+    def test_unsorted_repeated_or_0_less_versions_rejected(self, base, versions):
+        with pytest.raises(PatternError, match="object 0: checkpoint versions .* not strictly increasing from 0"):
+            CheckpointAnalysis(base, CheckpointPattern((versions, (0,))))
+
+    def test_make_form_accepted(self, base):
+        pattern = CheckpointPattern(((0, 1, 2), (0,)))
+        assert pattern == CheckpointPattern.make({0: [2, 1]}, base.timeline)
+        assert CheckpointAnalysis(base, pattern).pattern.versions == ((0, 1, 2, 3), (0, 2))
+
+
 class TestCheckpointTable:
     @settings(max_examples=150, deadline=None)
     @given(analyses())
@@ -334,6 +360,36 @@ class TestDependencePaths:
         spec = WorkloadSpec(6, 60, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
         config = SimConfig(seed=seed, num_objects=6, timer_period=10)
         assert_min_safe_ranks_match(trace_pattern(run_simulation(spec, config))[1])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_min_safe_ranks_match_upward_scan_on_protocol_b_traces(self, seed):
+        assert_min_safe_ranks_match(simulated_analysis(6, 60, seed, protocol="B", z_param=2, timer_period=10))
+
+    def test_min_safe_ranks_rejects_a_bad_destination_like_min_safe_rank(self, fig3):
+        analysis = scenario_analysis(fig3)
+        m = analysis.pattern.num_objects
+
+        def outcome(call):
+            try:
+                return call()
+            except AnalysisError as exc:
+                return str(exc)
+
+        rejected = 0
+        for dst_obj in range(-m - 2, m + 2):
+            for rank in range(-2, 6):
+                dst = Checkpoint(dst_obj, rank, LocalState(dst_obj, 0))
+                expected = outcome(lambda: analysis.pattern.version_of(dst_obj, rank))
+                safe = outcome(lambda: analysis.min_safe_ranks(dst))
+                if isinstance(expected, str):
+                    rejected += 1
+                    assert safe == expected
+                    for obj in (0, m - 1, m, -1):
+                        assert outcome(lambda: analysis.min_safe_rank(obj, dst)) == expected
+                else:
+                    # A valid negative destination object counts from the end.
+                    assert safe == analysis.min_safe_ranks(analysis.checkpoint(dst_obj % m, rank))
+        assert rejected > 0
 
     @pytest.mark.parametrize("case", ["past_the_last", "negative", "own_object"])
     def test_min_safe_rank_rejects_a_bad_object(self, fig3, case):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from txckpt.dependence import AnalysisError, Checkpoint, ExecutionAnalysis
+from txckpt.dependence import AnalysisError, Checkpoint, CheckpointAnalysis, ExecutionAnalysis
 from txckpt.model import LocalState
 from txckpt.protocol import CheckpointRecord, verify_protocol_guarantees
 from txckpt.theory import (
@@ -29,6 +29,7 @@ from conftest import (
     analysis_for,
     consistent_oracle,
     executions,
+    extension_oracle,
     make_execution,
     recovery_line_check,
     recovery_line_violations,
@@ -119,6 +120,18 @@ class TestTheoremCondition:
         with pytest.raises(AnalysisError):
             theorem_condition({0: 7}, scenario_analysis(fig1a))
 
+    @pytest.mark.parametrize("query", [theorem_condition, extend_to_global])
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_object_outside_the_range_rejected(self, fig3, query, alone):
+        # Object -1 is not object m-1 counted from the end, and object m is
+        # not an object, whatever the other members.
+        analysis = scenario_analysis(fig3)
+        m = analysis.pattern.num_objects
+        for obj in (-1, m):
+            candidate = {obj: 0} if alone else {0: 0, obj: 0}
+            with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
+                query(candidate, analysis)
+
 
 class TestExtension:
     def test_fig3_causal_pair_violation_carries_witness(self, fig3):
@@ -168,6 +181,90 @@ class TestExtension:
                 result = extend_to_global(candidate, analysis)
                 assert result.global_checkpoint.contains(candidate)
                 assert is_consistent_global_state(result.global_checkpoint.states(), analysis.base)
+
+
+def extension_outcome(extend, candidate, analysis):
+    try:
+        return extend(candidate, analysis)
+    except ConditionViolated as exc:
+        return exc.source, exc.target, exc.witness
+
+
+def sampled_candidates(analysis, count, seed):
+    """Candidates of 1-4 members with random ranks (the condition often
+    fails), and as many taken from the extension of one of their members
+    (it holds, unless that member has a path to itself)."""
+    rng = random.Random(seed)
+    m = analysis.pattern.num_objects
+    out = []
+    for _ in range(count // 2):
+        objs = rng.sample(range(m), rng.randint(1, min(4, m)))
+        candidate = {o: rng.randrange(len(analysis.pattern.versions[o])) for o in objs}
+        out.append(candidate)
+        extended = extension_outcome(extend_to_global, {objs[0]: candidate[objs[0]]}, analysis)
+        if not isinstance(extended, tuple):
+            out.append({o: extended.global_checkpoint.members[o].rank for o in objs})
+    return out
+
+
+class TestExtensionMatchesPairwiseLoop:
+    """extend_to_global asks min_safe_ranks once per member; extension_oracle
+    keeps the per-pair loop it replaces."""
+
+    @staticmethod
+    def assert_matches(analysis, candidates):
+        held = violated = 0
+        for candidate in candidates:
+            got = extension_outcome(extend_to_global, candidate, analysis)
+            assert got == extension_outcome(extension_oracle, candidate, analysis)
+            if isinstance(got, tuple):
+                violated += 1
+            else:
+                held += 1
+        return held, violated
+
+    @settings(max_examples=100, deadline=None)
+    @given(analyses())
+    def test_matches_on_every_one_and_two_member_candidate(self, analysis):
+        singles = [(obj, rank) for obj in range(analysis.pattern.num_objects) for rank in analysis.pattern.ranks(obj)]
+        candidates = [dict([s]) for s in singles]
+        candidates += [dict(pair) for pair in itertools.combinations(singles, 2) if pair[0][0] != pair[1][0]]
+        self.assert_matches(analysis, candidates)
+
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 2)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_on_simulated_traces(self, protocol, z, seed):
+        spec = WorkloadSpec(6, 60, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+        config = SimConfig(seed=seed, num_objects=6, protocol=protocol, z_param=z, timer_period=10)
+        analysis = trace_pattern(run_simulation(spec, config))[1]
+        held, violated = self.assert_matches(analysis, sampled_candidates(analysis, 120, seed))
+        assert held > 30 and violated > 10
+
+
+class TestExtensionFastPath:
+    def test_holding_extension_resolves_and_bisects_once_per_member(self, monkeypatch):
+        # The query_mix benchmark's trace: 12 objects, 200 transactions.
+        spec = WorkloadSpec(12, 200, ops_per_txn=(1, 4), write_probability=0.6, seed=1)
+        config = SimConfig(seed=1, num_objects=12, protocol="A", timer_period=20)
+        analysis = trace_pattern(run_simulation(spec, config))[1]
+        candidates = [c for c in sampled_candidates(analysis, 60, 7) if theorem_condition(c, analysis)]
+        calls = {"checkpoint": 0, "min_safe_ranks": 0, "min_safe_rank": 0}
+        for name in calls:
+
+            def counted(self, *args, _name=name, _method=getattr(CheckpointAnalysis, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(CheckpointAnalysis, name, counted)
+        sizes = set()
+        for candidate in candidates:
+            for name in calls:
+                calls[name] = 0
+            extend_to_global(candidate, analysis)
+            k = len(candidate)
+            sizes.add(k)
+            assert calls == {"checkpoint": k, "min_safe_ranks": k, "min_safe_rank": 0}
+        assert sizes == {1, 2, 3, 4}
 
 
 class TestEnumeration:
