@@ -16,7 +16,8 @@ checkpoints on commit messages:
 * protocol A is protocol B with z = 1: it forces a checkpoint (of the
   pre-commit state) whenever its index is below the piggybacked maximum,
   adopting that maximum as the new index.  One forcing rule serves both;
-  SimConfig.z gives the z a run uses.
+  SimConfig.z gives the z a run uses, and forced_index is the rule's one
+  statement, called by the data-manager steps and by the simulator.
 
 Commit metadata travels with every lock release the committing transaction
 owes: write-set data managers receive it on the commit message that applies
@@ -117,6 +118,17 @@ def dm_on_timer(dm: DataManagerState, now: int) -> tuple[DataManagerState, Check
     return DataManagerState(dm.obj, index, dm.version), record
 
 
+def forced_index(index: int, max_index: int, z: int) -> int | None:
+    """The forcing rule: the index of the checkpoint a data manager at index
+    must force on receiving max_index, or None when it forces none.  z must
+    be at least 1."""
+    # rounded > index is exactly "the incoming metadata names a later
+    # coordination epoch than ours" (index // z < max_index // z); firing on
+    # any weaker guard cannot keep equal-epoch checkpoints independent.
+    rounded = (max_index // z) * z
+    return rounded if rounded > index else None
+
+
 def _forced_step(
     dm: DataManagerState, msg: CommitMessage, z: int, now: int
 ) -> tuple[DataManagerState, CheckpointRecord | None]:
@@ -124,14 +136,11 @@ def _forced_step(
         raise ProtocolError(f"message for object {msg.dest} delivered to data manager {dm.obj}")
     if z < 1:
         raise ProtocolError("z must be at least 1")
-    # rounded > index is exactly "the incoming metadata names a later
-    # coordination epoch than ours" (index // z < max_index // z); firing on
-    # any weaker guard cannot keep equal-epoch checkpoints independent.
-    rounded = (msg.max_index // z) * z
-    if rounded > dm.index:
-        record = CheckpointRecord(dm.obj, rounded, KIND_FORCED, dm.version, now)
-        return DataManagerState(dm.obj, rounded, dm.version), record
-    return dm, None
+    index = forced_index(dm.index, msg.max_index, z)
+    if index is None:
+        return dm, None
+    record = CheckpointRecord(dm.obj, index, KIND_FORCED, dm.version, now)
+    return DataManagerState(dm.obj, index, dm.version), record
 
 
 def dm_on_commit(

@@ -13,20 +13,33 @@ interleave.  Data manager timers drive basic checkpoints while an object has
 no write in flight; message deliveries drive the forcing rule with the
 configured protocol's z.
 
+The loop keeps every piece of state as plain ints in per-object and
+per-transaction lists: per object its checkpoint index and version, the
+write-lock holder, the number of read locks, the FIFO queue of waiting
+transactions and the heap sequence number of its live timer (an expiry whose
+entry was superseded by a forced checkpoint's re-armed timer is dropped);
+per transaction the number of locks held and the maximum index observed.
+Heap entries are (time, seq, kind, txn, obj) tuples of ints, dispatched by
+one loop.  A CheckpointRecord is built only when a checkpoint is taken, and
+a SimEvent once per logged event.  The forcing decision is
+protocol.forced_index, the same function the public data-manager steps
+(dm_on_commit, dm_on_release) apply, so the rule is stated once.
+
 A run is a pure function of (workload, config): identical inputs give
 byte-identical traces.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Mapping, NamedTuple
 
-from .model import Execution, Transaction, ValidatedExecution, validate_execution
+from .model import Execution, ValidatedExecution, validate_execution
 from .protocol import (
     KIND_BASIC,
     KIND_FORCED,
@@ -34,13 +47,8 @@ from .protocol import (
     PROTOCOL_A,
     PROTOCOL_B,
     CheckpointRecord,
-    CommitMessage,
-    DataManagerState,
-    dm_on_commit,
-    dm_on_release,
-    dm_on_timer,
+    forced_index,
     initial_record,
-    tm_commit_metadata,
 )
 from .scenario import WorkloadSpec, workload_from_dict, workload_transactions
 from .scenario import _execution_from_dict, _expect, _int_list, _records
@@ -157,6 +165,12 @@ class Trace:
         config = SimConfig(**cfg)
         workload = workload_from_dict(_expect(data, "workload", Mapping, "trace"))
         execution = _execution_from_dict(_expect(data, "execution", Mapping, "trace"), "trace.execution")
+        for where, count in (("config", config.num_objects), ("workload", workload.num_objects)):
+            if count != execution.num_objects:
+                raise SimulationError(
+                    f"trace.{where}.num_objects: {count} disagrees with trace.execution.objects "
+                    f"{execution.num_objects}"
+                )
         events = []
         for i, e in enumerate(_records(data, "events", "trace")):
             where = f"trace.events[{i}]"
@@ -184,219 +198,149 @@ class Trace:
         return Trace.from_dict(json.loads(text))
 
 
-class _Lock:
-    __slots__ = ("writer", "readers", "queue")
-
-    def __init__(self) -> None:
-        self.writer: int | None = None
-        self.readers: set[int] = set()
-        self.queue: deque[tuple[int, str]] = deque()
-
-    def free_for(self, mode: str) -> bool:
-        if mode == "write":
-            return self.writer is None and not self.readers
-        return self.writer is None
-
-
-class _TxnRun:
-    __slots__ = ("txn", "order", "pos", "observed")
-
-    def __init__(self, txn: Transaction):
-        self.txn = txn
-        self.order = sorted(txn.access_set)
-        self.pos = 0
-        self.observed: dict[int, int] = {}
-
-    def mode(self, obj: int) -> str:
-        return "write" if obj in self.txn.write_set else "read"
-
-
-class _Simulation:
-    def __init__(self, workload: WorkloadSpec, config: SimConfig):
-        if workload.num_objects != config.num_objects:
-            raise SimulationError("workload and config disagree on object count")
-        self.workload = workload
-        self.config = config
-        self.rng = random.Random(config.seed)
-        self.txns = {t.id: _TxnRun(t) for t in workload_transactions(workload)}
-        self.locks = [_Lock() for _ in range(config.num_objects)]
-        self.dms = [DataManagerState(obj) for obj in range(config.num_objects)]
-        self.timer_gen = [0] * config.num_objects
-        self.heap: list[tuple[int, int, str, tuple]] = []
-        self.seq = 0
-        self.now = 0
-        self.events: list[SimEvent] = []
-        self.log: list[CheckpointRecord] = [initial_record(o) for o in range(config.num_objects)]
-        self.commit_order: list[int] = []
-        self.outstanding_msgs = 0
-
-    # -- plumbing --------------------------------------------------------
-
-    def _schedule(self, time: int, kind: str, payload: tuple) -> None:
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
-        self.seq += 1
-
-    def _record(self, kind: str, data: tuple[tuple[str, int], ...]) -> None:
-        """Log an event; each call site writes data already sorted by key."""
-        self.events.append(SimEvent(self.now, len(self.events), kind, data))
-
-    def _next_deadline(self) -> int:
-        jitter = self.rng.randint(0, self.config.timer_jitter) if self.config.timer_jitter else 0
-        return self.now + self.config.timer_period + jitter
-
-    def _work_done(self) -> bool:
-        return len(self.commit_order) == len(self.txns) and self.outstanding_msgs == 0
-
-    # -- locking -----------------------------------------------------------
-
-    def _grant(self, txn_id: int, obj: int) -> None:
-        run = self.txns[txn_id]
-        mode = run.mode(obj)
-        lock = self.locks[obj]
-        if mode == "write":
-            lock.writer = txn_id
-        else:
-            lock.readers.add(txn_id)
-        run.observed[obj] = self.dms[obj].index
-        self._record(EV_LOCK_ACQUIRED, (("obj", obj), ("txn", txn_id), ("write", int(mode == "write"))))
-        run.pos += 1
-
-    def _try_acquire(self, run: _TxnRun) -> bool:
-        """Request the next lock; True when granted immediately."""
-        obj = run.order[run.pos]
-        lock = self.locks[obj]
-        if not lock.queue and lock.free_for(run.mode(obj)):
-            self._grant(run.txn.id, obj)
-            return True
-        lock.queue.append((run.txn.id, run.mode(obj)))
-        return False
-
-    def _pump(self, obj: int) -> None:
-        """Grant queued requests that became compatible, in FIFO order."""
-        lock = self.locks[obj]
-        while lock.queue:
-            txn_id, mode = lock.queue[0]
-            if not lock.free_for(mode):
-                break
-            lock.queue.popleft()
-            self._grant(txn_id, obj)
-            self._advance(self.txns[txn_id])
-
-    def _advance(self, run: _TxnRun) -> None:
-        """Acquire locks until one must wait; with all of them, schedule the
-        commit.  A transaction holding every lock is never queued again, so
-        this happens once per transaction."""
-        while run.pos < len(run.order):
-            if not self._try_acquire(run):
-                return
-        delay = self.rng.randint(*self.config.work_delay_range)
-        self._schedule(self.now + delay, EV_TXN_COMMIT, (run.txn.id,))
-
-    # -- event handlers ------------------------------------------------------
-
-    def _on_begin(self, txn_id: int) -> None:
-        self._record(EV_TXN_BEGIN, (("txn", txn_id),))
-        self._advance(self.txns[txn_id])
-
-    def _on_commit(self, txn_id: int) -> None:
-        run = self.txns[txn_id]
-        self.commit_order.append(txn_id)
-        msgs = tm_commit_metadata(run.txn, run.observed)
-        self._record(EV_TXN_COMMIT, (("max_index", msgs[0].max_index), ("txn", txn_id)))
-        lo, hi = self.config.message_delay_range
-        # Commit metadata rides every lock release this transaction owes:
-        # commit messages to written objects, release notifications to
-        # read-only ones.  Locks free only when the message lands, so
-        # per-object processing order matches commit order.
-        for msg in msgs:
-            self.outstanding_msgs += 1
-            self._schedule(self.now + self.rng.randint(lo, hi), EV_COMMIT_MSG, (msg,))
-
-    def _on_delivery(self, msg: CommitMessage) -> None:
-        self.outstanding_msgs -= 1
-        txn_id, obj = msg.txn, msg.dest
-        apply_write = int(obj in self.txns[txn_id].txn.write_set)
-        step = dm_on_commit if apply_write else dm_on_release
-        deadline = self._next_deadline()  # drawn on every delivery: it advances the jitter RNG
-        dm, record = step(self.dms[obj], msg, self.config.z, self.now)
-        self.dms[obj] = dm
-        if record is not None:
-            self.log.append(record)
-            self.timer_gen[obj] += 1
-            self._schedule(deadline, EV_TIMER, (obj, self.timer_gen[obj]))
-        self._record(
-            EV_COMMIT_MSG,
-            (
-                ("apply", apply_write),
-                ("forced", int(record is not None)),
-                ("max_index", msg.max_index),
-                ("obj", obj),
-                ("txn", txn_id),
-            ),
-        )
-        if apply_write:
-            self.locks[obj].writer = None
-        else:
-            self.locks[obj].readers.discard(txn_id)
-        self._pump(obj)
-
-    def _on_timer(self, obj: int, gen: int) -> None:
-        if gen != self.timer_gen[obj] or self._work_done():
-            return
-        deadline = self._next_deadline()
-        if self.locks[obj].writer is not None:
-            # Basic checkpoints happen only while the data manager is idle: a
-            # write in flight has already observed the current index, so a new
-            # checkpoint here would not be reflected in that writer's metadata.
-            self._schedule(deadline, EV_TIMER, (obj, gen))
-            return
-        dm, record = dm_on_timer(self.dms[obj], self.now)
-        self.dms[obj] = dm
-        self.log.append(record)
-        self._record(EV_TIMER, (("index", dm.index), ("obj", obj)))
-        self._schedule(deadline, EV_TIMER, (obj, gen))
-
-    # -- main loop -------------------------------------------------------
-
-    def run(self) -> Trace:
-        clock = 0
-        lo, hi = self.config.arrival_gap_range
-        for txn_id in sorted(self.txns):
-            clock += self.rng.randint(lo, hi)
-            self._schedule(clock, EV_TXN_BEGIN, (txn_id,))
-        for obj in range(self.config.num_objects):
-            self._schedule(self._next_deadline(), EV_TIMER, (obj, 0))
-        while self.heap:
-            time, _, kind, payload = heapq.heappop(self.heap)
-            self.now = time
-            if kind == EV_TXN_BEGIN:
-                self._on_begin(*payload)
-            elif kind == EV_TXN_COMMIT:
-                self._on_commit(*payload)
-            elif kind == EV_COMMIT_MSG:
-                self._on_delivery(*payload)
-            else:
-                self._on_timer(*payload)
-        execution = validate_execution(
-            Execution(
-                self.config.num_objects,
-                tuple(self.txns[i].txn for i in sorted(self.txns)),
-                tuple(self.commit_order),
-            )
-        )
-        for obj in range(self.config.num_objects):
-            count = sum(1 for t in self.txns.values() if obj in t.txn.write_set)
-            if self.dms[obj].version != count:
-                raise SimulationError(f"object {obj}: undelivered writes at end of run")
-        return Trace(
-            self.config,
-            self.workload,
-            execution,
-            tuple(self.events),
-            tuple(self.log),
-        )
+_BEGIN, _COMMIT, _DELIVERY, _TIMER = range(4)
 
 
 def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
     """Simulate the workload under the configured protocol; fully deterministic."""
-    return _Simulation(workload, config).run()
+    if workload.num_objects != config.num_objects:
+        raise SimulationError("workload and config disagree on object count")
+    m = config.num_objects
+    txns = workload_transactions(workload)  # transaction t is txns[t]
+    n = len(txns)
+    randint = random.Random(config.seed).randint
+    z, period, jitter = config.z, config.timer_period, config.timer_jitter
+    msg_lo, msg_hi = config.message_delay_range
+    work_lo, work_hi = config.work_delay_range
+
+    # Per object: data manager, lock, and the seq of its live timer entry.
+    index = [0] * m
+    version = [0] * m
+    writer = [-1] * m  # transaction holding the write lock, -1 when free
+    readers = [0] * m  # read locks held
+    queue: list[deque[int]] = [deque() for _ in range(m)]  # waiting transactions, FIFO
+    live_timer = [0] * m
+    # Per transaction: lock order, write set, locks held, maximum observed index.
+    order = [sorted(t.access_set) for t in txns]
+    writes = [t.write_set for t in txns]
+    held = [0] * n
+    max_seen = [0] * n
+
+    heap: list[tuple[int, int, int, int, int]] = []  # (time, seq, kind, txn, obj)
+    seq = 0
+    events: list[SimEvent] = []
+    new_event = partial(tuple.__new__, SimEvent)  # SimEvent(*fields) without its Python-level __new__
+    log = [initial_record(obj) for obj in range(m)]
+    commit_order: list[int] = []
+    outstanding = 0
+
+    clock = 0
+    for t in range(n):
+        clock += randint(*config.arrival_gap_range)
+        heappush(heap, (clock, seq, _BEGIN, t, -1))
+        seq += 1
+    for obj in range(m):
+        heappush(heap, (period + (randint(0, jitter) if jitter else 0), seq, _TIMER, -1, obj))
+        live_timer[obj] = seq
+        seq += 1
+
+    while heap:
+        now, entry_seq, kind, t, obj = heappop(heap)
+        if kind == _TIMER:
+            # A timer superseded by a forced checkpoint is dropped, and all
+            # timers stop once the work is done.
+            if entry_seq != live_timer[obj] or (len(commit_order) == n and not outstanding):
+                continue
+            deadline = now + period + (randint(0, jitter) if jitter else 0)
+            # Basic checkpoints happen only while the data manager is idle: a
+            # write in flight has already observed the current index, so a new
+            # checkpoint here would not be reflected in that writer's metadata.
+            if writer[obj] < 0:
+                index[obj] += 1
+                log.append(CheckpointRecord(obj, index[obj], KIND_BASIC, version[obj], now))
+                events.append(new_event((now, len(events), EV_TIMER, (("index", index[obj]), ("obj", obj)))))
+            heappush(heap, (deadline, seq, _TIMER, -1, obj))
+            live_timer[obj] = seq
+            seq += 1
+            continue
+        if kind == _COMMIT:
+            commit_order.append(t)
+            events.append(new_event((now, len(events), EV_TXN_COMMIT, (("max_index", max_seen[t]), ("txn", t)))))
+            # Commit metadata rides every lock release this transaction owes:
+            # commit messages to written objects, release notifications to
+            # read-only ones.  Locks free only when the message lands, so
+            # per-object processing order matches commit order.
+            for dest in order[t]:
+                heappush(heap, (now + randint(msg_lo, msg_hi), seq, _DELIVERY, t, dest))
+                seq += 1
+            outstanding += len(order[t])
+            continue
+        if kind == _BEGIN:
+            events.append(new_event((now, len(events), EV_TXN_BEGIN, (("txn", t),))))
+            granted = False
+        else:
+            outstanding -= 1
+            apply_write = obj in writes[t]
+            deadline = now + period + (randint(0, jitter) if jitter else 0)  # drawn on every delivery
+            forced = forced_index(index[obj], max_seen[t], z)
+            if forced is not None:
+                # The forced checkpoint saves the state before the write applies.
+                log.append(CheckpointRecord(obj, forced, KIND_FORCED, version[obj], now))
+                index[obj] = forced
+                heappush(heap, (deadline, seq, _TIMER, -1, obj))
+                live_timer[obj] = seq
+                seq += 1
+            events.append(new_event((now, len(events), EV_COMMIT_MSG, (
+                ("apply", int(apply_write)),
+                ("forced", int(forced is not None)),
+                ("max_index", max_seen[t]),
+                ("obj", obj),
+                ("txn", t),
+            ))))
+            if apply_write:
+                version[obj] += 1
+                writer[obj] = -1
+            else:
+                readers[obj] -= 1
+            t = -1
+        # A beginning transaction t takes locks in order until one must wait;
+        # with all of them it schedules its commit.  After a delivery, each
+        # queued request on obj that has become compatible is granted in FIFO
+        # order, and its transaction goes on the same way (granted: its next
+        # lock was just granted from the queue).
+        while True:
+            if t >= 0:
+                wset = writes[t]
+                for lock in order[t][held[t]:]:
+                    write = lock in wset
+                    if not granted and (queue[lock] or writer[lock] >= 0 or (write and readers[lock])):
+                        queue[lock].append(t)
+                        break
+                    granted = False
+                    if write:
+                        writer[lock] = t
+                    else:
+                        readers[lock] += 1
+                    if index[lock] > max_seen[t]:
+                        max_seen[t] = index[lock]
+                    events.append(new_event(
+                        (now, len(events), EV_LOCK_ACQUIRED, (("obj", lock), ("txn", t), ("write", int(write))))
+                    ))
+                    held[t] += 1
+                else:
+                    heappush(heap, (now + randint(work_lo, work_hi), seq, _COMMIT, t, -1))
+                    seq += 1
+            if kind == _BEGIN:
+                break
+            waiting = queue[obj]
+            if not waiting or writer[obj] >= 0 or (readers[obj] and obj in writes[waiting[0]]):
+                break
+            t = waiting.popleft()
+            granted = True
+
+    execution = validate_execution(Execution(m, tuple(txns), tuple(commit_order)))
+    writers = Counter(obj for txn in txns for obj in txn.write_set)
+    for obj in range(m):
+        if version[obj] != writers[obj]:
+            raise SimulationError(f"object {obj}: undelivered writes at end of run")
+    return Trace(config, workload, execution, tuple(events), tuple(log))

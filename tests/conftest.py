@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import itertools
+import random
 from collections import deque
 from typing import NamedTuple
 
@@ -28,8 +30,29 @@ from txckpt.model import (
     assign_versions,
     validate_execution,
 )
-from txckpt.protocol import trace_pattern
-from txckpt.scenario import builtin_scenario
+from txckpt.protocol import (
+    CheckpointRecord,
+    CommitMessage,
+    DataManagerState,
+    dm_on_commit,
+    dm_on_release,
+    dm_on_timer,
+    initial_record,
+    tm_commit_metadata,
+    trace_pattern,
+)
+from txckpt.scenario import WorkloadSpec, builtin_scenario, workload_transactions
+from txckpt.sim import (
+    EV_COMMIT_MSG,
+    EV_LOCK_ACQUIRED,
+    EV_TIMER,
+    EV_TXN_BEGIN,
+    EV_TXN_COMMIT,
+    SimConfig,
+    SimEvent,
+    SimulationError,
+    Trace,
+)
 from txckpt.theory import ConditionViolated, ExtensionResult, GlobalCheckpoint
 
 
@@ -489,3 +512,200 @@ def analyses(draw, max_objects=4, max_txns=6, max_extra_checkpoints=2):
             )
     pattern = CheckpointPattern.make(raw, base.timeline)
     return CheckpointAnalysis(base, pattern)
+
+
+class _Lock:
+    __slots__ = ("writer", "readers", "queue")
+
+    def __init__(self) -> None:
+        self.writer: int | None = None
+        self.readers: set[int] = set()
+        self.queue: deque[tuple[int, str]] = deque()
+
+    def free_for(self, mode: str) -> bool:
+        if mode == "write":
+            return self.writer is None and not self.readers
+        return self.writer is None
+
+
+class _TxnRun:
+    __slots__ = ("txn", "order", "pos", "observed")
+
+    def __init__(self, txn: Transaction):
+        self.txn = txn
+        self.order = sorted(txn.access_set)
+        self.pos = 0
+        self.observed: dict[int, int] = {}
+
+    def mode(self, obj: int) -> str:
+        return "write" if obj in self.txn.write_set else "read"
+
+
+class _SimulationOracle:
+    """The simulator as objects: a lock object per data object, a run object
+    per transaction, DataManagerState stepped through the public dm_on_*
+    functions, commit messages from tm_commit_metadata, and heap payloads
+    dispatched by event kind to one method each."""
+
+    def __init__(self, workload: WorkloadSpec, config: SimConfig):
+        if workload.num_objects != config.num_objects:
+            raise SimulationError("workload and config disagree on object count")
+        self.workload = workload
+        self.config = config
+        self.rng = random.Random(config.seed)
+        self.txns = {t.id: _TxnRun(t) for t in workload_transactions(workload)}
+        self.locks = [_Lock() for _ in range(config.num_objects)]
+        self.dms = [DataManagerState(obj) for obj in range(config.num_objects)]
+        self.timer_gen = [0] * config.num_objects
+        self.heap: list[tuple[int, int, str, tuple]] = []
+        self.seq = 0
+        self.now = 0
+        self.events: list[SimEvent] = []
+        self.log: list[CheckpointRecord] = [initial_record(o) for o in range(config.num_objects)]
+        self.commit_order: list[int] = []
+        self.outstanding_msgs = 0
+
+    def _schedule(self, time: int, kind: str, payload: tuple) -> None:
+        heapq.heappush(self.heap, (time, self.seq, kind, payload))
+        self.seq += 1
+
+    def _record(self, kind: str, data: tuple[tuple[str, int], ...]) -> None:
+        self.events.append(SimEvent(self.now, len(self.events), kind, data))
+
+    def _next_deadline(self) -> int:
+        jitter = self.rng.randint(0, self.config.timer_jitter) if self.config.timer_jitter else 0
+        return self.now + self.config.timer_period + jitter
+
+    def _work_done(self) -> bool:
+        return len(self.commit_order) == len(self.txns) and self.outstanding_msgs == 0
+
+    def _grant(self, txn_id: int, obj: int) -> None:
+        run = self.txns[txn_id]
+        mode = run.mode(obj)
+        lock = self.locks[obj]
+        if mode == "write":
+            lock.writer = txn_id
+        else:
+            lock.readers.add(txn_id)
+        run.observed[obj] = self.dms[obj].index
+        self._record(EV_LOCK_ACQUIRED, (("obj", obj), ("txn", txn_id), ("write", int(mode == "write"))))
+        run.pos += 1
+
+    def _try_acquire(self, run: _TxnRun) -> bool:
+        obj = run.order[run.pos]
+        lock = self.locks[obj]
+        if not lock.queue and lock.free_for(run.mode(obj)):
+            self._grant(run.txn.id, obj)
+            return True
+        lock.queue.append((run.txn.id, run.mode(obj)))
+        return False
+
+    def _pump(self, obj: int) -> None:
+        lock = self.locks[obj]
+        while lock.queue:
+            txn_id, mode = lock.queue[0]
+            if not lock.free_for(mode):
+                break
+            lock.queue.popleft()
+            self._grant(txn_id, obj)
+            self._advance(self.txns[txn_id])
+
+    def _advance(self, run: _TxnRun) -> None:
+        while run.pos < len(run.order):
+            if not self._try_acquire(run):
+                return
+        delay = self.rng.randint(*self.config.work_delay_range)
+        self._schedule(self.now + delay, EV_TXN_COMMIT, (run.txn.id,))
+
+    def _on_begin(self, txn_id: int) -> None:
+        self._record(EV_TXN_BEGIN, (("txn", txn_id),))
+        self._advance(self.txns[txn_id])
+
+    def _on_commit(self, txn_id: int) -> None:
+        run = self.txns[txn_id]
+        self.commit_order.append(txn_id)
+        msgs = tm_commit_metadata(run.txn, run.observed)
+        self._record(EV_TXN_COMMIT, (("max_index", msgs[0].max_index), ("txn", txn_id)))
+        lo, hi = self.config.message_delay_range
+        for msg in msgs:
+            self.outstanding_msgs += 1
+            self._schedule(self.now + self.rng.randint(lo, hi), EV_COMMIT_MSG, (msg,))
+
+    def _on_delivery(self, msg: CommitMessage) -> None:
+        self.outstanding_msgs -= 1
+        txn_id, obj = msg.txn, msg.dest
+        apply_write = int(obj in self.txns[txn_id].txn.write_set)
+        step = dm_on_commit if apply_write else dm_on_release
+        deadline = self._next_deadline()
+        dm, record = step(self.dms[obj], msg, self.config.z, self.now)
+        self.dms[obj] = dm
+        if record is not None:
+            self.log.append(record)
+            self.timer_gen[obj] += 1
+            self._schedule(deadline, EV_TIMER, (obj, self.timer_gen[obj]))
+        self._record(
+            EV_COMMIT_MSG,
+            (
+                ("apply", apply_write),
+                ("forced", int(record is not None)),
+                ("max_index", msg.max_index),
+                ("obj", obj),
+                ("txn", txn_id),
+            ),
+        )
+        if apply_write:
+            self.locks[obj].writer = None
+        else:
+            self.locks[obj].readers.discard(txn_id)
+        self._pump(obj)
+
+    def _on_timer(self, obj: int, gen: int) -> None:
+        if gen != self.timer_gen[obj] or self._work_done():
+            return
+        deadline = self._next_deadline()
+        if self.locks[obj].writer is not None:
+            self._schedule(deadline, EV_TIMER, (obj, gen))
+            return
+        dm, record = dm_on_timer(self.dms[obj], self.now)
+        self.dms[obj] = dm
+        self.log.append(record)
+        self._record(EV_TIMER, (("index", dm.index), ("obj", obj)))
+        self._schedule(deadline, EV_TIMER, (obj, gen))
+
+    def run(self) -> Trace:
+        clock = 0
+        lo, hi = self.config.arrival_gap_range
+        for txn_id in sorted(self.txns):
+            clock += self.rng.randint(lo, hi)
+            self._schedule(clock, EV_TXN_BEGIN, (txn_id,))
+        for obj in range(self.config.num_objects):
+            self._schedule(self._next_deadline(), EV_TIMER, (obj, 0))
+        while self.heap:
+            time, _, kind, payload = heapq.heappop(self.heap)
+            self.now = time
+            if kind == EV_TXN_BEGIN:
+                self._on_begin(*payload)
+            elif kind == EV_TXN_COMMIT:
+                self._on_commit(*payload)
+            elif kind == EV_COMMIT_MSG:
+                self._on_delivery(*payload)
+            else:
+                self._on_timer(*payload)
+        execution = validate_execution(
+            Execution(
+                self.config.num_objects,
+                tuple(self.txns[i].txn for i in sorted(self.txns)),
+                tuple(self.commit_order),
+            )
+        )
+        for obj in range(self.config.num_objects):
+            count = sum(1 for t in self.txns.values() if obj in t.txn.write_set)
+            if self.dms[obj].version != count:
+                raise SimulationError(f"object {obj}: undelivered writes at end of run")
+        return Trace(self.config, self.workload, execution, tuple(self.events), tuple(self.log))
+
+
+def simulation_oracle(workload: WorkloadSpec, config: SimConfig) -> Trace:
+    """run_simulation as per-object lock and data-manager objects (see
+    _SimulationOracle); the integer event loop must match it byte for byte."""
+    return _SimulationOracle(workload, config).run()

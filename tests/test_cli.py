@@ -252,6 +252,18 @@ class TestSimulateAndVerify:
         code, report = run_cli(capsys, *args)
         assert code == 2 and "error" in report and report["ok"] is False
 
+    @pytest.mark.parametrize("section, count", [("config", 7), ("workload", 9)])
+    def test_object_count_mismatch_exits_2(self, capsys, tmp_path, section, count):
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "4", "--txns", "10", "--seed", "1",
+                "--timer", "5", "--out", str(out))
+        data = json.loads(out.read_text())
+        data[section]["num_objects"] = count
+        out.write_text(json.dumps(data))
+        code, report = run_cli(capsys, "verify", str(out))
+        assert code == 2 and report["ok"] is False
+        assert report["error"] == f"trace.{section}.num_objects: {count} disagrees with trace.execution.objects 4"
+
     def test_simulate_out_into_missing_directory_exits_2(self, capsys, tmp_path):
         out = tmp_path / "missing" / "trace.json"
         code, report = run_cli(capsys, "simulate", "--objects", "2", "--txns", "3", "--out", str(out))

@@ -19,6 +19,7 @@ from txckpt.protocol import (
     dm_on_commit,
     dm_on_release,
     dm_on_timer,
+    forced_index,
     initial_record,
     tm_commit_metadata,
     verify_protocol_guarantees,
@@ -117,6 +118,14 @@ class TestForcedCheckpointsB:
         dm, rec = dm_on_release(dm, CommitMessage(5, 7, 0), 3, now=2)
         assert rec == CheckpointRecord(0, 6, KIND_FORCED, 3, 2)
         assert dm.index == 6 and dm.version == 3
+
+    def test_forced_index_is_the_rounded_maximum_of_a_later_epoch(self):
+        assert forced_index(0, 3, 1) == 3
+        assert forced_index(3, 3, 1) is None
+        assert forced_index(0, 6, 4) == 4
+        assert forced_index(4, 7, 4) is None
+        assert forced_index(5, 7, 4) is None
+        assert forced_index(1, 7, 3) == 6
 
     def test_z_must_be_positive(self):
         for step in (dm_on_commit, dm_on_release):

@@ -5,17 +5,28 @@ import hashlib
 import pytest
 
 from txckpt.model import build_serialization_graph
-from txckpt.protocol import verify_protocol_guarantees
+from txckpt.protocol import (
+    DataManagerState,
+    dm_on_commit,
+    dm_on_release,
+    dm_on_timer,
+    initial_record,
+    tm_commit_metadata,
+    verify_protocol_guarantees,
+)
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import (
     EV_COMMIT_MSG,
     EV_LOCK_ACQUIRED,
+    EV_TIMER,
     EV_TXN_COMMIT,
     SimConfig,
     SimulationError,
     Trace,
     run_simulation,
 )
+
+from conftest import simulation_oracle
 
 
 def run(seed=0, txns=12, objects=4, protocol="A", z=1, timer=10, jitter=0, delays=(1, 6), **kw):
@@ -67,6 +78,89 @@ class TestDeterminism:
         assert digest.hexdigest() == "980d545b74b2512cf48b229305b697384e45d2fe5b59b7022cae7e7cbdc4399a"
 
 
+class TestSimulationOracle:
+    # 320 configurations: both protocols, z up to 4, timer jitter, skewed
+    # access, sizes up to 8 objects x 120 transactions, and message delays
+    # of up to 40 ticks on half the seeds, which reorder deliveries more.
+    @pytest.mark.parametrize("objects, txns", [(3, 20), (5, 40), (6, 80), (8, 120)])
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 1), ("B", 2), ("B", 3), ("B", 4)])
+    def test_event_loop_matches_the_object_simulator(self, objects, txns, protocol, z):
+        for jitter in (0, 3):
+            for skew in (0.0, 0.8):
+                for seed in range(1, 5):
+                    spec = WorkloadSpec(
+                        objects, txns, ops_per_txn=(1, 4), write_probability=0.6, access_skew=skew, seed=seed
+                    )
+                    config = SimConfig(
+                        seed=seed, num_objects=objects, protocol=protocol, z_param=z,
+                        timer_period=2 + 5 * seed, timer_jitter=jitter,
+                        message_delay_range=(1, 10 if seed % 2 else 40),
+                    )
+                    got, want = run_simulation(spec, config), simulation_oracle(spec, config)
+                    assert got.events == want.events, (seed, jitter, skew)
+                    assert got.checkpoint_log == want.checkpoint_log, (seed, jitter, skew)
+                    assert got.to_json() == want.to_json(), (seed, jitter, skew)
+
+
+def replay_checkpoint_log(trace):
+    """The checkpoint log rebuilt from the trace's events by the public steps.
+
+    Each lock_acquired event reads the index its data manager holds at that
+    point; each txn_commit builds its commit messages with
+    tm_commit_metadata from those reads; each timer_expired event runs
+    dm_on_timer and each commit_msg_delivered event runs dm_on_commit or
+    dm_on_release (chosen by apply) on that message.  Every step is checked
+    against what the event says.
+    """
+    m = trace.config.num_objects
+    z = trace.config.z
+    txns = {t.id: t for t in trace.execution.transactions}
+    dms = [DataManagerState(obj) for obj in range(m)]
+    log = [initial_record(obj) for obj in range(m)]
+    observed: dict[int, dict[int, int]] = {}
+    messages = {}
+    for event in trace.events:
+        data = dict(event.data)
+        if event.kind == EV_LOCK_ACQUIRED:
+            observed.setdefault(data["txn"], {})[data["obj"]] = dms[data["obj"]].index
+            continue
+        if event.kind == EV_TXN_COMMIT:
+            for msg in tm_commit_metadata(txns[data["txn"]], observed[data["txn"]]):
+                assert msg.max_index == data["max_index"], event
+                messages[(msg.txn, msg.dest)] = msg
+            continue
+        if event.kind == EV_TIMER:
+            obj = data["obj"]
+            dm, record = dm_on_timer(dms[obj], event.time)
+            assert dm.index == data["index"], event
+        elif event.kind == EV_COMMIT_MSG:
+            obj = data["obj"]
+            msg = messages.pop((data["txn"], obj))
+            assert msg.max_index == data["max_index"], event
+            step = dm_on_commit if data["apply"] else dm_on_release
+            dm, record = step(dms[obj], msg, z, event.time)
+            assert data["forced"] == (record is not None), event
+        else:
+            continue
+        dms[obj] = dm
+        if record is not None:
+            log.append(record)
+    assert not messages
+    return tuple(log)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 2), ("B", 3)])
+    @pytest.mark.parametrize("jitter", [0, 3])
+    def test_public_steps_reproduce_the_checkpoint_log(self, protocol, z, jitter):
+        forced = 0
+        for seed in range(1, 9):
+            trace = run(seed=seed, txns=60, objects=5, protocol=protocol, z=z, timer=4 + seed, jitter=jitter)
+            assert replay_checkpoint_log(trace) == trace.checkpoint_log, seed
+            forced += sum(r.kind == "forced" for r in trace.checkpoint_log)
+        assert forced
+
+
 class TestConfigValidation:
     def test_rejects_unknown_protocol(self):
         with pytest.raises(SimulationError):
@@ -82,6 +176,13 @@ class TestConfigValidation:
         workload = WorkloadSpec(num_objects=2, num_txns=1)
         with pytest.raises(SimulationError, match="object count"):
             run_simulation(workload, SimConfig(seed=0, num_objects=3))
+
+    @pytest.mark.parametrize("section", ["config", "workload"])
+    def test_trace_rejects_object_count_mismatch(self, section):
+        data = run(seed=2, objects=4).to_dict()
+        data[section]["num_objects"] = 7
+        with pytest.raises(SimulationError, match=f"trace.{section}.num_objects: 7 disagrees"):
+            Trace.from_dict(data)
 
 
 class TestExecutionShape:
