@@ -29,14 +29,7 @@ from .protocol import (
     PROTOCOL_A,
     PROTOCOL_B,
     CheckpointRecord,
-    CommitMessage,
-    DataManagerState,
     GuaranteeReport,
-    ProtocolError,
-    dm_on_commit,
-    dm_on_release,
-    dm_on_timer,
-    tm_commit_metadata,
     trace_pattern,
     verify_protocol_guarantees,
 )

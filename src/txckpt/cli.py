@@ -26,6 +26,7 @@ from .scenario import (
     generate_random,
     load_scenario,
     load_workload,
+    reading_json,
 )
 from .sim import SimConfig, SimulationError, Trace, run_simulation
 from .theory import (
@@ -181,14 +182,17 @@ def cmd_extend(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         return {"results": results, "ok": False}, 1
     gc = extension.global_checkpoint
     consistent = is_consistent_global_state(gc.states(), analysis.base)
+    # Per object outside the candidate, the least rank with no dependence
+    # path to each member; the extension took the largest of these.
+    safe = [(obj, analysis.min_safe_ranks(gc.members[obj])) for obj in sorted(members)]
     results = {
         "condition_holds": True,
         "global_checkpoint": {
             names[c.obj]: {"rank": c.rank, "version": c.state.version} for c in gc.members
         },
         "min_safe_ranks": {
-            names[obj]: {names[m]: rank for m, rank in sorted(table.items())}
-            for obj, table in sorted(extension.min_safe_ranks.items())
+            names[obj]: {names[m]: ranks[obj] for m, ranks in safe}
+            for obj in range(len(names)) if obj not in members
         },
         "consistent": consistent,
     }
@@ -289,8 +293,9 @@ def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, An
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.trace:
         try:
-            trace = Trace.from_json(Path(args.trace).read_text())
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+            with reading_json(args.trace):
+                trace = Trace.from_json(Path(args.trace).read_text(encoding="utf-8"))
+        except KeyError as exc:
             raise InputError(f"cannot load trace {args.trace}: {exc}") from exc
         report = verify_protocol_guarantees(trace)
         spot = _theorem_spot_checks(trace, args.oracle_bound, args.spot_samples)

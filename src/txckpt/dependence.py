@@ -368,17 +368,6 @@ class CheckpointAnalysis:
         bar, dst_obj = dst.rank - 1, dst.obj
         return tuple([bisect_right(columns[dst_obj], bar) for columns in self._reach])
 
-    def min_safe_rank(self, obj: int, dst: Checkpoint) -> int:
-        """The least rank of obj, an object other than dst's, whose checkpoint
-        has no dependence path to dst: one entry of min_safe_ranks(dst)."""
-        safe = self.min_safe_ranks(dst)
-        if not 0 <= obj < len(safe):
-            raise AnalysisError(f"unknown object {obj}")
-        # min_safe_ranks counts a negative object from the end; so does this check.
-        if obj == dst.obj % len(safe):
-            raise AnalysisError(f"object {obj} is the checkpoint's own object")
-        return safe[obj]
-
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.
 

@@ -17,7 +17,7 @@ checkpoints on commit messages:
   pre-commit state) whenever its index is below the piggybacked maximum,
   adopting that maximum as the new index.  One forcing rule serves both;
   SimConfig.z gives the z a run uses, and forced_index is the rule's one
-  statement, called by the data-manager steps and by the simulator.
+  statement, which the simulator's event loop applies to plain ints.
 
 Commit metadata travels with every lock release the committing transaction
 owes: write-set data managers receive it on the commit message that applies
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .dependence import CheckpointAnalysis, CheckpointPattern, ExecutionAnalysis
-from .model import Transaction
 from .theory import is_consistent_global_state
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,26 +59,6 @@ PROTOCOL_B = "B"
 KIND_INITIAL = "initial"
 KIND_BASIC = "basic"
 KIND_FORCED = "forced"
-
-
-class ProtocolError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class DataManagerState:
-    """Checkpointing-relevant state of one object's data manager."""
-
-    obj: int
-    index: int = 0
-    version: int = 0
-
-
-@dataclass(frozen=True)
-class CommitMessage:
-    txn: int
-    max_index: int
-    dest: int
 
 
 @dataclass(frozen=True)
@@ -95,29 +74,6 @@ def initial_record(obj: int) -> CheckpointRecord:
     return CheckpointRecord(obj, 0, KIND_INITIAL, 0, 0)
 
 
-def tm_commit_metadata(txn: Transaction, observed: Mapping[int, int]) -> list[CommitMessage]:
-    """Commit messages for a committing transaction.
-
-    observed maps each accessed object to the index its data manager reported;
-    one message per accessed object, in ascending object order, all carrying
-    the maximum observed index.  Written objects apply the write on delivery,
-    read-only ones release their read lock.
-    """
-    objs = sorted(txn.access_set)
-    missing = [obj for obj in objs if obj not in observed]
-    if missing:
-        raise ProtocolError(f"transaction {txn.id}: no observed index for objects {missing}")
-    max_index = max((observed[obj] for obj in objs), default=0)
-    return [CommitMessage(txn.id, max_index, obj) for obj in objs]
-
-
-def dm_on_timer(dm: DataManagerState, now: int) -> tuple[DataManagerState, CheckpointRecord]:
-    """Basic checkpoint: bump the index and save the current version."""
-    index = dm.index + 1
-    record = CheckpointRecord(dm.obj, index, KIND_BASIC, dm.version, now)
-    return DataManagerState(dm.obj, index, dm.version), record
-
-
 def forced_index(index: int, max_index: int, z: int) -> int | None:
     """The forcing rule: the index of the checkpoint a data manager at index
     must force on receiving max_index, or None when it forces none.  z must
@@ -127,47 +83,6 @@ def forced_index(index: int, max_index: int, z: int) -> int | None:
     # any weaker guard cannot keep equal-epoch checkpoints independent.
     rounded = (max_index // z) * z
     return rounded if rounded > index else None
-
-
-def _forced_step(
-    dm: DataManagerState, msg: CommitMessage, z: int, now: int
-) -> tuple[DataManagerState, CheckpointRecord | None]:
-    if msg.dest != dm.obj:
-        raise ProtocolError(f"message for object {msg.dest} delivered to data manager {dm.obj}")
-    if z < 1:
-        raise ProtocolError("z must be at least 1")
-    index = forced_index(dm.index, msg.max_index, z)
-    if index is None:
-        return dm, None
-    record = CheckpointRecord(dm.obj, index, KIND_FORCED, dm.version, now)
-    return DataManagerState(dm.obj, index, dm.version), record
-
-
-def dm_on_commit(
-    dm: DataManagerState, msg: CommitMessage, z: int, now: int
-) -> tuple[DataManagerState, CheckpointRecord | None]:
-    """Commit handling: force a checkpoint when msg names a later epoch.
-
-    The forced checkpoint saves the state before the incoming write applies;
-    the write is applied afterwards in either case.
-    """
-    dm, record = _forced_step(dm, msg, z, now)
-    return DataManagerState(dm.obj, dm.index, dm.version + 1), record
-
-
-def dm_on_release(
-    dm: DataManagerState, msg: CommitMessage, z: int, now: int
-) -> tuple[DataManagerState, CheckpointRecord | None]:
-    """Read-lock release from a committed reader: same forcing rule, no write.
-
-    A committed reader's metadata has to reach the data managers of the
-    objects it only read: a transaction that later overwrites such an object
-    is serialized after the reader, and without this step its own commit
-    metadata could carry a smaller maximum than the reader's, letting a
-    checkpoint taken after the overwrite reuse (or undercut) an index that a
-    checkpoint before the reader's snapshot already carries.
-    """
-    return _forced_step(dm, msg, z, now)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .dependence import CheckpointPattern, PatternError
 from .model import (
@@ -166,6 +167,18 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
+@contextmanager
+def reading_json(path: str | Path) -> Iterator[None]:
+    """Turn a failure to read the file at path as UTF-8 JSON inside the block
+    into ScenarioError (json.loads raises RecursionError on deep nesting)."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ScenarioError(f"{path}: parse error: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario file, or a bundled scenario by name."""
     name = str(path)
@@ -174,12 +187,8 @@ def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     if not p.exists() and name in BUILTIN_SCENARIOS:
         return builtin_scenario(name)
-    try:
-        data = json.loads(p.read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{p}: parse error: {exc}") from exc
+    with reading_json(p):
+        data = json.loads(p.read_text(encoding="utf-8"))
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{p}: expected a JSON object")
     return scenario_from_dict(data, name=p.stem)
@@ -275,24 +284,23 @@ def workload_from_dict(data: Mapping[str, Any], where: str = "workload") -> Work
     ops = _int_list(data.get("ops_per_txn", [1, 3]), f"{where}.ops_per_txn")
     if len(ops) != 2:
         raise ScenarioError(f"{where}.ops_per_txn: expected [lo, hi]")
-    return WorkloadSpec(
-        num_objects=_expect(data, "num_objects", int, where),
-        num_txns=_expect(data, "num_txns", int, where),
-        ops_per_txn=(ops[0], ops[1]),
-        write_probability=float(_expect(data, "write_probability", (int, float), where, 0.5)),
-        access_skew=float(_expect(data, "access_skew", (int, float), where, 0.0)),
-        seed=_expect(data, "seed", int, where, 0),
-    )
+    try:
+        return WorkloadSpec(
+            num_objects=_expect(data, "num_objects", int, where),
+            num_txns=_expect(data, "num_txns", int, where),
+            ops_per_txn=(ops[0], ops[1]),
+            write_probability=float(_expect(data, "write_probability", (int, float), where, 0.5)),
+            access_skew=float(_expect(data, "access_skew", (int, float), where, 0.0)),
+            seed=_expect(data, "seed", int, where, 0),
+        )
+    except OverflowError:  # float() of a JSON integer beyond the float range
+        raise ScenarioError(f"{where}: write_probability or access_skew out of range") from None
 
 
 def load_workload(path: str | Path) -> WorkloadSpec:
     p = Path(path)
-    try:
-        data = json.loads(p.read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{p}: parse error: {exc}") from exc
+    with reading_json(p):
+        data = json.loads(p.read_text(encoding="utf-8"))
     return workload_from_dict(data, where=p.stem)
 
 

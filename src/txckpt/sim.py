@@ -22,8 +22,8 @@ per transaction the number of locks held and the maximum index observed.
 Heap entries are (time, seq, kind, txn, obj) tuples of ints, dispatched by
 one loop.  A CheckpointRecord is built only when a checkpoint is taken, and
 a SimEvent once per logged event.  The forcing decision is
-protocol.forced_index, the same function the public data-manager steps
-(dm_on_commit, dm_on_release) apply, so the rule is stated once.
+protocol.forced_index, the one statement of the rule, for commit messages
+and read-lock releases alike.
 
 A run is a pure function of (workload, config): identical inputs give
 byte-identical traces.

@@ -129,8 +129,6 @@ def theorem_condition(candidate: Mapping[int, int], analysis: CheckpointAnalysis
 @dataclass(frozen=True)
 class ExtensionResult:
     global_checkpoint: GlobalCheckpoint
-    # For each object outside the candidate: the minimal safe rank toward each member.
-    min_safe_ranks: dict[int, dict[int, int]]
 
 
 def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> ExtensionResult:
@@ -146,16 +144,12 @@ def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis)
     pair = _first_violating_pair(members, analysis)
     if pair is not None:
         raise ConditionViolated(*pair, analysis.dp_witness(*pair) or [])
-    safe = [(member.obj, analysis.min_safe_ranks(member)) for member in members]
-    chosen: list[Checkpoint] = []
-    min_safe: dict[int, dict[int, int]] = {}
-    for obj, table in enumerate(analysis.checkpoints):
-        if obj in candidate:
-            chosen.append(table[candidate[obj]])
-            continue
-        min_safe[obj] = toward = {member: ranks[obj] for member, ranks in safe}
-        chosen.append(table[max(toward.values())])
-    return ExtensionResult(GlobalCheckpoint(tuple(chosen)), min_safe)
+    safe = [analysis.min_safe_ranks(member) for member in members]
+    chosen = [
+        table[candidate[obj]] if obj in candidate else table[max(ranks[obj] for ranks in safe)]
+        for obj, table in enumerate(analysis.checkpoints)
+    ]
+    return ExtensionResult(GlobalCheckpoint(tuple(chosen)))
 
 
 class OracleBoundExceeded(RuntimeError):

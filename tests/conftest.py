@@ -8,7 +8,8 @@ import heapq
 import itertools
 import random
 from collections import deque
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -31,14 +32,11 @@ from txckpt.model import (
     validate_execution,
 )
 from txckpt.protocol import (
+    KIND_BASIC,
+    KIND_FORCED,
     CheckpointRecord,
-    CommitMessage,
-    DataManagerState,
-    dm_on_commit,
-    dm_on_release,
-    dm_on_timer,
+    forced_index,
     initial_record,
-    tm_commit_metadata,
     trace_pattern,
 )
 from txckpt.scenario import WorkloadSpec, builtin_scenario, workload_transactions
@@ -53,7 +51,7 @@ from txckpt.sim import (
     SimulationError,
     Trace,
 )
-from txckpt.theory import ConditionViolated, ExtensionResult, GlobalCheckpoint
+from txckpt.theory import ConditionViolated, GlobalCheckpoint
 
 
 def make_execution(num_objects, txns, order=None):
@@ -417,11 +415,15 @@ def min_safe_rank_oracle(analysis: CheckpointAnalysis, obj: int, dst) -> int:
     raise AssertionError(f"every rank of object {obj} reaches {dst}")
 
 
-def extension_oracle(candidate, analysis: CheckpointAnalysis) -> ExtensionResult:
+def extension_oracle(
+    candidate, analysis: CheckpointAnalysis
+) -> tuple[GlobalCheckpoint, dict[int, dict[int, int]]]:
     """extend_to_global pair by pair: the first member pair in object order
     joined by dp_reachable raises ConditionViolated with witness_oracle's
     path; otherwise each other object takes the greatest, over the members,
-    of min_safe_rank_oracle toward that member."""
+    of min_safe_rank_oracle toward that member.  Returns the global
+    checkpoint and, per object outside the candidate, its min_safe_rank_oracle
+    toward each member (the table of the CLI's extend report)."""
     members = [checkpoint_oracle(analysis, obj, rank) for obj, rank in sorted(candidate.items())]
     for a in members:
         for b in members:
@@ -434,7 +436,7 @@ def extension_oracle(candidate, analysis: CheckpointAnalysis) -> ExtensionResult
             continue
         min_safe[obj] = {member.obj: min_safe_rank_oracle(analysis, obj, member) for member in members}
         chosen.append(checkpoint_oracle(analysis, obj, max(min_safe[obj].values())))
-    return ExtensionResult(GlobalCheckpoint(tuple(chosen)), min_safe)
+    return GlobalCheckpoint(tuple(chosen)), min_safe
 
 
 def analysis_for(execution, raw_checkpoints=None) -> CheckpointAnalysis:
@@ -514,6 +516,96 @@ def analyses(draw, max_objects=4, max_txns=6, max_extra_checkpoints=2):
     return CheckpointAnalysis(base, pattern)
 
 
+# The data-manager and transaction-manager steps as functions over frozen
+# state objects: the simulation oracle below and the event replay in
+# test_sim step through them, and test_protocol pins each step.  The
+# forcing decision is txckpt.protocol.forced_index, the rule's one statement.
+
+
+class ProtocolError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class DataManagerState:
+    """Checkpointing-relevant state of one object's data manager."""
+
+    obj: int
+    index: int = 0
+    version: int = 0
+
+
+@dataclass(frozen=True)
+class CommitMessage:
+    txn: int
+    max_index: int
+    dest: int
+
+
+def tm_commit_metadata(txn: Transaction, observed: Mapping[int, int]) -> list[CommitMessage]:
+    """Commit messages for a committing transaction.
+
+    observed maps each accessed object to the index its data manager reported;
+    one message per accessed object, in ascending object order, all carrying
+    the maximum observed index.  Written objects apply the write on delivery,
+    read-only ones release their read lock.
+    """
+    objs = sorted(txn.access_set)
+    missing = [obj for obj in objs if obj not in observed]
+    if missing:
+        raise ProtocolError(f"transaction {txn.id}: no observed index for objects {missing}")
+    max_index = max((observed[obj] for obj in objs), default=0)
+    return [CommitMessage(txn.id, max_index, obj) for obj in objs]
+
+
+def dm_on_timer(dm: DataManagerState, now: int) -> tuple[DataManagerState, CheckpointRecord]:
+    """Basic checkpoint: bump the index and save the current version."""
+    index = dm.index + 1
+    record = CheckpointRecord(dm.obj, index, KIND_BASIC, dm.version, now)
+    return DataManagerState(dm.obj, index, dm.version), record
+
+
+def _forced_step(
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int
+) -> tuple[DataManagerState, CheckpointRecord | None]:
+    if msg.dest != dm.obj:
+        raise ProtocolError(f"message for object {msg.dest} delivered to data manager {dm.obj}")
+    if z < 1:
+        raise ProtocolError("z must be at least 1")
+    index = forced_index(dm.index, msg.max_index, z)
+    if index is None:
+        return dm, None
+    record = CheckpointRecord(dm.obj, index, KIND_FORCED, dm.version, now)
+    return DataManagerState(dm.obj, index, dm.version), record
+
+
+def dm_on_commit(
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int
+) -> tuple[DataManagerState, CheckpointRecord | None]:
+    """Commit handling: force a checkpoint when msg names a later epoch.
+
+    The forced checkpoint saves the state before the incoming write applies;
+    the write is applied afterwards in either case.
+    """
+    dm, record = _forced_step(dm, msg, z, now)
+    return DataManagerState(dm.obj, dm.index, dm.version + 1), record
+
+
+def dm_on_release(
+    dm: DataManagerState, msg: CommitMessage, z: int, now: int
+) -> tuple[DataManagerState, CheckpointRecord | None]:
+    """Read-lock release from a committed reader: same forcing rule, no write.
+
+    A committed reader's metadata has to reach the data managers of the
+    objects it only read: a transaction that later overwrites such an object
+    is serialized after the reader, and without this step its own commit
+    metadata could carry a smaller maximum than the reader's, letting a
+    checkpoint taken after the overwrite reuse (or undercut) an index that a
+    checkpoint before the reader's snapshot already carries.
+    """
+    return _forced_step(dm, msg, z, now)
+
+
 class _Lock:
     __slots__ = ("writer", "readers", "queue")
 
@@ -543,8 +635,8 @@ class _TxnRun:
 
 class _SimulationOracle:
     """The simulator as objects: a lock object per data object, a run object
-    per transaction, DataManagerState stepped through the public dm_on_*
-    functions, commit messages from tm_commit_metadata, and heap payloads
+    per transaction, DataManagerState stepped through the dm_on_* steps
+    above, commit messages from tm_commit_metadata, and heap payloads
     dispatched by event kind to one method each."""
 
     def __init__(self, workload: WorkloadSpec, config: SimConfig):

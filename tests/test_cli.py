@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
 from txckpt import cli
 from txckpt.cli import main
-from txckpt.scenario import Scenario, WorkloadSpec, builtin_scenario, generate_random, save_scenario
+from txckpt.scenario import (
+    Scenario,
+    WorkloadSpec,
+    builtin_scenario,
+    generate_random,
+    load_scenario,
+    save_scenario,
+)
+from txckpt.theory import ConditionViolated
 
-from conftest import scenario_analysis, state_intervals
+from conftest import extension_oracle, scenario_analysis, state_intervals
 
 
 def run_cli(capsys, *args):
@@ -135,6 +144,35 @@ class TestExtend:
         assert code == 1
         assert report["results"]["condition_holds"] is False
         assert report["results"]["violation"]["witness"]
+
+    def test_min_safe_ranks_block_matches_the_oracle_table(self, capsys, tmp_path):
+        # Every 1- and 2-member candidate of the bundled scenarios and of a
+        # random 5-object one read back from disk.
+        execution, pattern = generate_random(WorkloadSpec(5, 12, ops_per_txn=(1, 3), write_probability=0.6, seed=2))
+        path = tmp_path / "random.json"
+        save_scenario(Scenario("random", execution, pattern, tuple(f"o{obj}" for obj in range(5))), path)
+        held = violated = 0
+        for source in ("fig1a", "fig1b", "fig3", str(path)):
+            scenario = load_scenario(source)
+            analysis = scenario_analysis(scenario)
+            names = scenario.object_names
+            singles = [(obj, rank) for obj in range(len(names)) for rank in analysis.pattern.ranks(obj)]
+            candidates = [dict([s]) for s in singles]
+            candidates += [dict(pair) for pair in itertools.combinations(singles, 2) if pair[0][0] != pair[1][0]]
+            for candidate in candidates:
+                code, report = run_cli(capsys, "extend", source, *(f"{names[o]}:{r}" for o, r in candidate.items()))
+                try:
+                    _, table = extension_oracle(candidate, analysis)
+                except ConditionViolated:
+                    assert code == 1 and "min_safe_ranks" not in report["results"]
+                    violated += 1
+                    continue
+                assert code == 0
+                assert report["results"]["min_safe_ranks"] == {
+                    names[obj]: {names[member]: rank for member, rank in row.items()} for obj, row in table.items()
+                }
+                held += 1
+        assert held > 50 and violated > 40
 
 
 class TestSimulateAndVerify:
@@ -288,3 +326,25 @@ class TestSimulateAndVerify:
         path.write_text("{broken")
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 2 and "error" in report
+
+
+@pytest.mark.parametrize("args, content", [
+    (("analyze", "{path}"), b"\xff\xfe{}"),
+    (("check", "{path}", "x:0"), b"\xff\xfe{}"),
+    (("extend", "{path}", "x:0"), b"\xff\xfe{}"),
+    (("simulate", "--workload", "{path}"), b"\xff\xfe{}"),
+    (("verify", "{path}"), b"\xff\xfe{}"),
+    (("simulate", "--workload", "{path}"),
+     b'{"num_objects": 2, "num_txns": 3, "write_probability": 1' + b"0" * 400 + b"}"),
+    (("verify", "{path}"), b"[" * 100_000),
+], ids=["analyze", "check", "extend", "simulate", "verify", "huge-float", "deep-nesting"])
+def test_unreadable_input_file_exits_2(capsys, tmp_path, args, content):
+    # Non-UTF-8 bytes, a JSON integer too large for a float, and nesting
+    # past the interpreter's recursion limit.
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code = main([arg.format(path=path) for arg in args])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 2 and report["ok"] is False and report["error"]
+    assert "results" not in report and captured.err == ""

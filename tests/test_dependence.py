@@ -45,14 +45,11 @@ from conftest import (
 
 def assert_min_safe_ranks_match(analysis):
     """min_safe_ranks against the upward scan for every object, the
-    destination's own included, and min_safe_rank as its entries."""
+    destination's own included."""
     num_objects = analysis.pattern.num_objects
     for dst in all_checkpoints(analysis):
         safe = analysis.min_safe_ranks(dst)
         assert safe == tuple(min_safe_rank_oracle(analysis, obj, dst) for obj in range(num_objects))
-        for obj in range(num_objects):
-            if obj != dst.obj:
-                assert analysis.min_safe_rank(obj, dst) == safe[obj]
 
 
 def simulated_analysis(objects, txns, seed, **config):
@@ -384,29 +381,10 @@ class TestDependencePaths:
                 if isinstance(expected, str):
                     rejected += 1
                     assert safe == expected
-                    for obj in (0, m - 1, m, -1):
-                        assert outcome(lambda: analysis.min_safe_rank(obj, dst)) == expected
                 else:
                     # A valid negative destination object counts from the end.
                     assert safe == analysis.min_safe_ranks(analysis.checkpoint(dst_obj % m, rank))
         assert rejected > 0
-
-    @pytest.mark.parametrize("case", ["past_the_last", "negative", "own_object"])
-    def test_min_safe_rank_rejects_a_bad_object(self, fig3, case):
-        analysis = scenario_analysis(fig3)
-        dst = analysis.checkpoint(fig3.object_index("z"), 1)
-        obj = {"past_the_last": analysis.pattern.num_objects, "negative": -1, "own_object": dst.obj}[case]
-        with pytest.raises(AnalysisError):
-            analysis.min_safe_rank(obj, dst)
-
-    def test_min_safe_rank_counts_a_negative_destination_from_the_end(self, fig3):
-        analysis = scenario_analysis(fig3)
-        last = analysis.pattern.num_objects - 1
-        dst = Checkpoint(-1, 1, LocalState(-1, analysis.pattern.version_of(-1, 1)))
-        with pytest.raises(AnalysisError, match=f"object {last} is the checkpoint's own object"):
-            analysis.min_safe_rank(last, dst)
-        for obj in range(last):
-            assert analysis.min_safe_rank(obj, dst) == analysis.min_safe_rank(obj, analysis.checkpoint(last, 1))
 
     def test_unknown_checkpoint_rejected(self, fig3):
         analysis = scenario_analysis(fig3)

@@ -12,23 +12,25 @@ from txckpt.protocol import (
     KIND_BASIC,
     KIND_FORCED,
     CheckpointRecord,
-    CommitMessage,
-    DataManagerState,
-    ProtocolError,
     checkpoint_counts,
-    dm_on_commit,
-    dm_on_release,
-    dm_on_timer,
     forced_index,
     initial_record,
-    tm_commit_metadata,
     verify_protocol_guarantees,
 )
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import SimConfig, Trace, run_simulation
 from txckpt.theory import assemble_indexed_gc
 
-from conftest import guarantee_violations_oracle
+from conftest import (
+    CommitMessage,
+    DataManagerState,
+    ProtocolError,
+    dm_on_commit,
+    dm_on_release,
+    dm_on_timer,
+    guarantee_violations_oracle,
+    tm_commit_metadata,
+)
 
 
 class TestCommitMetadata:

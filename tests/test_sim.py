@@ -5,15 +5,7 @@ import hashlib
 import pytest
 
 from txckpt.model import build_serialization_graph
-from txckpt.protocol import (
-    DataManagerState,
-    dm_on_commit,
-    dm_on_release,
-    dm_on_timer,
-    initial_record,
-    tm_commit_metadata,
-    verify_protocol_guarantees,
-)
+from txckpt.protocol import initial_record, verify_protocol_guarantees
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import (
     EV_COMMIT_MSG,
@@ -26,7 +18,14 @@ from txckpt.sim import (
     run_simulation,
 )
 
-from conftest import simulation_oracle
+from conftest import (
+    DataManagerState,
+    dm_on_commit,
+    dm_on_release,
+    dm_on_timer,
+    simulation_oracle,
+    tm_commit_metadata,
+)
 
 
 def run(seed=0, txns=12, objects=4, protocol="A", z=1, timer=10, jitter=0, delays=(1, 6), **kw):
@@ -103,7 +102,8 @@ class TestSimulationOracle:
 
 
 def replay_checkpoint_log(trace):
-    """The checkpoint log rebuilt from the trace's events by the public steps.
+    """The checkpoint log rebuilt from the trace's events by conftest's
+    reference steps.
 
     Each lock_acquired event reads the index its data manager holds at that
     point; each txn_commit builds its commit messages with
