@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -268,11 +270,15 @@ def _disagreements(
 
 
 def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, Any]:
-    base, analysis = trace_pattern(trace)
-    try:
-        globals_ = enumerate_consistent_globals(analysis, bound=bound)
-    except OracleBoundExceeded:
+    # The closed pattern the oracle enumerates: per object, 0, the logged versions and the last.
+    last = Counter(obj for txn in trace.execution.transactions for obj in txn.write_set)
+    versions = [{0, last[obj]} for obj in range(trace.execution.num_objects)]
+    for record in trace.checkpoint_log:
+        versions[record.obj].add(record.version)
+    if math.prod(map(len, versions)) > bound:
         return {"checked": False, "reason": "candidate space beyond bound"}
+    base, analysis = trace_pattern(trace)
+    globals_ = enumerate_consistent_globals(analysis, bound=bound)
     rng = random.Random(trace.config.seed)
     num_objects = analysis.pattern.num_objects
     candidates = _single_members(analysis)
@@ -292,11 +298,9 @@ def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, An
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.trace:
-        try:
-            with reading_json(args.trace):
-                trace = Trace.from_json(Path(args.trace).read_text(encoding="utf-8"))
-        except KeyError as exc:
-            raise InputError(f"cannot load trace {args.trace}: {exc}") from exc
+        with reading_json(args.trace):
+            text = Path(args.trace).read_text(encoding="utf-8")
+        trace = Trace.from_json(text)
         report = verify_protocol_guarantees(trace)
         spot = _theorem_spot_checks(trace, args.oracle_bound, args.spot_samples)
         ok = report.ok and spot.get("disagreements", 0) == 0

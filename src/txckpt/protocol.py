@@ -30,7 +30,7 @@ guarantees below fail.
 Guarantees checked over a simulation trace: no checkpoint has a dependence
 path to itself; a dependence path between checkpoints implies strictly
 increasing protocol indices; equal-index assemblies (exact, and gap-filled
-for protocol A) are consistent global checkpoints.  For protocol B all of
+when z is 1, as under protocol A) are consistent global checkpoints.  All of
 this is restricted to indices that are multiples of z.  The index check
 makes no pairwise pass: a checkpoint's dependence paths reach, per object,
 every rank from CheckpointAnalysis.min_reachable_ranks on, so each distinct
@@ -68,6 +68,9 @@ class CheckpointRecord:
     kind: str
     version: int
     time: int
+
+    def to_dict(self) -> dict[str, int | str]:
+        return {"obj": self.obj, "index": self.index, "kind": self.kind, "version": self.version, "time": self.time}
 
 
 def initial_record(obj: int) -> CheckpointRecord:
@@ -110,7 +113,6 @@ def trace_pattern(trace: "Trace") -> tuple[ExecutionAnalysis, CheckpointAnalysis
 
 def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
     """Check every protocol guarantee the trace is supposed to satisfy."""
-    protocol = trace.config.protocol
     z = trace.config.z
     base, analysis = trace_pattern(trace)
     records = list(trace.checkpoint_log)
@@ -182,7 +184,7 @@ def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
         exact = {r.obj: r.version for r in by_index[n]}
         if set(exact) == all_objects and not consistent(exact):
             violations.append(f"equal-index assembly at index {n} is not consistent")
-    if protocol == PROTOCOL_A:
+    if z == 1:
         # assemble_indexed_gc(n) for every n in one downward sweep (z is 1,
         # so by_index holds every record): the records at index n replace
         # their objects' picks, the first in log order winning, and
@@ -206,7 +208,7 @@ def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
     for record in records:
         counts[record.kind] += 1
     return GuaranteeReport(
-        protocol=protocol,
+        protocol=trace.config.protocol,
         z=z,
         num_checkpoints=len(records),
         counts_by_kind=counts,

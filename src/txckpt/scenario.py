@@ -78,46 +78,37 @@ def _expect(data: Mapping[str, Any], field: str, kind: type | tuple[type, ...], 
     return value
 
 
-def _records(data: Mapping[str, Any], field: str, where: str, default: Any = None) -> list[Mapping]:
-    """data[field], which must be a list of mappings."""
-    items = _expect(data, field, list, where, default)
-    for i, item in enumerate(items):
-        if not isinstance(item, Mapping):
-            raise ScenarioError(f"{where}.{field}[{i}]: expected an object")
-    return items
-
-
 def _int_list(value: Any, where: str) -> list[int]:
     if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
         raise ScenarioError(f"{where}: expected a list of integers")
     return list(value)
 
 
-def _execution_from_dict(data: Mapping[str, Any], where: str, extra: tuple[str, ...] = ()) -> ValidatedExecution:
-    """The validated execution of a scenario or trace: objects, transactions,
-    commit order.  Fields other than these and extra are rejected."""
-    unknown = set(data) - {"objects", "transactions", "commit_order", *extra}
+def _transaction_dict(txn: Transaction) -> dict[str, Any]:
+    """A transaction as scenario and trace files hold it."""
+    return {"id": txn.id, "reads": sorted(txn.read_set), "writes": sorted(txn.write_set)}
+
+
+def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scenario:
+    unknown = set(data) - {"objects", "object_names", "transactions", "commit_order", "checkpoints"}
     if unknown:
-        raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
-    num_objects = _expect(data, "objects", int, where)
+        raise ScenarioError(f"{name}: unknown fields {sorted(unknown)}")
+    num_objects = _expect(data, "objects", int, name)
     txns = []
-    for i, raw in enumerate(_records(data, "transactions", where, [])):
-        at = f"{where}.transactions[{i}]"
+    for i, raw in enumerate(_expect(data, "transactions", list, name, [])):
+        at = f"{name}.transactions[{i}]"
+        if not isinstance(raw, Mapping):
+            raise ScenarioError(f"{at}: expected an object")
         unknown = set(raw) - {"id", "reads", "writes"}
         if unknown:
             raise ScenarioError(f"{at}: unknown fields {sorted(unknown)}")
         reads, writes = (_int_list(raw.get(k, []), f"{at}.{k}") for k in ("reads", "writes"))
         txns.append(Transaction.make(_expect(raw, "id", int, at), reads, writes))
-    order = _int_list(data.get("commit_order", []), f"{where}.commit_order")
+    order = _int_list(data.get("commit_order", []), f"{name}.commit_order")
     try:
-        return validate_execution(Execution(num_objects, tuple(txns), tuple(order)))
+        execution = validate_execution(Execution(num_objects, tuple(txns), tuple(order)))
     except ExecutionError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scenario:
-    execution = _execution_from_dict(data, name, extra=("object_names", "checkpoints"))
-    num_objects = execution.num_objects
+        raise ScenarioError(f"{name}: {exc}") from exc
     names = data.get("object_names", [str(i) for i in range(num_objects)])
     if not isinstance(names, list) or len(names) != num_objects or not all(isinstance(s, str) for s in names):
         raise ScenarioError(f"{name}.object_names: expected {num_objects} strings")
@@ -147,19 +138,12 @@ def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scena
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    txn_by_id = {t.id: t for t in scenario.execution.transactions}
+    execution = scenario.execution
     return {
-        "objects": scenario.execution.num_objects,
+        "objects": execution.num_objects,
         "object_names": list(scenario.object_names),
-        "transactions": [
-            {
-                "id": txn_id,
-                "reads": sorted(txn_by_id[txn_id].read_set),
-                "writes": sorted(txn_by_id[txn_id].write_set),
-            }
-            for txn_id in sorted(txn_by_id)
-        ],
-        "commit_order": list(scenario.execution.commit_order),
+        "transactions": [_transaction_dict(t) for t in sorted(execution.transactions, key=lambda t: t.id)],
+        "commit_order": list(execution.commit_order),
         "checkpoints": {
             scenario.object_names[obj]: list(versions)
             for obj, versions in enumerate(scenario.pattern.versions)
@@ -169,13 +153,13 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 
 @contextmanager
 def reading_json(path: str | Path) -> Iterator[None]:
-    """Turn a failure to read the file at path as UTF-8 JSON inside the block
-    into ScenarioError (json.loads raises RecursionError on deep nesting)."""
+    """Turn a failure to read or parse the file at path as UTF-8 JSON inside
+    the block into ScenarioError.  Any ValueError is a parse error there."""
     try:
         yield
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
 
 
@@ -272,6 +256,10 @@ class WorkloadSpec:
             raise ScenarioError("write_probability must lie in [0, 1]")
         if not self.access_skew >= 0.0:  # also rejects NaN
             raise ScenarioError("access_skew must be non-negative")
+        try:  # the largest power _skew_weights takes
+            float(self.num_objects) ** self.access_skew
+        except OverflowError:
+            raise ScenarioError("num_objects ** access_skew exceeds the float range") from None
 
 
 def workload_from_dict(data: Mapping[str, Any], where: str = "workload") -> WorkloadSpec:

@@ -26,7 +26,9 @@ protocol.forced_index, the one statement of the rule, for commit messages
 and read-lock releases alike.
 
 A run is a pure function of (workload, config): identical inputs give
-byte-identical traces.
+byte-identical traces.  So Trace.from_dict reads only the config and the
+workload of a trace file, re-runs them, and returns the re-run once the
+file's execution, events and checkpoint log equal it item by item.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from collections import Counter, deque
 from dataclasses import dataclass, fields
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Mapping, NamedTuple
+from itertools import zip_longest
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .model import Execution, ValidatedExecution, validate_execution
 from .protocol import (
     KIND_BASIC,
     KIND_FORCED,
-    KIND_INITIAL,
     PROTOCOL_A,
     PROTOCOL_B,
     CheckpointRecord,
@@ -51,7 +53,7 @@ from .protocol import (
     initial_record,
 )
 from .scenario import WorkloadSpec, workload_from_dict, workload_transactions
-from .scenario import _execution_from_dict, _expect, _int_list, _records
+from .scenario import _expect, _int_list, _transaction_dict
 
 EV_TXN_BEGIN = "txn_begin"
 EV_LOCK_ACQUIRED = "lock_acquired"
@@ -131,17 +133,11 @@ class Trace:
             "workload": wl,
             "execution": {
                 "objects": self.execution.num_objects,
-                "transactions": [
-                    {"id": t.id, "reads": sorted(t.read_set), "writes": sorted(t.write_set)}
-                    for t in self.execution.transactions
-                ],
+                "transactions": [_transaction_dict(t) for t in self.execution.transactions],
                 "commit_order": list(self.execution.commit_order),
             },
             "events": [e.to_dict() for e in self.events],
-            "checkpoint_log": [
-                {"obj": r.obj, "index": r.index, "kind": r.kind, "version": r.version, "time": r.time}
-                for r in self.checkpoint_log
-            ],
+            "checkpoint_log": [r.to_dict() for r in self.checkpoint_log],
         }
 
     def to_json(self) -> str:
@@ -149,6 +145,7 @@ class Trace:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Trace":
+        """The re-run of the trace's config and workload, if the trace equals it."""
         if not isinstance(data, Mapping) or data.get("schema_version") != 1:
             raise SimulationError("unsupported trace schema version")
         cfg = dict(_expect(data, "config", Mapping, "trace"))
@@ -164,38 +161,45 @@ class Trace:
                 _expect(cfg, name, int, "trace.config")
         config = SimConfig(**cfg)
         workload = workload_from_dict(_expect(data, "workload", Mapping, "trace"))
-        execution = _execution_from_dict(_expect(data, "execution", Mapping, "trace"), "trace.execution")
+        stored = _expect(data, "execution", Mapping, "trace")
+        objects = _expect(stored, "objects", int, "trace.execution")
         for where, count in (("config", config.num_objects), ("workload", workload.num_objects)):
-            if count != execution.num_objects:
+            if count != objects:
                 raise SimulationError(
-                    f"trace.{where}.num_objects: {count} disagrees with trace.execution.objects "
-                    f"{execution.num_objects}"
+                    f"trace.{where}.num_objects: {count} disagrees with trace.execution.objects {objects}"
                 )
-        events = []
-        for i, e in enumerate(_records(data, "events", "trace")):
-            where = f"trace.events[{i}]"
-            time, seq, kind = (_expect(e, k, t, where) for k, t in (("time", int), ("seq", int), ("kind", str)))
-            rest = sorted((k, _expect(e, k, int, where)) for k in e if k not in ("time", "seq", "kind"))
-            events.append(SimEvent(time, seq, kind, tuple(rest)))
-        last_version = Counter(obj for txn in execution.transactions for obj in txn.write_set)
-        log = []
-        for i, r in enumerate(_records(data, "checkpoint_log", "trace")):
-            where = f"trace.checkpoint_log[{i}]"
-            obj, index, version, time = (_expect(r, k, int, where) for k in ("obj", "index", "version", "time"))
-            if r.get("kind") not in (KIND_INITIAL, KIND_BASIC, KIND_FORCED):
-                raise SimulationError(f"{where}: unknown kind {r.get('kind')!r}")
-            if not 0 <= obj < execution.num_objects:
-                raise SimulationError(f"{where}: object {obj} out of range")
-            if not 0 <= version <= last_version[obj]:
-                raise SimulationError(
-                    f"{where}: version {version} outside object {obj}'s versions 0..{last_version[obj]}"
-                )
-            log.append(CheckpointRecord(obj, index, r["kind"], version, time))
-        return Trace(config, workload, execution, tuple(events), tuple(log))
+        # Checked before the run, so that a small file cannot ask for a huge one.
+        n = len(_expect(stored, "transactions", list, "trace.execution"))
+        if n != workload.num_txns:
+            raise SimulationError(
+                f"trace.workload.num_txns: {workload.num_txns} disagrees with trace.execution's {n} transactions"
+            )
+        unknown = set(stored) - {"objects", "transactions", "commit_order"}
+        if unknown:
+            raise SimulationError(f"trace.execution: unknown fields {sorted(unknown)}")
+        trace = run_simulation(workload, config)
+        _expect_run(stored, "trace.execution.transactions", map(_transaction_dict, trace.execution.transactions))
+        _expect_run(stored, "trace.execution.commit_order", trace.execution.commit_order)
+        _expect_run(data, "trace.events", map(SimEvent.to_dict, trace.events))
+        _expect_run(data, "trace.checkpoint_log", map(CheckpointRecord.to_dict, trace.checkpoint_log))
+        return trace
 
     @staticmethod
     def from_json(text: str) -> "Trace":
-        return Trace.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also an integer past the interpreter's digit limit
+            raise SimulationError(f"trace: parse error: {exc}") from exc
+        return Trace.from_dict(data)
+
+
+def _expect_run(data: Mapping[str, Any], path: str, run: Iterable[Any]) -> None:
+    """Raise unless data's field named by path's last part lists the re-run's items."""
+    where, _, field = path.rpartition(".")
+    missing = object()
+    for i, (got, want) in enumerate(zip_longest(_expect(data, field, list, where), run, fillvalue=missing)):
+        if got != want:
+            raise SimulationError(f"{path}[{i}]: differs from a re-run of trace.config and trace.workload")
 
 
 _BEGIN, _COMMIT, _DELIVERY, _TIMER = range(4)

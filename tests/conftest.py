@@ -386,7 +386,7 @@ def guarantee_violations_oracle(trace) -> tuple[str, ...]:
         exact = {r.obj: r for r in scoped if r.index == n}
         if set(exact) == objects and not consistent_oracle({o: r.version for o, r in exact.items()}, base):
             violations.append(f"equal-index assembly at index {n} is not consistent")
-    if trace.config.protocol == "A":
+    if z == 1:
         for n in range(max((r.index for r in records), default=0) + 1):
             picks = [sorted((r for r in per_obj.get(o, []) if r.index >= n), key=lambda r: r.index) for o in sorted(objects)]
             if all(picks) and not consistent_oracle({p[0].obj: p[0].version for p in picks}, base):

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from txckpt import cli
+from txckpt import cli, sim
 from txckpt.cli import main
+from txckpt.dependence import CheckpointAnalysis
+from txckpt.protocol import trace_pattern
 from txckpt.scenario import (
     Scenario,
     WorkloadSpec,
@@ -15,6 +17,7 @@ from txckpt.scenario import (
     load_scenario,
     save_scenario,
 )
+from txckpt.sim import Trace
 from txckpt.theory import ConditionViolated
 
 from conftest import extension_oracle, scenario_analysis, state_intervals
@@ -24,6 +27,20 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def lower_one_version(log):
+    record = next(r for r in reversed(log) if r["version"])
+    record["version"] -= 1
+
+
+def toggle_first_read(txn):
+    txn["reads"] = sorted(set(txn["reads"]) ^ {0})
+
+
+def clamp_indices(log):
+    for record in log:
+        record["index"] = min(record["index"], 1)
 
 
 class TestAnalyze:
@@ -232,16 +249,47 @@ class TestSimulateAndVerify:
         code, report = run_cli(capsys, "check", str(path), "u:0", "x:1")
         assert code == 1
 
-    def test_verify_adversarial_trace_exits_1(self, capsys, tmp_path):
+    @pytest.mark.parametrize("section, edit", [
+        ("trace.execution", lambda d: d["workload"].update(seed=d["workload"]["seed"] + 1)),
+        ("trace.events", lambda d: d["config"].update(z_param=1)),
+        ("trace.events", lambda d: d["events"][5].update(time=d["events"][5]["time"] + 1)),
+        ("trace.checkpoint_log", lambda d: lower_one_version(d["checkpoint_log"])),
+        ("trace.execution", lambda d: toggle_first_read(d["execution"]["transactions"][0])),
+        ("trace.events", lambda d: d["events"].pop(3)),
+        ("trace.events", lambda d: d["events"][0].update(extra=0)),
+        ("trace.checkpoint_log", lambda d: clamp_indices(d["checkpoint_log"])),
+    ], ids=["workload-seed", "config-z", "event-time", "record-version", "txn-reads", "dropped-event",
+            "extra-event-key", "log-indices-clamped"])
+    def test_doctored_trace_exits_2(self, capsys, tmp_path, section, edit):
+        # A trace must equal the re-run of its config and workload, so no
+        # edit of the README's run is verified, whatever it does to the
+        # guarantees.
         out = tmp_path / "trace.json"
-        run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--seed", "4",
-                "--timer", "5", "--out", str(out))
+        run_cli(capsys, "simulate", "--objects", "4", "--txns", "20", "--protocol", "B", "--z", "4",
+                "--seed", "7", "--timer", "8", "--jitter", "2", "--out", str(out))
         data = json.loads(out.read_text())
-        for record in data["checkpoint_log"]:
-            record["index"] = min(record["index"], 1)
+        edit(data)
         out.write_text(json.dumps(data))
+        code = main(["verify", str(out)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2 and report["ok"] is False and captured.err == ""
+        assert report["error"].startswith(section)
+        assert report["error"].endswith(": differs from a re-run of trace.config and trace.workload")
+
+    def test_trace_cannot_ask_for_a_larger_run(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--seed", "4", "--out", str(out))
+        data = json.loads(out.read_text())
+        data["workload"]["num_txns"] = 10**12
+        out.write_text(json.dumps(data))
+        runs = []
+        monkeypatch.setattr(sim, "run_simulation", lambda *args: runs.append(args))
         code, report = run_cli(capsys, "verify", str(out))
-        assert code == 1 and report["results"]["violations"]
+        assert code == 2 and runs == []
+        assert report["error"] == (
+            "trace.workload.num_txns: 1000000000000 disagrees with trace.execution's 10 transactions"
+        )
 
     def test_trace_with_old_placement_key_verifies_the_same(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
@@ -302,6 +350,52 @@ class TestSimulateAndVerify:
         assert code == 2 and report["ok"] is False
         assert report["error"] == f"trace.{section}.num_objects: {count} disagrees with trace.execution.objects 4"
 
+    @pytest.mark.parametrize("skew, command", [("2000", "simulate"), ("1e308", "simulate"), ("2000", "verify")])
+    def test_skew_past_the_float_range_exits_2(self, capsys, tmp_path, skew, command):
+        # 4.0 ** skew overflows a float, and so would the generator's weights.
+        out = tmp_path / "trace.json"
+        if command == "simulate":
+            args = ("simulate", "--objects", "4", "--skew", skew)
+        else:
+            run_cli(capsys, "simulate", "--objects", "4", "--out", str(out))
+            data = json.loads(out.read_text())
+            data["workload"]["access_skew"] = float(skew)
+            out.write_text(json.dumps(data))
+            args = ("verify", str(out))
+        code = main(list(args))
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2 and report["ok"] is False and captured.err == ""
+        assert report["error"] == "num_objects ** access_skew exceeds the float range"
+
+    @pytest.mark.parametrize("slack", [-1, 0])
+    def test_spot_checks_test_the_oracle_bound_before_analysing(self, capsys, tmp_path, monkeypatch, slack):
+        # The bound is tested on the closed pattern's sizes, so a trace
+        # beyond it gets one analysis, verify_protocol_guarantees' own.
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "4", "--txns", "20", "--seed", "3", "--timer", "6",
+                "--out", str(out))
+        _, analysis = trace_pattern(Trace.from_json(out.read_text()))
+        space = 1
+        for versions in analysis.pattern.versions:
+            space *= len(versions)
+        built = []
+        init = CheckpointAnalysis.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(CheckpointAnalysis, "__init__", counted)
+        code, report = run_cli(capsys, "verify", str(out), "--oracle-bound", str(space + slack))
+        spot = report["results"]["theorem_spot_checks"]
+        assert code == 0
+        if slack < 0:
+            assert spot == {"checked": False, "reason": "candidate space beyond bound"}
+            assert len(built) == 1
+        else:
+            assert spot["checked"] and len(built) == 2
+
     def test_simulate_out_into_missing_directory_exits_2(self, capsys, tmp_path):
         out = tmp_path / "missing" / "trace.json"
         code, report = run_cli(capsys, "simulate", "--objects", "2", "--txns", "3", "--out", str(out))
@@ -337,10 +431,16 @@ class TestSimulateAndVerify:
     (("simulate", "--workload", "{path}"),
      b'{"num_objects": 2, "num_txns": 3, "write_probability": 1' + b"0" * 400 + b"}"),
     (("verify", "{path}"), b"[" * 100_000),
-], ids=["analyze", "check", "extend", "simulate", "verify", "huge-float", "deep-nesting"])
+    (("analyze", "{path}"), b'{"objects": 1' + b"0" * 5000 + b"}"),
+    (("check", "{path}", "x:0"), b'{"objects": 1' + b"0" * 5000 + b"}"),
+    (("extend", "{path}", "x:0"), b'{"objects": 1' + b"0" * 5000 + b"}"),
+    (("simulate", "--workload", "{path}"), b'{"num_objects": 1' + b"0" * 5000 + b"}"),
+    (("verify", "{path}"), b'{"schema_version": 1' + b"0" * 5000 + b"}"),
+], ids=["analyze", "check", "extend", "simulate", "verify", "huge-float", "deep-nesting",
+        "long-int-analyze", "long-int-check", "long-int-extend", "long-int-simulate", "long-int-verify"])
 def test_unreadable_input_file_exits_2(capsys, tmp_path, args, content):
-    # Non-UTF-8 bytes, a JSON integer too large for a float, and nesting
-    # past the interpreter's recursion limit.
+    # Non-UTF-8 bytes, a JSON integer too large for a float, nesting past
+    # the interpreter's recursion limit, and an integer past its digit limit.
     path = tmp_path / "input.json"
     path.write_bytes(content)
     code = main([arg.format(path=path) for arg in args])
