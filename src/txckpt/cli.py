@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -269,17 +268,12 @@ def _disagreements(
     return [c for c in candidates if theorem_condition(c, analysis) != any(gc.contains(c) for gc in globals_)]
 
 
-def _theorem_spot_checks(trace: Trace, bound: int, samples: int) -> dict[str, Any]:
-    # The closed pattern the oracle enumerates: per object, 0, the logged versions and the last.
-    last = Counter(obj for txn in trace.execution.transactions for obj in txn.write_set)
-    versions = [{0, last[obj]} for obj in range(trace.execution.num_objects)]
-    for record in trace.checkpoint_log:
-        versions[record.obj].add(record.version)
-    if math.prod(map(len, versions)) > bound:
+def _theorem_spot_checks(analysis: CheckpointAnalysis, seed: int, bound: int, samples: int) -> dict[str, Any]:
+    # The bound is tested first: reach columns are built only by the queries below.
+    if math.prod(len(vs) for vs in analysis.pattern.versions) > bound:
         return {"checked": False, "reason": "candidate space beyond bound"}
-    base, analysis = trace_pattern(trace)
     globals_ = enumerate_consistent_globals(analysis, bound=bound)
-    rng = random.Random(trace.config.seed)
+    rng = random.Random(seed)
     num_objects = analysis.pattern.num_objects
     candidates = _single_members(analysis)
     for _ in range(samples):
@@ -301,8 +295,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         with reading_json(args.trace):
             text = Path(args.trace).read_text(encoding="utf-8")
         trace = Trace.from_json(text)
-        report = verify_protocol_guarantees(trace)
-        spot = _theorem_spot_checks(trace, args.oracle_bound, args.spot_samples)
+        analyses = trace_pattern(trace)
+        report = verify_protocol_guarantees(trace, analyses)
+        spot = _theorem_spot_checks(analyses[1], trace.config.seed, args.oracle_bound, args.spot_samples)
         ok = report.ok and spot.get("disagreements", 0) == 0
         results = {
             "protocol": report.protocol,

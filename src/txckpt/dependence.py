@@ -25,6 +25,27 @@ version k+1): a path starts at the writers of its origin interval, follows
 chains, and lands in the interval of each visited writer's pre-version of an
 object it writes, where that object's later writers carry it on.  So each
 interval's reach is one tuple: per object, the lowest interval reached.
+
+Those later writers are all reached from one of them: a landing (x, l)
+restarts at F(x, l), the first writer of x whose pre-version lies in
+interval l, whose chain leads to every later writer of x.  Chain hops plus
+one restart edge per landing make one graph over transactions, and the
+transactions a path from interval (x, l) visits are those reachable from
+F(x, l).  A restart edge points back along x's chain, so it closes a cycle;
+the Z-cycles of the pattern are the strongly connected components (SCCs) of
+this graph, which CheckpointAnalysis condenses with one Tarjan pass when it
+is built.  Tarjan emits SCCs sinks first, so a minimum over everything an
+SCC reaches is one fold in emission order.  Three folds answer the queries:
+
+* reach columns: per SCC, the element-wise minimum of its members' lowest
+  landings and its successors' reach, built on the first query that reads
+  reach (``dp_reachable``, ``min_reachable_ranks``, ``min_safe_ranks``);
+* ``min_reached``: one scalar per SCC, the least of a caller's per-interval
+  weights over the intervals reached, which is what protocol verification
+  needs, without a per-object vector;
+* ``self_paths``: a checkpoint (x, rank) has a path to itself exactly when
+  the SCC of F(x, rank) lands on x below rank.
+
 A witness search stops at the first transaction that lands below its
 destination checkpoint, rather than expanding every chain it could reach.
 
@@ -36,18 +57,19 @@ starts).  So the ranks of an object whose checkpoints reach a destination
 form a prefix, and ``min_safe_ranks`` finds each object's least safe rank
 toward one checkpoint with one plain bisection per object.
 
-A CheckpointAnalysis builds each Checkpoint of its closed pattern once, in a
-table with one tuple per object in rank order; queries return its entries
-instead of new objects, and a saved version's rank is a bisection of the
-object's sorted versions, O(log k) for k checkpoints.
+A CheckpointAnalysis builds each Checkpoint of its closed pattern once, on
+first use, in a table with one tuple per object in rank order; queries return
+its entries instead of new objects, and a saved version's rank is a
+bisection of the object's sorted versions, O(log k) for k checkpoints.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     LocalState,
@@ -227,49 +249,129 @@ class CheckpointAnalysis:
         self.base = base
         self.pattern = pattern.with_final_states(base.timeline)
         timeline, versions = base.timeline, self.pattern.versions
-        # Per object, its checkpoints in rank order: queries hand these out
-        # rather than building new ones.
-        self.checkpoints: tuple[tuple[Checkpoint, ...], ...] = tuple(
-            tuple(Checkpoint(obj, rank, LocalState(obj, v)) for rank, v in enumerate(vs))
-            for obj, vs in enumerate(versions)
-        )
         # Per transaction: its landings (written object, interval of its
-        # pre-version there).  Paths hop along the serialization graph's
-        # conflict-chain successors.
-        landings: dict[int, list[tuple[int, int]]] = {t.id: [] for t in base.execution.transactions}
-        for (txn, obj), post in timeline.post_version.items():
-            landings[txn].append((obj, bisect_right(versions[obj], post - 1) - 1))
-        self._landings = {txn: sorted(landed) for txn, landed in landings.items()}
-        # Per object and destination object: the column of the reach tuples
-        # of its intervals, _reach[obj][y][rank], non-decreasing in rank.
-        self._reach: list[tuple[tuple[int, ...], ...]] = []
-        for obj, vs in enumerate(versions):
-            rows = [tuple(reach) for reach, _, _ in self._search(obj, range(len(vs) - 1, -1, -1))]
-            self._reach.append(tuple(zip(*reversed(rows))))
+        # pre-version there), in object order.  Paths hop along the
+        # serialization graph's conflict-chain successors.
+        self._landings: dict[int, list[tuple[int, int]]] = {t.id: [] for t in base.execution.transactions}
+        for obj, (vs, obj_writers) in enumerate(zip(versions, timeline.writers)):
+            rank = 0
+            for pre, txn in enumerate(obj_writers):
+                if pre == vs[rank + 1]:
+                    rank += 1
+                self._landings[txn].append((obj, rank))
+        self._condense()
 
-    def _search(
-        self, obj: int, ranks: Iterable[int], goal: frozenset[int] = frozenset()
-    ) -> Iterator[tuple[list[int], dict, int | None]]:
-        """Paths out of intervals (obj, rank), one layer per dependence edge.
+    def _condense(self) -> None:
+        """One Tarjan pass over transactions, chain hops plus restart edges.
 
-        For each rank in turn (descending, each search extends the last) the
-        writers of obj from interval rank upward start, each followed by its
-        chain closure.  Every landing of a layer's writer lowers reach and
-        starts the landed object's writers as the next layer.  Yields reach
-        (per object the lowest interval landed in, else its interval count),
+        A landing (x, l) restarts at F(x, l), the first writer of x whose
+        pre-version lies in interval l; F's chain reaches every later writer
+        of x, so the transactions a path from interval (x, l) visits are
+        exactly those reachable from F(x, l).  Every landing has one: a
+        pre-version is below its object's last version, whose interval is
+        the last and holds no writer.  The pass numbers SCCs in emission
+        order, sinks first, and keeps per SCC its members' lowest landing
+        per object and the SCCs its edges enter, all numbered lower.
+        """
+        versions, writers = self.pattern.versions, self.base.timeline.writers
+        hops, landings = self.base.graph.successors, self._landings
+        out = {
+            txn: hops[txn] + tuple([writers[x][versions[x][landed]] for x, landed in landed_on])
+            for txn, landed_on in landings.items()
+        }
+        number = dict.fromkeys(out, 0)  # DFS number, 0 while unvisited
+        low: dict[int, int] = {}
+        scc: dict[int, int] = {}  # unset while on the stack
+        stack: list[int] = []
+        condensation: list[tuple[dict[int, int], tuple[int, ...]]] = []
+        counter = 0
+        for root in out:
+            if number[root]:
+                continue
+            counter += 1
+            number[root] = low[root] = counter
+            stack.append(root)
+            work = [(root, iter(out[root]))]
+            while work:
+                v, edges = work[-1]
+                for w in edges:
+                    if not number[w]:
+                        counter += 1
+                        number[w] = low[w] = counter
+                        stack.append(w)
+                        work.append((w, iter(out[w])))
+                        break
+                    if w not in scc and number[w] < low[v]:
+                        low[v] = number[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] < number[v]:
+                        continue
+                    c = len(condensation)
+                    own: dict[int, int] = {}
+                    members: list[int] = []
+                    while not members or members[-1] != v:
+                        w = stack.pop()
+                        members.append(w)
+                        scc[w] = c
+                        for x, landed in landings[w]:
+                            if landed < own.get(x, landed + 1):
+                                own[x] = landed
+                    kids = {scc[w] for u in members for w in out[u]}
+                    kids.discard(c)
+                    condensation.append((own, tuple(kids)))
+        self._condensation = condensation
+        # Per object, the SCC of F(obj, rank) for every rank but the last.
+        self._starts = tuple(
+            tuple(scc[writers[obj][v]] for v in vs[:-1]) for obj, vs in enumerate(versions)
+        )
+
+    @cached_property
+    def _reach(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per object and destination object, the column of the reach tuples
+        of its intervals, _reach[obj][y][rank], non-decreasing in rank; built
+        on the first query that reads it.
+
+        An SCC's reach is the element-wise minimum of its own lowest
+        landings and its successors' reach, folded in emission order; an
+        object's last interval, which starts no writer, reaches nothing.
+        """
+        nothing = [len(vs) for vs in self.pattern.versions]
+        reach: list[list[int]] = []
+        for own, kids in self._condensation:
+            row = reach[kids[0]] if kids else nothing
+            for kid in kids[1:]:
+                row = list(map(min, row, reach[kid]))
+            lower = [(x, landed) for x, landed in own.items() if landed < row[x]]
+            if lower:
+                row = list(row)
+                for x, landed in lower:
+                    row[x] = landed
+            reach.append(row)
+        return tuple(
+            tuple(zip(*[reach[c] for c in starts], nothing)) for starts in self._starts
+        )
+
+    def _search(self, obj: int, rank: int, goal: frozenset[int]) -> tuple[dict, int | None]:
+        """Paths out of interval (obj, rank), one layer per dependence edge,
+        until the first visited transaction in goal.
+
+        The writers of obj from interval rank upward start, each followed by
+        its chain closure.  Every landing of a layer's writer starts the
+        landed object's writers not yet started as the next layer.  Returns
         each visited transaction's parent - (previous, None) after a hop,
         (landing transaction or None, object entered) at a start - and the
-        first visited transaction in goal, at which the search stops (None
-        when it visits none).  Layers are scanned in the order their
-        transactions joined, so that is the first goal transaction a full
-        search would scan.
+        first visited transaction in goal (None when it visits none).
+        Layers are scanned in the order their transactions joined, so that
+        is the first goal transaction a search without a goal would scan.
         """
         versions = self.pattern.versions
         writers = self.base.timeline.writers
         hops = self.base.graph.successors
         landings = self._landings
-        reach = [len(vs) for vs in versions]
-        started = list(reach)
+        started = [len(vs) for vs in versions]
         parent: dict[int, tuple[int | None, int | None]] = {}
 
         def start(x: int, rank: int, via: int | None, layer: list[int]) -> int | None:
@@ -290,26 +392,27 @@ class CheckpointAnalysis:
             started[x] = rank
             return None
 
-        def run(rank: int) -> int | None:
-            layer: list[int] = []
-            if rank < started[obj] and (hit := start(obj, rank, None, layer)) is not None:
-                return hit
-            while layer:
-                following: list[int] = []
-                for txn in layer:
-                    for x, landed in landings[txn]:
-                        if landed < reach[x]:
-                            reach[x] = landed
-                        if landed < started[x] and (hit := start(x, landed, txn, following)) is not None:
-                            return hit
-                layer = following
-            return None
-
-        for rank in ranks:
-            hit = run(rank)
-            yield reach, parent, hit
+        layer: list[int] = []
+        hit = start(obj, rank, None, layer)
+        while layer and hit is None:
+            following: list[int] = []
+            for txn in layer:
+                for x, landed in landings[txn]:
+                    if landed < started[x] and (hit := start(x, landed, txn, following)) is not None:
+                        return parent, hit
+            layer = following
+        return parent, hit
 
     # -- checkpoints ---------------------------------------------------------
+
+    @cached_property
+    def checkpoints(self) -> tuple[tuple[Checkpoint, ...], ...]:
+        """Per object, its checkpoints in rank order, built on first use:
+        queries hand these out rather than building new ones."""
+        return tuple(
+            tuple(Checkpoint(obj, rank, LocalState(obj, v)) for rank, v in enumerate(vs))
+            for obj, vs in enumerate(self.pattern.versions)
+        )
 
     def checkpoint(self, obj: int, rank: int) -> Checkpoint:
         """The rank-th checkpoint of obj; a negative obj counts from the end,
@@ -368,6 +471,48 @@ class CheckpointAnalysis:
         bar, dst_obj = dst.rank - 1, dst.obj
         return tuple([bisect_right(columns[dst_obj], bar) for columns in self._reach])
 
+    def min_reached(self, weight: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+        """Per object and rank, the least weight[y][r] over the checkpoints
+        (y, r) that a dependence path from that checkpoint reaches, inf when
+        it reaches none.  For weight rows non-decreasing in rank, that is the
+        least weight[y][min_reachable_ranks(ck)[y]] over objects y, here
+        without building the reach columns.
+
+        One scalar per SCC, folded in emission order; a landing (y, l)
+        reaches rank l + 1 of y and every later one.
+        """
+        folded: list[float] = []
+        for own, kids in self._condensation:
+            least = math.inf
+            for x, landed in own.items():
+                if weight[x][landed + 1] < least:
+                    least = weight[x][landed + 1]
+            for kid in kids:
+                if folded[kid] < least:
+                    least = folded[kid]
+            folded.append(least)
+        return tuple(
+            tuple([min(folded[c], row[rank + 1]) for rank, c in enumerate(starts)]) + (math.inf,)
+            for row, starts in zip(weight, self._starts)
+        )
+
+    def self_paths(self) -> set[tuple[int, int]]:
+        """The (object, rank) of every checkpoint with a dependence path to
+        itself, without building the reach columns.
+
+        A path from (obj, rank) back below rank lands on obj in an interval
+        l < rank; F(obj, l) starts a chain up to F(obj, rank), which closes
+        a cycle.  So (obj, rank) has a path to itself exactly when the SCC
+        of F(obj, rank) lands on obj below rank.
+        """
+        condensation = self._condensation
+        return {
+            (obj, rank)
+            for obj, starts in enumerate(self._starts)
+            for rank, c in enumerate(starts)
+            if condensation[c][0].get(obj, rank) < rank
+        }
+
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.
 
@@ -388,7 +533,7 @@ class CheckpointAnalysis:
         src_obj, obj = src.obj % self.pattern.num_objects, dst.obj % self.pattern.num_objects
         # The writers of dst's object whose landing there is below dst's rank.
         goal = frozenset(timeline.writers[obj][: self.pattern.versions[obj][dst.rank]])
-        _, parent, last = next(self._search(src_obj, [src.rank], goal))
+        parent, last = self._search(src_obj, src.rank, goal)
         witness: list[DependenceEdge] = []
         while last is not None:
             first = last

@@ -31,12 +31,15 @@ Guarantees checked over a simulation trace: no checkpoint has a dependence
 path to itself; a dependence path between checkpoints implies strictly
 increasing protocol indices; equal-index assemblies (exact, and gap-filled
 when z is 1, as under protocol A) are consistent global checkpoints.  All of
-this is restricted to indices that are multiples of z.  The index check
-makes no pairwise pass: a checkpoint's dependence paths reach, per object,
-every rank from CheckpointAnalysis.min_reachable_ranks on, so each distinct
-checkpoint gets one bar, the least index logged at or above those ranks.
-Each record is then one comparison with its checkpoint's bar, and the
-offending pairs are listed only when a record's index is not below it.  The
+this is restricted to indices that are multiples of z.  Self-paths are read
+from CheckpointAnalysis.self_paths.  The index check makes no pairwise pass:
+a checkpoint's dependence paths reach, per object, every rank from some
+least rank on, so each checkpoint gets one bar, the least index logged at or
+above those ranks, and CheckpointAnalysis.min_reached gives every bar in one
+scalar fold over the SCCs of its transaction graph.  Each record is then one
+comparison with its checkpoint's bar, and the offending pairs are listed
+only when a record's index is not below it; only then are reach columns
+read (min_reachable_ranks), so a clean trace is verified without them.  The
 gap-filled assemblies are taken in one sweep from the highest index down,
 and each distinct version vector is tested for consistency once.
 """
@@ -111,10 +114,15 @@ def trace_pattern(trace: "Trace") -> tuple[ExecutionAnalysis, CheckpointAnalysis
     return base, CheckpointAnalysis(base, pattern)
 
 
-def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
-    """Check every protocol guarantee the trace is supposed to satisfy."""
+def verify_protocol_guarantees(
+    trace: "Trace", analyses: tuple[ExecutionAnalysis, CheckpointAnalysis] | None = None
+) -> GuaranteeReport:
+    """Check every protocol guarantee the trace is supposed to satisfy.
+
+    analyses is trace_pattern(trace), built here when not given.
+    """
     z = trace.config.z
-    base, analysis = trace_pattern(trace)
+    base, analysis = trace_pattern(trace) if analyses is None else analyses
     records = list(trace.checkpoint_log)
     violations: list[str] = []
 
@@ -128,42 +136,41 @@ def verify_protocol_guarantees(trace: "Trace") -> GuaranteeReport:
 
     scoped = [r for r in records if r.index % z == 0]
     # Reach is a property of a checkpoint, not of the records that save it
-    # (a basic checkpoint often re-saves a version), so every search below
-    # runs once per distinct (object, version), keyed to its checkpoint.
-    keyed = [((r.obj, r.version), r) for r in scoped]
-    distinct = {key: analysis.checkpoint_at_version(*key) for key in dict.fromkeys(key for key, _ in keyed)}
+    # (a basic checkpoint often re-saves a version), so every check below
+    # reads one value per checkpoint, keyed by (object, rank).
+    pattern = analysis.pattern
+    rank_of = {key: pattern.rank_of(*key) for key in dict.fromkeys((r.obj, r.version) for r in scoped)}
+    keyed = [((r.obj, rank_of[r.obj, r.version]), r) for r in scoped]
 
-    cyclic = {key for key, ck in distinct.items() if analysis.dp_reachable(ck, ck)}
+    cyclic = analysis.self_paths()
     for key, record in keyed:
         if key in cyclic:
             violations.append(
-                f"checkpoint {distinct[key]} (index {record.index}) has a dependence path to itself"
+                f"checkpoint {analysis.checkpoint(*key)} (index {record.index}) has a dependence path to itself"
             )
-    # A dependence path from a checkpoint reaches, per object, every rank from
-    # min_reachable_ranks on.  Per object and rank, keep the least index of a
-    # scoped record at that rank or above; the least of these over the ranks
-    # a checkpoint reaches is its bar.  A record whose index is below its
-    # checkpoint's bar needs no pairwise look.
-    least_index = [[math.inf] * (len(vs) + 2) for vs in analysis.pattern.versions]
-    for key, record in keyed:
-        row = least_index[record.obj]
-        rank = distinct[key].rank
-        row[rank] = min(row[rank], record.index)
+    # Per object and rank, the least index of a scoped record at that rank
+    # or above; its least value over the ranks a checkpoint's dependence
+    # paths reach is the checkpoint's bar, one scalar fold of the analysis.
+    # A record whose index is below its checkpoint's bar needs no pairwise
+    # look.
+    least_index = [[math.inf] * len(vs) for vs in pattern.versions]
+    for (obj, rank), record in keyed:
+        if record.index < least_index[obj][rank]:
+            least_index[obj][rank] = record.index
     for row in least_index:
         for rank in range(len(row) - 2, -1, -1):
             row[rank] = min(row[rank], row[rank + 1])
-    least_of = {key: analysis.min_reachable_ranks(ck) for key, ck in distinct.items()}
-    bar = {key: min(map(list.__getitem__, least_index, least)) for key, least in least_of.items()}
-    for key1, r1 in keyed:
-        if bar[key1] > r1.index:
+    bar = analysis.min_reached(least_index)
+    for (obj1, rank1), r1 in keyed:
+        if bar[obj1][rank1] > r1.index:
             continue
-        c1, least = distinct[key1], least_of[key1]
-        for key2, r2 in keyed:
-            c2 = distinct[key2]
-            if r2 is not r1 and c2.rank >= least[c2.obj] and not r1.index < r2.index:
+        c1 = analysis.checkpoint(obj1, rank1)
+        least = analysis.min_reachable_ranks(c1)
+        for (obj2, rank2), r2 in keyed:
+            if r2 is not r1 and rank2 >= least[obj2] and not r1.index < r2.index:
                 violations.append(
                     f"dependence path from {c1} (index {r1.index}) to "
-                    f"{c2} (index {r2.index}) without index increase"
+                    f"{analysis.checkpoint(obj2, rank2)} (index {r2.index}) without index increase"
                 )
 
     # Consistency depends only on the version vector, and assemblies often

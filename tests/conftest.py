@@ -261,19 +261,24 @@ def assert_witness_chain(analysis: CheckpointAnalysis, distances: dict, src, dst
     assert obj == dst.obj and floor <= dst.rank - 1
 
 
-def witness_oracle(analysis: CheckpointAnalysis, src, dst):
-    """dp_witness by the whole search: expand every chain reachable from
-    src's interval layer by layer, record each landing that lowers an
-    object's reach, and rebuild the path from the first landing on dst's
-    object below dst's rank.
+def reach_oracle(analysis: CheckpointAnalysis, obj: int, rank: int):
+    """The whole search out of interval (obj, rank), layer by layer, as
+    CheckpointAnalysis' reach tuples were once built: the writers of obj from
+    interval rank upward start, each claiming its chain closure, and every
+    landing of a layer's writer starts the landed object's writers from that
+    interval upward as the next layer.
+
+    Returns reach (per object, the lowest interval landed in, else its
+    interval count), each visited transaction's parent - (previous, None)
+    after a hop, (landing transaction or None, object entered) at a start -
+    and per object the (interval, transaction) landings that lowered reach,
+    in search order.
     """
-    if not analysis.dp_reachable(src, dst):
-        return None
     versions = analysis.pattern.versions
     timeline, hops = analysis.base.timeline, analysis.base.graph.successors
     landings: dict[int, list[tuple[int, int]]] = {}
-    for (txn, obj), post in sorted(timeline.post_version.items()):
-        landings.setdefault(txn, []).append((obj, bisect.bisect_right(versions[obj], post - 1) - 1))
+    for (txn, x), post in sorted(timeline.post_version.items()):
+        landings.setdefault(txn, []).append((x, bisect.bisect_right(versions[x], post - 1) - 1))
     reach = [len(vs) for vs in versions]
     started = list(reach)
     parent: dict[int, tuple] = {}
@@ -295,7 +300,7 @@ def witness_oracle(analysis: CheckpointAnalysis, src, dst):
         started[x] = rank
 
     layer: list[int] = []
-    start(src.obj, src.rank, None, layer)
+    start(obj, rank, None, layer)
     while layer:
         following: list[int] = []
         for txn in layer:
@@ -306,6 +311,27 @@ def witness_oracle(analysis: CheckpointAnalysis, src, dst):
                 if landed < started[x]:
                     start(x, landed, txn, following)
         layer = following
+    return reach, parent, lowered
+
+
+def bar_oracle(analysis: CheckpointAnalysis, weight, src) -> float:
+    """min_reached for one checkpoint, read through min_reachable_ranks: the
+    least weight at the least rank reached on each object."""
+    least = analysis.min_reachable_ranks(src)
+    return min(
+        (row[rank] for row, rank in zip(weight, least) if rank < len(row)), default=float("inf")
+    )
+
+
+def witness_oracle(analysis: CheckpointAnalysis, src, dst):
+    """dp_witness by the whole search: expand every chain reachable from
+    src's interval (reach_oracle) and rebuild the path from the first
+    landing on dst's object below dst's rank.
+    """
+    if not analysis.dp_reachable(src, dst):
+        return None
+    timeline = analysis.base.timeline
+    _, parent, lowered = reach_oracle(analysis, src.obj, src.rank)
     found = [txn for rank, txn in lowered[dst.obj] if rank < dst.rank]
     if not found:
         return []  # same-object rank step

@@ -370,8 +370,9 @@ class TestSimulateAndVerify:
 
     @pytest.mark.parametrize("slack", [-1, 0])
     def test_spot_checks_test_the_oracle_bound_before_analysing(self, capsys, tmp_path, monkeypatch, slack):
-        # The bound is tested on the closed pattern's sizes, so a trace
-        # beyond it gets one analysis, verify_protocol_guarantees' own.
+        # verify_protocol_guarantees and the spot checks share one analysis;
+        # the bound is tested on its closed pattern's sizes before any query,
+        # so a trace beyond it never builds the reach columns.
         out = tmp_path / "trace.json"
         run_cli(capsys, "simulate", "--objects", "4", "--txns", "20", "--seed", "3", "--timer", "6",
                 "--out", str(out))
@@ -392,9 +393,9 @@ class TestSimulateAndVerify:
         assert code == 0
         if slack < 0:
             assert spot == {"checked": False, "reason": "candidate space beyond bound"}
-            assert len(built) == 1
+            assert len(built) == 1 and "_reach" not in built[0].__dict__
         else:
-            assert spot["checked"] and len(built) == 2
+            assert spot["checked"] and len(built) == 1
 
     def test_simulate_out_into_missing_directory_exits_2(self, capsys, tmp_path):
         out = tmp_path / "missing" / "trace.json"

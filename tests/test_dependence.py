@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -20,13 +21,14 @@ from txckpt.dependence import (
 from txckpt import protocol as protocol_module
 from txckpt.model import LocalState, assign_versions
 from txckpt.protocol import trace_pattern
-from txckpt.scenario import WorkloadSpec
+from txckpt.scenario import WorkloadSpec, generate_random
 from txckpt.sim import SimConfig, run_simulation
 
 from conftest import (
     analyses,
     analysis_for,
     assert_witness_chain,
+    bar_oracle,
     build_intervals,
     checkpoint_oracle,
     dp_oracle,
@@ -37,6 +39,7 @@ from conftest import (
     make_execution,
     min_safe_rank_oracle,
     rank_oracle,
+    reach_oracle,
     scenario_analysis,
     state_intervals,
     witness_oracle,
@@ -509,9 +512,9 @@ class TestWitnessMatchesWholeSearch:
         visited = []
 
         def counted(*args):
-            for reach, parent, hit in search(*args):
-                visited.append(len(parent))
-                yield reach, parent, hit
+            parent, hit = search(*args)
+            visited.append(len(parent))
+            return parent, hit
 
         monkeypatch.setattr(query_analysis, "_search", counted)
         cks = all_checkpoints(query_analysis)
@@ -520,8 +523,68 @@ class TestWitnessMatchesWholeSearch:
             visited.clear()
             witness = query_analysis.dp_witness(src, dst)
             if witness and len(witness) == 1:
-                full = len(next(search(src.obj, [src.rank]))[1])
+                full = len(reach_oracle(query_analysis, src.obj, src.rank)[1])
                 (seen,) = visited
                 assert seen <= full
                 stopped, whole = stopped + seen, whole + full
         assert whole > 0 and stopped < whole / 2
+
+
+def monotone_weights(analysis, seed):
+    """Per object, random weights non-decreasing in rank, some of them inf,
+    as verification's least logged index at or above each rank."""
+    rng = random.Random(seed)
+    rows = []
+    for vs in analysis.pattern.versions:
+        row = [rng.choice([rng.randint(0, 9), math.inf]) for _ in vs]
+        for rank in range(len(row) - 2, -1, -1):
+            row[rank] = min(row[rank], row[rank + 1])
+        rows.append(row)
+    return rows
+
+
+def assert_condensation_matches_oracles(analysis, seed=0):
+    """The SCC folds against the slow paths they replace: the lazy reach
+    columns against reach_oracle, min_reached against bar_oracle and
+    self_paths against dp_reachable(ck, ck).  Returns the self-paths."""
+    cks = all_checkpoints(analysis)
+    weights = [monotone_weights(analysis, seed), [[0] * len(vs) for vs in analysis.pattern.versions]]
+    self_paths = analysis.self_paths()
+    cyclic = [ck for ck in cks if (ck.obj, ck.rank) in self_paths]
+    folds = [analysis.min_reached(weight) for weight in weights]
+    assert "_reach" not in analysis.__dict__
+    for weight, folded in zip(weights, folds):
+        assert [folded[ck.obj][ck.rank] for ck in cks] == [bar_oracle(analysis, weight, ck) for ck in cks]
+    for ck in cks:
+        reach = reach_oracle(analysis, ck.obj, ck.rank)[0]
+        assert [column[ck.rank] for column in analysis._reach[ck.obj]] == reach
+    assert cyclic == [ck for ck in cks if analysis.dp_reachable(ck, ck)]
+    return cyclic
+
+
+class TestCondensationMatchesSlowPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(analyses())
+    def test_on_small_analyses(self, analysis):
+        assert_condensation_matches_oracles(analysis)
+
+    @pytest.mark.parametrize("config", [
+        {"protocol": "A"},
+        {"protocol": "B", "z_param": 2, "timer_jitter": 3},
+        {"protocol": "B", "z_param": 3},
+    ], ids=["A", "B-z2-jitter3", "B-z3"])
+    @pytest.mark.parametrize("objects, txns, seed", [(4, 40, 1), (8, 120, 2), (12, 200, 3)])
+    def test_on_simulated_traces(self, config, objects, txns, seed):
+        analysis = simulated_analysis(objects, txns, seed, timer_period=10, **config)
+        assert_condensation_matches_oracles(analysis, seed)
+        # Several SCCs, and at least one Z-cycle of several transactions.
+        assert 1 < len(analysis._condensation) < len(analysis.base.execution.transactions)
+
+    def test_self_paths_on_random_instances(self):
+        cyclic = 0
+        for seed in range(40):
+            spec = WorkloadSpec(4, 12, ops_per_txn=(1, 3), write_probability=0.6, seed=seed)
+            execution, pattern = generate_random(spec)
+            analysis = CheckpointAnalysis(ExecutionAnalysis(execution), pattern)
+            cyclic += len(assert_condensation_matches_oracles(analysis, seed))
+        assert cyclic > 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from collections import Counter
 
@@ -243,13 +244,18 @@ class TestVerificationMatchesPairwiseOracle:
         if how == "sparse" and (protocol == "A" or z == 1):
             assert all(gap_filled.values())
 
-    def test_verify_makes_one_dp_reachable_call_per_checkpoint(self, monkeypatch):
+    def test_verify_reads_no_reach_column(self, monkeypatch):
+        # Bars and self-paths come from scalar folds over the SCCs: a clean
+        # trace is verified without one dp_reachable or min_reachable_ranks
+        # call, and its reach columns are built only when a later query
+        # asks, once per analysis.
         calls = []
-        reach_calls = []
+        builds = []
         consistency_calls = []
         built = []
         dp_reachable = CheckpointAnalysis.dp_reachable
         min_reachable_ranks = CheckpointAnalysis.min_reachable_ranks
+        build_columns = CheckpointAnalysis.__dict__["_reach"].func
         is_consistent_global_state = protocol_module.is_consistent_global_state
         trace_pattern = protocol_module.trace_pattern
 
@@ -258,8 +264,12 @@ class TestVerificationMatchesPairwiseOracle:
             return dp_reachable(self, src, dst)
 
         def counted_reach(self, src):
-            reach_calls.append(src)
+            calls.append(src)
             return min_reachable_ranks(self, src)
+
+        def counted_build(self):
+            builds.append(self)
+            return build_columns(self)
 
         def counted_consistency(states, base):
             consistency_calls.append(dict(states))
@@ -269,8 +279,11 @@ class TestVerificationMatchesPairwiseOracle:
             built.append(trace_pattern(trace))
             return built[-1]
 
+        columns = functools.cached_property(counted_build)
+        columns.__set_name__(CheckpointAnalysis, "_reach")
         monkeypatch.setattr(CheckpointAnalysis, "dp_reachable", counted)
         monkeypatch.setattr(CheckpointAnalysis, "min_reachable_ranks", counted_reach)
+        monkeypatch.setattr(CheckpointAnalysis, "_reach", columns)
         monkeypatch.setattr(protocol_module, "is_consistent_global_state", counted_consistency)
         monkeypatch.setattr(protocol_module, "trace_pattern", kept)
         spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.6, seed=4)
@@ -279,13 +292,15 @@ class TestVerificationMatchesPairwiseOracle:
         (base, analysis), = built
         log = trace.checkpoint_log
         assert report.ok and len(log) > 50
-        assert 0 < len(calls) <= len(log)
+        assert calls == [] and builds == []
         assert "direct_edges" not in base.graph.__dict__ and "edges" not in base.__dict__
-        # Protocol A scopes every record; records that re-save a version
-        # share one reach lookup.
-        distinct = {(r.obj, r.version) for r in log}
-        assert len(distinct) < len(log)
-        assert 0 < len(reach_calls) <= len(distinct)
+        cks = [analysis.checkpoint(r.obj, analysis.pattern.rank_of(r.obj, r.version)) for r in log]
+        for ck in cks[:10]:
+            analysis.dp_reachable(ck, cks[-1])
+            analysis.min_reachable_ranks(ck)
+            analysis.min_safe_ranks(ck)
+            analysis.dp_witness(cks[0], ck)
+        assert builds == [analysis]
         # Assemblies that pick the same versions share one consistency test.
         vectors = {
             tuple(c.state.version for c in gc.members)

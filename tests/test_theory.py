@@ -391,9 +391,10 @@ class TestQueriesReadTheTable:
             result = extend_to_global(candidate, analysis)
             extended += result.global_checkpoint.contains(candidate)
         assert len(assemblies) > 5 and extended == len(assemblies)
-        assert built == {Checkpoint: 0, LocalState: 0}
-
-        # verify builds one table, and no checkpoint or state beyond it.
-        verify_protocol_guarantees(trace)
+        # The first query builds the table, and no checkpoint or state beyond it.
         table_size = sum(len(vs) for vs in analysis.pattern.versions)
+        assert built == {Checkpoint: table_size, LocalState: table_size}
+
+        # verify of a clean trace builds no checkpoint or state at all.
+        assert verify_protocol_guarantees(trace).ok
         assert built == {Checkpoint: table_size, LocalState: table_size}
