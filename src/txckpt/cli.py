@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from .dependence import AnalysisError, Checkpoint, CheckpointAnalysis, DependenceEdge, ExecutionAnalysis
 from .model import ExecutionError
-from .protocol import checkpoint_counts, trace_pattern, verify_protocol_guarantees
+from .protocol import trace_pattern, verify_protocol_guarantees
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -226,15 +226,15 @@ def _workload_from_args(args: argparse.Namespace) -> WorkloadSpec:
 
 
 def _trace_summary(trace: Trace) -> dict[str, Any]:
-    per_obj = checkpoint_counts(trace.checkpoint_log)
     totals = {"initial": 0, "basic": 0, "forced": 0}
-    for counts in per_obj.values():
-        for kind, n in counts.items():
-            totals[kind] += n
+    per_obj = {obj: dict.fromkeys(totals, 0) for obj in range(trace.execution.num_objects)}
+    for record in trace.checkpoint_log:
+        per_obj[record.obj][record.kind] += 1
+        totals[record.kind] += 1
     return {
         "transactions": len(trace.execution.transactions),
         "events": len(trace.events),
-        "checkpoints_per_object": {str(obj): counts for obj, counts in sorted(per_obj.items())},
+        "checkpoints_per_object": {str(obj): counts for obj, counts in per_obj.items()},
         "checkpoint_totals": totals,
     }
 

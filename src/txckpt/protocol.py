@@ -31,24 +31,25 @@ Guarantees checked over a simulation trace: no checkpoint has a dependence
 path to itself; a dependence path between checkpoints implies strictly
 increasing protocol indices; equal-index assemblies (exact, and gap-filled
 when z is 1, as under protocol A) are consistent global checkpoints.  All of
-this is restricted to indices that are multiples of z.  Self-paths are read
-from CheckpointAnalysis.self_paths.  The index check makes no pairwise pass:
-a checkpoint's dependence paths reach, per object, every rank from some
-least rank on, so each checkpoint gets one bar, the least index logged at or
-above those ranks, and CheckpointAnalysis.min_reached gives every bar in one
-scalar fold over the SCCs of its transaction graph.  Each record is then one
-comparison with its checkpoint's bar, and the offending pairs are listed
-only when a record's index is not below it; only then are reach columns
-read (min_reachable_ranks), so a clean trace is verified without them.  The
-gap-filled assemblies are taken in one sweep from the highest index down,
-and each distinct version vector is tested for consistency once.
+this is restricted to indices that are multiples of z, and read from one
+plain (object, rank, index, version) row per scoped record, made in the one
+pass over the checkpoint log that also counts kinds.  Self-paths come from
+CheckpointAnalysis.self_paths.  The index check makes no pairwise pass: a
+checkpoint's dependence paths reach, per object, every rank from some least
+rank on, so each checkpoint gets one bar, the least index logged at or above
+those ranks, and CheckpointAnalysis.min_reached gives every bar in one
+scalar fold over the SCCs of its transaction graph.  Only a row whose index
+is not below its bar has its offending pairs listed, from its reach columns
+(min_reachable_ranks), so a clean trace is verified without them.  Both
+assembly checks share one sweep from the highest index down, and each
+distinct version vector is tested for consistency once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .dependence import CheckpointAnalysis, CheckpointPattern, ExecutionAnalysis
 from .theory import is_consistent_global_state
@@ -122,55 +123,58 @@ def verify_protocol_guarantees(
     analyses is trace_pattern(trace), built here when not given.
     """
     z = trace.config.z
+    m = trace.execution.num_objects
     base, analysis = trace_pattern(trace) if analyses is None else analyses
-    records = list(trace.checkpoint_log)
+    pattern = analysis.pattern
     violations: list[str] = []
 
-    per_obj: dict[int, list[CheckpointRecord]] = {}
-    for record in records:
-        per_obj.setdefault(record.obj, []).append(record)
-    for obj, obj_records in sorted(per_obj.items()):
-        indices = [r.index for r in obj_records]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            violations.append(f"object {obj}: checkpoint indices not strictly increasing: {indices}")
-
-    scoped = [r for r in records if r.index % z == 0]
-    # Reach is a property of a checkpoint, not of the records that save it
-    # (a basic checkpoint often re-saves a version), so every check below
-    # reads one value per checkpoint, keyed by (object, rank).
-    pattern = analysis.pattern
-    rank_of = {key: pattern.rank_of(*key) for key in dict.fromkeys((r.obj, r.version) for r in scoped)}
-    keyed = [((r.obj, rank_of[r.obj, r.version]), r) for r in scoped]
+    # One pass over the log.  Reach is a property of a checkpoint, not of the
+    # records that save it (a basic checkpoint often re-saves a version), so
+    # each scoped record becomes one plain (object, rank, index, version) row.
+    counts = {KIND_INITIAL: 0, KIND_BASIC: 0, KIND_FORCED: 0}
+    indices: list[list[int]] = [[] for _ in range(m)]
+    rows: list[tuple[int, int, int, int]] = []
+    by_index: dict[int, list[tuple[int, int, int, int]]] = {}
+    for record in trace.checkpoint_log:
+        counts[record.kind] += 1
+        obj, index = record.obj, record.index
+        indices[obj].append(index)
+        if index % z == 0:
+            row = (obj, pattern.rank_of(obj, record.version), index, record.version)
+            rows.append(row)
+            by_index.setdefault(index, []).append(row)
+    for obj, seq in enumerate(indices):
+        if any(b <= a for a, b in zip(seq, seq[1:])):
+            violations.append(f"object {obj}: checkpoint indices not strictly increasing: {seq}")
 
     cyclic = analysis.self_paths()
-    for key, record in keyed:
-        if key in cyclic:
+    for obj, rank, index, _ in rows:
+        if (obj, rank) in cyclic:
             violations.append(
-                f"checkpoint {analysis.checkpoint(*key)} (index {record.index}) has a dependence path to itself"
+                f"checkpoint {analysis.checkpoint(obj, rank)} (index {index}) has a dependence path to itself"
             )
     # Per object and rank, the least index of a scoped record at that rank
     # or above; its least value over the ranks a checkpoint's dependence
     # paths reach is the checkpoint's bar, one scalar fold of the analysis.
-    # A record whose index is below its checkpoint's bar needs no pairwise
-    # look.
+    # A row whose index is below its checkpoint's bar needs no pairwise look.
     least_index = [[math.inf] * len(vs) for vs in pattern.versions]
-    for (obj, rank), record in keyed:
-        if record.index < least_index[obj][rank]:
-            least_index[obj][rank] = record.index
-    for row in least_index:
-        for rank in range(len(row) - 2, -1, -1):
-            row[rank] = min(row[rank], row[rank + 1])
+    for obj, rank, index, _ in rows:
+        if index < least_index[obj][rank]:
+            least_index[obj][rank] = index
+    for obj_least in least_index:
+        for rank in range(len(obj_least) - 2, -1, -1):
+            obj_least[rank] = min(obj_least[rank], obj_least[rank + 1])
     bar = analysis.min_reached(least_index)
-    for (obj1, rank1), r1 in keyed:
-        if bar[obj1][rank1] > r1.index:
+    for i, (obj1, rank1, index1, _) in enumerate(rows):
+        if bar[obj1][rank1] > index1:
             continue
         c1 = analysis.checkpoint(obj1, rank1)
         least = analysis.min_reachable_ranks(c1)
-        for (obj2, rank2), r2 in keyed:
-            if r2 is not r1 and rank2 >= least[obj2] and not r1.index < r2.index:
+        for j, (obj2, rank2, index2, _) in enumerate(rows):
+            if j != i and rank2 >= least[obj2] and not index1 < index2:
                 violations.append(
-                    f"dependence path from {c1} (index {r1.index}) to "
-                    f"{analysis.checkpoint(obj2, rank2)} (index {r2.index}) without index increase"
+                    f"dependence path from {c1} (index {index1}) to "
+                    f"{analysis.checkpoint(obj2, rank2)} (index {index2}) without index increase"
                 )
 
     # Consistency depends only on the version vector, and assemblies often
@@ -178,55 +182,41 @@ def verify_protocol_guarantees(
     tested: dict[tuple[int, ...], bool] = {}
 
     def consistent(states: Mapping[int, int]) -> bool:
-        vector = tuple(states[obj] for obj in range(trace.execution.num_objects))
+        vector = tuple(states[obj] for obj in range(m))
         if vector not in tested:
             tested[vector] = is_consistent_global_state(states, base)
         return tested[vector]
 
-    all_objects = set(range(trace.execution.num_objects))
-    by_index: dict[int, list[CheckpointRecord]] = {}
-    for record in scoped:
-        by_index.setdefault(record.index, []).append(record)
-    for n in sorted(by_index):
-        exact = {r.obj: r.version for r in by_index[n]}
-        if set(exact) == all_objects and not consistent(exact):
-            violations.append(f"equal-index assembly at index {n} is not consistent")
-    if z == 1:
-        # assemble_indexed_gc(n) for every n in one downward sweep (z is 1,
-        # so by_index holds every record): the records at index n replace
-        # their objects' picks, the first in log order winning, and
-        # consistency is looked up again only when a pick changed.
-        picks: dict[int, int] = {}
-        ok = True
-        inconsistent: list[int] = []
-        for n in range(max(by_index, default=0), -1, -1):
-            changed = by_index.get(n, ())
-            for record in reversed(changed):
-                picks[record.obj] = record.version
-            if len(picks) < len(all_objects):
-                continue
-            if changed:
-                ok = consistent(picks)
-            if not ok:
-                inconsistent.append(n)
-        violations.extend(f"gap-filled assembly at index {n} is not consistent" for n in reversed(inconsistent))
+    # Both assembly checks in one sweep from the highest index down.  The
+    # equal-index assembly at n takes the last record at n in log order per
+    # object.  When z is 1, every index is visited and the gap-filled
+    # assembly (assemble_indexed_gc(n)) is kept up to date: the records at n
+    # replace their objects' picks, the first in log order winning, and
+    # consistency is looked up again only when a pick changed.
+    exact_bad: list[int] = []
+    gap_bad: list[int] = []
+    picks: dict[int, int] = {}
+    ok = True
+    for n in range(max(by_index, default=0), -1, -1) if z == 1 else sorted(by_index, reverse=True):
+        at_n = by_index.get(n, ())
+        exact = {obj: version for obj, _, _, version in at_n}
+        if len(exact) == m and not consistent(exact):
+            exact_bad.append(n)
+        if z == 1:
+            for obj, _, _, version in reversed(at_n):
+                picks[obj] = version
+            if len(picks) == m:
+                if at_n:
+                    ok = consistent(picks)
+                if not ok:
+                    gap_bad.append(n)
+    violations.extend(f"equal-index assembly at index {n} is not consistent" for n in reversed(exact_bad))
+    violations.extend(f"gap-filled assembly at index {n} is not consistent" for n in reversed(gap_bad))
 
-    counts = {KIND_INITIAL: 0, KIND_BASIC: 0, KIND_FORCED: 0}
-    for record in records:
-        counts[record.kind] += 1
     return GuaranteeReport(
         protocol=trace.config.protocol,
         z=z,
-        num_checkpoints=len(records),
+        num_checkpoints=len(trace.checkpoint_log),
         counts_by_kind=counts,
         violations=tuple(violations),
     )
-
-
-def checkpoint_counts(records: Iterable[CheckpointRecord]) -> dict[int, dict[str, int]]:
-    """Per-object counts by kind, for reports."""
-    out: dict[int, dict[str, int]] = {}
-    for record in records:
-        out.setdefault(record.obj, {KIND_INITIAL: 0, KIND_BASIC: 0, KIND_FORCED: 0})
-        out[record.obj][record.kind] += 1
-    return out

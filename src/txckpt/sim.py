@@ -174,6 +174,11 @@ class Trace:
             raise SimulationError(
                 f"trace.workload.num_txns: {workload.num_txns} disagrees with trace.execution's {n} transactions"
             )
+        logged = len(_expect(data, "checkpoint_log", list, "trace"))
+        if logged < objects:  # every run logs one initial checkpoint per object
+            raise SimulationError(
+                f"trace.checkpoint_log: {logged} records, fewer than trace.execution.objects {objects}"
+            )
         unknown = set(stored) - {"objects", "transactions", "commit_order"}
         if unknown:
             raise SimulationError(f"trace.execution: unknown fields {sorted(unknown)}")

@@ -291,6 +291,21 @@ class TestSimulateAndVerify:
             "trace.workload.num_txns: 1000000000000 disagrees with trace.execution's 10 transactions"
         )
 
+    def test_trace_cannot_ask_for_more_objects_than_it_logs(self, capsys, tmp_path, monkeypatch):
+        # Every run logs one initial checkpoint per object, so a log shorter
+        # than the object count is refused before the re-run.
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--seed", "4", "--out", str(out))
+        data = json.loads(out.read_text())
+        data["config"]["num_objects"] = data["workload"]["num_objects"] = data["execution"]["objects"] = 10**9
+        out.write_text(json.dumps(data))
+        runs = []
+        monkeypatch.setattr(sim, "run_simulation", lambda *args: runs.append(args))
+        code, report = run_cli(capsys, "verify", str(out))
+        assert code == 2 and runs == []
+        logged = len(data["checkpoint_log"])
+        assert report["error"] == f"trace.checkpoint_log: {logged} records, fewer than trace.execution.objects 1000000000"
+
     def test_trace_with_old_placement_key_verifies_the_same(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
         run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--seed", "4",

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from txckpt import cli
 from txckpt import protocol as protocol_module
 from txckpt.dependence import CheckpointAnalysis
 from txckpt.model import Transaction
@@ -14,7 +15,6 @@ from txckpt.protocol import (
     KIND_BASIC,
     KIND_FORCED,
     CheckpointRecord,
-    checkpoint_counts,
     forced_index,
     initial_record,
     verify_protocol_guarantees,
@@ -190,10 +190,20 @@ class TestVerification:
         assert any("not strictly increasing" in v for v in report.violations)
 
     def test_counts_by_object(self):
+        # The simulate report and the guarantee report count the log in
+        # loops of their own; they must give one answer.
         trace = small_trace()
-        counts = checkpoint_counts(trace.checkpoint_log)
-        assert set(counts) == {0, 1, 2}
+        report = cli._trace_summary(trace)
+        counts = report["checkpoints_per_object"]
         assert all(c["initial"] == 1 for c in counts.values())
+        assert counts == {
+            str(obj): {kind: sum(r.obj == obj and r.kind == kind for r in trace.checkpoint_log)
+                       for kind in ("initial", "basic", "forced")}
+            for obj in range(3)
+        }
+        totals = report["checkpoint_totals"]
+        assert totals == {kind: sum(c[kind] for c in counts.values()) for kind in totals}
+        assert totals == verify_protocol_guarantees(trace).counts_by_kind
 
     def test_initial_records_present(self):
         trace = small_trace()
