@@ -148,14 +148,14 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     members = _parse_members(scenario, args.members)
     names = scenario.object_names
     resolved = {
-        names[obj]: {"rank": rank, "version": analysis.pattern.version_of(obj, rank)}
+        names[obj]: {"rank": rank, "version": analysis.checkpoint(obj, rank).state.version}
         for obj, rank in sorted(members.items())
     }
     pair = violating_pair(members, analysis)
     holds = pair is None
     results: dict[str, Any] = {"members": resolved, "condition_holds": holds}
     if pair is not None:
-        results["violation"] = _violation_dict(*pair, analysis.dp_witness(*pair) or [], names)
+        results["violation"] = _violation_dict(*pair, analysis.dp_witness(*pair), names)
     oracle: dict[str, Any] = {"checked": False}
     try:
         globals_ = enumerate_consistent_globals(analysis, bound=args.oracle_bound)

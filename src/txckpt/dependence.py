@@ -35,16 +35,15 @@ F(x, l).  A restart edge points back along x's chain, so it closes a cycle;
 the Z-cycles of the pattern are the strongly connected components (SCCs) of
 this graph, which CheckpointAnalysis condenses with one Tarjan pass when it
 is built.  Tarjan emits SCCs sinks first, so a minimum over everything an
-SCC reaches is one fold in emission order.  Three folds answer the queries:
+SCC reaches is one fold in emission order.  Two folds answer the queries:
 
 * reach columns: per SCC, the element-wise minimum of its members' lowest
   landings and its successors' reach, built on the first query that reads
-  reach (``dp_reachable``, ``min_reachable_ranks``, ``min_safe_ranks``);
+  reach (``dp_reachable``, ``min_reachable_ranks``, ``min_safe_ranks``); a
+  checkpoint on a Z-cycle is one whose own column reaches its own rank;
 * ``min_reached``: one scalar per SCC, the least of a caller's per-interval
   weights over the intervals reached, which is what protocol verification
-  needs, without a per-object vector;
-* ``self_paths``: a checkpoint (x, rank) has a path to itself exactly when
-  the SCC of F(x, rank) lands on x below rank.
+  needs, without a per-object vector.
 
 A witness search stops at the first transaction that lands below its
 destination checkpoint, rather than expanding every chain it could reach.
@@ -61,6 +60,9 @@ A CheckpointAnalysis builds each Checkpoint of its closed pattern once, on
 first use, in a table with one tuple per object in rank order; queries return
 its entries instead of new objects, and a saved version's rank is a
 bisection of the object's sorted versions, O(log k) for k checkpoints.
+Objects are 0..m-1 only: CheckpointAnalysis.checkpoint is the one place that
+says which (object, rank) pairs exist, and every query that meets another
+pair raises its error.
 """
 
 from __future__ import annotations
@@ -195,14 +197,6 @@ class CheckpointPattern:
 
     def ranks(self, obj: int) -> range:
         return range(len(self.versions[obj]))
-
-    def version_of(self, obj: int, rank: int) -> int:
-        try:
-            if rank >= 0:
-                return self.versions[obj][rank]
-        except IndexError:
-            pass
-        raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
 
     def rank_of(self, obj: int, version: int) -> int:
         vs = self.versions[obj]
@@ -415,34 +409,36 @@ class CheckpointAnalysis:
         )
 
     def checkpoint(self, obj: int, rank: int) -> Checkpoint:
-        """The rank-th checkpoint of obj; a negative obj counts from the end,
-        as the pattern's index does, and keeps its negative number."""
+        """The rank-th checkpoint of obj, one of objects 0..m-1; the error
+        for any other (obj, rank) pair is raised here."""
         if obj >= 0 and rank >= 0:
             try:
                 return self.checkpoints[obj][rank]
             except IndexError:
                 pass
-        return Checkpoint(obj, rank, LocalState(obj, self.pattern.version_of(obj, rank)))
+        if 0 <= obj < len(self.checkpoints):
+            raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
+        raise AnalysisError(f"unknown object {obj}")
 
     def checkpoint_at_version(self, obj: int, version: int) -> Checkpoint:
-        return self.checkpoint(obj, self.pattern.rank_of(obj, version))
+        # An unknown object has no versions to search; checkpoint rejects it.
+        known = 0 <= obj < len(self.checkpoints)
+        return self.checkpoint(obj, self.pattern.rank_of(obj, version) if known else 0)
 
     # -- dependence paths ----------------------------------------------------
 
     def dp_reachable(self, src: Checkpoint, dst: Checkpoint) -> bool:
         """True iff a dependence path leads from checkpoint src to checkpoint dst."""
         # Indexing the reach columns and the checkpoint table is the bounds
-        # check; they have the pattern's shape, so when it fails version_of
-        # raises the error for the first endpoint out of range.
+        # check; they have the pattern's shape, so when it fails the
+        # endpoints go through checkpoint, which rejects the first bad one.
         try:
-            if src.rank >= 0 and dst.rank >= 0:
+            if src.obj >= 0 and src.rank >= 0 and dst.obj >= 0 and dst.rank >= 0:
                 self.checkpoints[dst.obj][dst.rank]
                 return dst.rank - 1 >= self._reach[src.obj][dst.obj][src.rank]
         except IndexError:
             pass
-        for ck in (src, dst):
-            self.pattern.version_of(ck.obj, ck.rank)
-        raise AssertionError("unreachable: every checkpoint has a reach tuple")
+        return self.dp_reachable(self.checkpoint(src.obj, src.rank), self.checkpoint(dst.obj, dst.rank))
 
     def min_reachable_ranks(self, src: Checkpoint) -> tuple[int, ...]:
         """Per object, the least rank of a checkpoint that a dependence path
@@ -451,7 +447,7 @@ class CheckpointAnalysis:
         Reachability is upward-closed in rank, so dp_reachable(src, dst) is
         exactly dst.rank >= min_reachable_ranks(src)[dst.obj].
         """
-        self.pattern.version_of(src.obj, src.rank)
+        self.checkpoint(src.obj, src.rank)
         rank = src.rank
         out = [column[rank] + 1 for column in self._reach[src.obj]]
         out[src.obj] = min(out[src.obj], rank + 1)
@@ -460,16 +456,21 @@ class CheckpointAnalysis:
     def min_safe_ranks(self, dst: Checkpoint) -> tuple[int, ...]:
         """Per object, the least rank whose checkpoint has no dependence path
         to dst; for dst's own object, that is dst's rank unless dst has a
-        path to itself.  A negative dst.obj counts from the end.
+        path to itself.
 
         The ranks of an object that reach dst form a prefix (its reach
         column never decreases), so each entry is one bisection; every
         object's last checkpoint, whose interval holds no write, reaches
         nothing.
         """
-        self.pattern.version_of(dst.obj, dst.rank)
-        bar, dst_obj = dst.rank - 1, dst.obj
-        return tuple([bisect_right(columns[dst_obj], bar) for columns in self._reach])
+        dst_obj, rank = dst.obj, dst.rank
+        try:  # the bounds check, as in dp_reachable
+            if dst_obj >= 0 and rank >= 0:
+                self.checkpoints[dst_obj][rank]
+                return tuple([bisect_right(columns[dst_obj], rank - 1) for columns in self._reach])
+        except IndexError:
+            pass
+        return self.min_safe_ranks(self.checkpoint(dst_obj, rank))
 
     def min_reached(self, weight: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
         """Per object and rank, the least weight[y][r] over the checkpoints
@@ -496,23 +497,6 @@ class CheckpointAnalysis:
             for row, starts in zip(weight, self._starts)
         )
 
-    def self_paths(self) -> set[tuple[int, int]]:
-        """The (object, rank) of every checkpoint with a dependence path to
-        itself, without building the reach columns.
-
-        A path from (obj, rank) back below rank lands on obj in an interval
-        l < rank; F(obj, l) starts a chain up to F(obj, rank), which closes
-        a cycle.  So (obj, rank) has a path to itself exactly when the SCC
-        of F(obj, rank) lands on obj below rank.
-        """
-        condensation = self._condensation
-        return {
-            (obj, rank)
-            for obj, starts in enumerate(self._starts)
-            for rank, c in enumerate(starts)
-            if condensation[c][0].get(obj, rank) < rank
-        }
-
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.
 
@@ -528,12 +512,10 @@ class CheckpointAnalysis:
         """
         if not self.dp_reachable(src, dst):
             return None
-        timeline = self.base.timeline
-        # dp_reachable counts a negative object from the end; so does the search.
-        src_obj, obj = src.obj % self.pattern.num_objects, dst.obj % self.pattern.num_objects
+        timeline, obj = self.base.timeline, dst.obj
         # The writers of dst's object whose landing there is below dst's rank.
         goal = frozenset(timeline.writers[obj][: self.pattern.versions[obj][dst.rank]])
-        parent, last = self._search(src_obj, src.rank, goal)
+        parent, last = self._search(src.obj, src.rank, goal)
         witness: list[DependenceEdge] = []
         while last is not None:
             first = last

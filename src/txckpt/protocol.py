@@ -33,16 +33,17 @@ increasing protocol indices; equal-index assemblies (exact, and gap-filled
 when z is 1, as under protocol A) are consistent global checkpoints.  All of
 this is restricted to indices that are multiples of z, and read from one
 plain (object, rank, index, version) row per scoped record, made in the one
-pass over the checkpoint log that also counts kinds.  Self-paths come from
-CheckpointAnalysis.self_paths.  The index check makes no pairwise pass: a
-checkpoint's dependence paths reach, per object, every rank from some least
-rank on, so each checkpoint gets one bar, the least index logged at or above
-those ranks, and CheckpointAnalysis.min_reached gives every bar in one
-scalar fold over the SCCs of its transaction graph.  Only a row whose index
-is not below its bar has its offending pairs listed, from its reach columns
-(min_reachable_ranks), so a clean trace is verified without them.  Both
-assembly checks share one sweep from the highest index down, and each
-distinct version vector is tested for consistency once.
+pass over the checkpoint log that also counts kinds.  The path checks make
+no pairwise pass: a checkpoint's dependence paths reach, per object, every
+rank from some least rank on, so each checkpoint gets one bar, the least
+index logged at or above those ranks, and CheckpointAnalysis.min_reached
+gives every bar in one scalar fold over the SCCs of its transaction graph.
+Only a row whose index is not below its bar reads its reach columns
+(min_reachable_ranks), so a clean trace is verified without them.  Those
+give its offending pairs and, when it reaches its own rank, its self-path:
+a checkpoint on a Z-cycle reaches its own index, so it is never below its
+bar.  Both assembly checks share one sweep from the highest index down, and
+each distinct version vector is tested for consistency once.
 """
 
 from __future__ import annotations
@@ -147,16 +148,11 @@ def verify_protocol_guarantees(
         if any(b <= a for a, b in zip(seq, seq[1:])):
             violations.append(f"object {obj}: checkpoint indices not strictly increasing: {seq}")
 
-    cyclic = analysis.self_paths()
-    for obj, rank, index, _ in rows:
-        if (obj, rank) in cyclic:
-            violations.append(
-                f"checkpoint {analysis.checkpoint(obj, rank)} (index {index}) has a dependence path to itself"
-            )
     # Per object and rank, the least index of a scoped record at that rank
     # or above; its least value over the ranks a checkpoint's dependence
     # paths reach is the checkpoint's bar, one scalar fold of the analysis.
-    # A row whose index is below its checkpoint's bar needs no pairwise look.
+    # A row whose index is below its checkpoint's bar needs no pairwise look,
+    # and a row on a Z-cycle reaches its own rank, so it is never below.
     least_index = [[math.inf] * len(vs) for vs in pattern.versions]
     for obj, rank, index, _ in rows:
         if index < least_index[obj][rank]:
@@ -165,17 +161,21 @@ def verify_protocol_guarantees(
         for rank in range(len(obj_least) - 2, -1, -1):
             obj_least[rank] = min(obj_least[rank], obj_least[rank + 1])
     bar = analysis.min_reached(least_index)
+    pairs: list[str] = []
     for i, (obj1, rank1, index1, _) in enumerate(rows):
         if bar[obj1][rank1] > index1:
             continue
         c1 = analysis.checkpoint(obj1, rank1)
         least = analysis.min_reachable_ranks(c1)
+        if rank1 >= least[obj1]:
+            violations.append(f"checkpoint {c1} (index {index1}) has a dependence path to itself")
         for j, (obj2, rank2, index2, _) in enumerate(rows):
             if j != i and rank2 >= least[obj2] and not index1 < index2:
-                violations.append(
+                pairs.append(
                     f"dependence path from {c1} (index {index1}) to "
                     f"{analysis.checkpoint(obj2, rank2)} (index {index2}) without index increase"
                 )
+    violations.extend(pairs)
 
     # Consistency depends only on the version vector, and assemblies often
     # pick the same versions: each vector is tested once.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .dependence import (
     AnalysisError,
@@ -24,6 +24,9 @@ from .dependence import (
     ExecutionAnalysis,
 )
 from .model import LocalState
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .protocol import CheckpointRecord
 
 
 @dataclass(frozen=True)
@@ -86,17 +89,10 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
 
 
 def _resolve_candidate(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> list[Checkpoint]:
-    """The candidate's members in object order; each object must be one of
-    0..m-1 (analysis.checkpoint alone would count a negative one from the end)."""
+    """The candidate's members in object order."""
     if not candidate:
         raise AnalysisError("candidate set must contain at least one checkpoint")
-    num_objects = len(analysis.checkpoints)
-    members = []
-    for obj, rank in sorted(candidate.items()):
-        if not 0 <= obj < num_objects:
-            raise AnalysisError(f"unknown object {obj}")
-        members.append(analysis.checkpoint(obj, rank))
-    return members
+    return [analysis.checkpoint(obj, rank) for obj, rank in sorted(candidate.items())]
 
 
 def _first_violating_pair(
@@ -143,7 +139,7 @@ def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis)
     members = _resolve_candidate(candidate, analysis)
     pair = _first_violating_pair(members, analysis)
     if pair is not None:
-        raise ConditionViolated(*pair, analysis.dp_witness(*pair) or [])
+        raise ConditionViolated(*pair, analysis.dp_witness(*pair))
     safe = [analysis.min_safe_ranks(member) for member in members]
     chosen = [
         table[candidate[obj]] if obj in candidate else table[max(ranks[obj] for ranks in safe)]
@@ -178,19 +174,13 @@ def enumerate_consistent_globals(
     return out
 
 
-class IndexedCheckpoint(Protocol):
-    obj: int
-    index: int
-    version: int
-
-
 def assemble_indexed_gc(
-    n: int, log: Iterable[IndexedCheckpoint], analysis: CheckpointAnalysis
+    n: int, log: Iterable["CheckpointRecord"], analysis: CheckpointAnalysis
 ) -> GlobalCheckpoint | None:
     """Pick, per object, the checkpoint with protocol index n, else the first
     with a greater index; None when some object has no checkpoint indexed >= n.
     """
-    picks: dict[int, IndexedCheckpoint] = {}
+    picks: dict[int, "CheckpointRecord"] = {}
     for record in log:
         if record.index >= n:
             pick = picks.get(record.obj)

@@ -171,7 +171,7 @@ def dp_oracle(analysis: CheckpointAnalysis, src, dst) -> bool:
         return True
     interval_rank = lambda obj, ver: state_intervals(analysis)[LocalState(obj, ver)].rank
     edges = analysis.base.edges
-    start_floor = analysis.pattern.version_of(src.obj, src.rank)
+    start_floor = analysis.pattern.versions[src.obj][src.rank]
     frontier = deque()
     seen = set()
     for e in edges:
@@ -183,7 +183,7 @@ def dp_oracle(analysis: CheckpointAnalysis, src, dst) -> bool:
         if key in seen:
             continue
         seen.add(key)
-        if e.target.obj == dst.obj and e.target.version <= analysis.pattern.version_of(dst.obj, dst.rank):
+        if e.target.obj == dst.obj and e.target.version <= analysis.pattern.versions[dst.obj][dst.rank]:
             return True
         arrived = interval_rank(e.target.obj, e.target.version - 1)
         for nxt in edges:
@@ -421,8 +421,11 @@ def guarantee_violations_oracle(trace) -> tuple[str, ...]:
 
 
 def checkpoint_oracle(analysis: CheckpointAnalysis, obj: int, rank: int) -> Checkpoint:
-    """CheckpointAnalysis.checkpoint as a new object per call, not a table entry."""
-    return Checkpoint(obj, rank, LocalState(obj, analysis.pattern.version_of(obj, rank)))
+    """CheckpointAnalysis.checkpoint of one of objects 0..m-1, as a new
+    object per call, not a table entry."""
+    if rank not in analysis.pattern.ranks(obj):
+        raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
+    return Checkpoint(obj, rank, LocalState(obj, analysis.pattern.versions[obj][rank]))
 
 
 def rank_oracle(pattern: CheckpointPattern, obj: int, version: int) -> int:

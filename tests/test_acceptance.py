@@ -239,7 +239,7 @@ def test_criterion_06_recovery_line_equivalence():
         base = analysis.base
         rank_ranges = [analysis.pattern.ranks(o) for o in range(analysis.pattern.num_objects)]
         for ranks in itertools.product(*rank_ranges):
-            line = {o: analysis.pattern.version_of(o, r) for o, r in enumerate(ranks)}
+            line = {o: analysis.pattern.versions[o][r] for o, r in enumerate(ranks)}
             assert recovery_line_check(line, base) == is_consistent_global_state(line, base)
             checked += 1
     print(f"\nACCEPTANCE 6: PASS - line-crossing check agrees with the consistency "

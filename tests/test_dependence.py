@@ -230,12 +230,11 @@ def assert_table_matches_oracle(analysis):
             assert analysis.checkpoint(obj, rank) == expected
             assert analysis.checkpoint(obj, rank) is analysis.checkpoints[obj][rank]
             assert analysis.checkpoint_at_version(obj, version) is analysis.checkpoints[obj][rank]
-    # Out-of-range ranks, versions and objects: the same answer or error text
-    # as one new Checkpoint per call and a linear version scan.  A negative
-    # object counts from the end and keeps its number.
-    for obj in (-1, *range(m), m):
-        size = len(pattern.versions[obj % m])
-        top = analysis.base.timeline.max_version(obj % m)
+    # Out-of-range ranks and versions: the same answer or error text as one
+    # new Checkpoint per call and a linear version scan.
+    for obj in range(m):
+        size = len(pattern.versions[obj])
+        top = analysis.base.timeline.max_version(obj)
         for rank in (-1, 0, size - 1, size):
             assert outcome(lambda: analysis.checkpoint(obj, rank)) == outcome(
                 lambda: checkpoint_oracle(analysis, obj, rank)
@@ -252,9 +251,13 @@ def assert_table_matches_oracle(analysis):
         for version in sorted(set(range(top + 2)) - set(pattern.versions[obj])):
             with pytest.raises(AnalysisError, match=f"version {version} of object {obj} is not checkpointed"):
                 analysis.checkpoint_at_version(obj, version)
-    with pytest.raises(AnalysisError, match=f"object {m} has no checkpoint of rank 0"):
-        analysis.checkpoint(m, 0)
-    assert analysis.checkpoint(-1, 0) == Checkpoint(-1, 0, LocalState(-1, 0))
+    # An object outside 0..m-1 is unknown, whatever the rank or version.
+    for obj in (-1, m):
+        for rank in (-1, 0, 1):
+            with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
+                analysis.checkpoint(obj, rank)
+            with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
+                analysis.checkpoint_at_version(obj, rank)
 
 
 class TestPatternShape:
@@ -320,10 +323,11 @@ class TestDependencePaths:
                 ck = analysis.checkpoint(obj, rank)
                 assert not analysis.dp_reachable(ck, ck)
 
-    def test_dp_reachable_validates_like_version_of(self, fig3):
+    def test_dp_reachable_validates_like_checkpoint(self, fig3):
         analysis = scenario_analysis(fig3)
         m = analysis.pattern.num_objects
         valid = analysis.checkpoint(0, 0)
+        bad = Checkpoint(m, 0, LocalState(m, 0))
 
         def outcome(call):
             try:
@@ -331,17 +335,25 @@ class TestDependencePaths:
             except AnalysisError as exc:
                 return str(exc)
 
+        rejected = 0
         for obj in range(-m - 2, m + 2):
             for rank in range(-2, 6):
                 ck = Checkpoint(obj, rank, LocalState(obj, 0))
-                expected = outcome(lambda: analysis.pattern.version_of(obj, rank))
+                expected = outcome(lambda: analysis.checkpoint(obj, rank))
                 if isinstance(expected, str):
+                    rejected += 1
                     assert outcome(lambda: analysis.dp_reachable(ck, valid)) == expected
                     assert outcome(lambda: analysis.dp_reachable(valid, ck)) == expected
+                    assert outcome(lambda: analysis.dp_witness(ck, valid)) == expected
+                    assert outcome(lambda: analysis.dp_witness(valid, ck)) == expected
                     assert outcome(lambda: analysis.min_reachable_ranks(ck)) == expected
+                    # Both endpoints out of range: src's error comes first.
+                    assert outcome(lambda: analysis.dp_reachable(ck, bad)) == expected
                 else:
+                    assert obj in range(m)
                     analysis.dp_reachable(ck, valid)
                     analysis.dp_reachable(valid, ck)
+        assert rejected > 0
 
     def test_min_reachable_ranks_is_dp_reachable(self, fig3):
         analysis = scenario_analysis(fig3)
@@ -365,7 +377,7 @@ class TestDependencePaths:
     def test_min_safe_ranks_match_upward_scan_on_protocol_b_traces(self, seed):
         assert_min_safe_ranks_match(simulated_analysis(6, 60, seed, protocol="B", z_param=2, timer_period=10))
 
-    def test_min_safe_ranks_rejects_a_bad_destination_like_min_safe_rank(self, fig3):
+    def test_min_safe_ranks_validates_like_checkpoint(self, fig3):
         analysis = scenario_analysis(fig3)
         m = analysis.pattern.num_objects
 
@@ -379,14 +391,13 @@ class TestDependencePaths:
         for dst_obj in range(-m - 2, m + 2):
             for rank in range(-2, 6):
                 dst = Checkpoint(dst_obj, rank, LocalState(dst_obj, 0))
-                expected = outcome(lambda: analysis.pattern.version_of(dst_obj, rank))
+                expected = outcome(lambda: analysis.checkpoint(dst_obj, rank))
                 safe = outcome(lambda: analysis.min_safe_ranks(dst))
                 if isinstance(expected, str):
                     rejected += 1
                     assert safe == expected
                 else:
-                    # A valid negative destination object counts from the end.
-                    assert safe == analysis.min_safe_ranks(analysis.checkpoint(dst_obj % m, rank))
+                    assert safe == analysis.min_safe_ranks(expected)
         assert rejected > 0
 
     def test_unknown_checkpoint_rejected(self, fig3):
@@ -460,21 +471,25 @@ class TestDependencePaths:
         assert report.ok and "edges" not in base.__dict__
         assert base.edges and "edges" in base.__dict__
 
-    def test_negative_object_counts_from_the_end(self, fig3):
-        # dp_reachable accepts Checkpoint(o - m, r) as object o's checkpoint
-        # of rank r; dp_witness must give the same answer for it.
+    def test_objects_outside_the_range_are_unknown(self, fig3):
+        # Object -1 is not object m-1 counted from the end, and object m is
+        # not an object: every query rejects either one at either endpoint.
         analysis = scenario_analysis(fig3)
         m = analysis.pattern.num_objects
-        cks = all_checkpoints(analysis)
-        alias = lambda ck: Checkpoint(ck.obj - m, ck.rank, ck.state)
-        reachable = 0
-        for src, dst in itertools.product(cks, repeat=2):
-            expected = analysis.dp_witness(src, dst)
-            reachable += expected is not None
-            for pair in ((alias(src), dst), (src, alias(dst)), (alias(src), alias(dst))):
-                assert analysis.dp_reachable(*pair) == (expected is not None)
-                assert analysis.dp_witness(*pair) == expected
-        assert reachable > len(cks)
+        for ck in all_checkpoints(analysis):
+            for obj in (-1, m):
+                bad = Checkpoint(obj, ck.rank, ck.state)
+                queries = [
+                    lambda: analysis.checkpoint(obj, ck.rank),
+                    lambda: analysis.checkpoint_at_version(obj, ck.state.version),
+                    lambda: analysis.min_reachable_ranks(bad),
+                    lambda: analysis.min_safe_ranks(bad),
+                ]
+                for pair in ((bad, ck), (ck, bad)):
+                    queries += [lambda p=pair: analysis.dp_reachable(*p), lambda p=pair: analysis.dp_witness(*p)]
+                for query in queries:
+                    with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
+                        query()
 
 
 class TestWitnessMatchesWholeSearch:
@@ -545,12 +560,10 @@ def monotone_weights(analysis, seed):
 
 def assert_condensation_matches_oracles(analysis, seed=0):
     """The SCC folds against the slow paths they replace: the lazy reach
-    columns against reach_oracle, min_reached against bar_oracle and
-    self_paths against dp_reachable(ck, ck).  Returns the self-paths."""
+    columns against reach_oracle and min_reached against bar_oracle.
+    Returns the checkpoints with a dependence path to themselves."""
     cks = all_checkpoints(analysis)
     weights = [monotone_weights(analysis, seed), [[0] * len(vs) for vs in analysis.pattern.versions]]
-    self_paths = analysis.self_paths()
-    cyclic = [ck for ck in cks if (ck.obj, ck.rank) in self_paths]
     folds = [analysis.min_reached(weight) for weight in weights]
     assert "_reach" not in analysis.__dict__
     for weight, folded in zip(weights, folds):
@@ -558,8 +571,7 @@ def assert_condensation_matches_oracles(analysis, seed=0):
     for ck in cks:
         reach = reach_oracle(analysis, ck.obj, ck.rank)[0]
         assert [column[ck.rank] for column in analysis._reach[ck.obj]] == reach
-    assert cyclic == [ck for ck in cks if analysis.dp_reachable(ck, ck)]
-    return cyclic
+    return [ck for ck in cks if analysis.dp_reachable(ck, ck)]
 
 
 class TestCondensationMatchesSlowPaths:

@@ -223,15 +223,17 @@ def doctored(trace, how, seed):
         records = [dataclasses.replace(r, index=3 * rng.randint(0, 5)) for r in records]
     elif how == "shuffled":
         rng.shuffle(records)
+    elif how == "unforced":  # the coordination the protocol relies on is gone
+        records = [r for r in records if r.kind != KIND_FORCED]
     return dataclasses.replace(trace, checkpoint_log=tuple(records))
 
 
 class TestVerificationMatchesPairwiseOracle:
-    @pytest.mark.parametrize("how", ["clean", "clamped", "random", "shuffled", "sparse"])
+    @pytest.mark.parametrize("how", ["clean", "clamped", "random", "shuffled", "sparse", "unforced"])
     @pytest.mark.parametrize("z", [1, 2, 3])
     @pytest.mark.parametrize("protocol", ["A", "B"])
     def test_same_violations_in_same_order(self, protocol, z, how):
-        pair_violations = 0
+        pair_violations = self_paths = 0
         gap_filled = Counter()  # per protocol, over the checks with z = 1
         for seed in range(6):
             spec = WorkloadSpec(4, 30, ops_per_txn=(1, 3), write_probability=0.6, seed=seed)
@@ -243,6 +245,7 @@ class TestVerificationMatchesPairwiseOracle:
                 violations = verify_protocol_guarantees(checked).violations
                 assert violations == guarantee_violations_oracle(checked)
                 pair_violations += sum("without index increase" in v for v in violations)
+                self_paths += sum("to itself" in v for v in violations)
                 if relabelled.z == 1:
                     gap_filled[relabelled.protocol] += sum("gap-filled" in v for v in violations)
         # Clamped to 1, only the index-0 checkpoints are scoped when z > 1.
@@ -250,15 +253,18 @@ class TestVerificationMatchesPairwiseOracle:
             assert pair_violations > 0
         if how == "clean":
             assert pair_violations == 0
+        # Without its forced checkpoints a trace keeps Z-cycles.
+        if how == "unforced":
+            assert self_paths > 0
         # Gap-filled assemblies are checked on every z = 1 trace, A or B.
         if how == "sparse" and (protocol == "A" or z == 1):
             assert all(gap_filled.values())
 
     def test_verify_reads_no_reach_column(self, monkeypatch):
-        # Bars and self-paths come from scalar folds over the SCCs: a clean
-        # trace is verified without one dp_reachable or min_reachable_ranks
-        # call, and its reach columns are built only when a later query
-        # asks, once per analysis.
+        # Bars come from one scalar fold over the SCCs, and only a row at or
+        # above its bar reads reach: a clean trace is verified without one
+        # dp_reachable or min_reachable_ranks call, and its reach columns
+        # are built only when a later query asks, once per analysis.
         calls = []
         builds = []
         consistency_calls = []

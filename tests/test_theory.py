@@ -322,7 +322,7 @@ class TestRecoveryLine:
         rank_ranges = [analysis.pattern.ranks(obj) for obj in range(analysis.pattern.num_objects)]
         for ranks in itertools.product(*rank_ranges):
             line = {
-                obj: analysis.pattern.version_of(obj, rank) for obj, rank in enumerate(ranks)
+                obj: analysis.pattern.versions[obj][rank] for obj, rank in enumerate(ranks)
             }
             assert recovery_line_check(line, base) == is_consistent_global_state(line, base)
 
