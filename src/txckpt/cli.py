@@ -269,7 +269,7 @@ def _disagreements(
 
 
 def _theorem_spot_checks(analysis: CheckpointAnalysis, seed: int, bound: int, samples: int) -> dict[str, Any]:
-    # The bound is tested first: reach columns are built only by the queries below.
+    # The bound is tested first: only the queries below build reach columns.
     if math.prod(len(vs) for vs in analysis.pattern.versions) > bound:
         return {"checked": False, "reason": "candidate space beyond bound"}
     globals_ = enumerate_consistent_globals(analysis, bound=bound)

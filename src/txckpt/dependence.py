@@ -35,26 +35,26 @@ F(x, l).  A restart edge points back along x's chain, so it closes a cycle;
 the Z-cycles of the pattern are the strongly connected components (SCCs) of
 this graph, which CheckpointAnalysis condenses with one Tarjan pass when it
 is built.  Tarjan emits SCCs sinks first, so a minimum over everything an
-SCC reaches is one fold in emission order.  Two folds answer the queries:
+SCC reaches is one scalar fold in emission order: an SCC's value is the
+least of its own leaf and its children's values.  Two leaves serve:
 
-* reach columns: per SCC, the element-wise minimum of its members' lowest
-  landings and its successors' reach, built on the first query that reads
-  reach (``dp_reachable``, ``min_reachable_ranks``, ``min_safe_ranks``); a
-  checkpoint on a Z-cycle is one whose own column reaches its own rank;
-* ``min_reached``: one scalar per SCC, the least of a caller's per-interval
-  weights over the intervals reached, which is what protocol verification
-  needs, without a per-object vector.
+* its members' lowest landing on one destination object y gives the reach
+  column toward y: per object and rank, the lowest interval of y reached.
+  Columns are stored and built per destination object, on first use, so a
+  query builds only the columns it reads; a checkpoint on a Z-cycle is one
+  whose own column reaches its own rank;
+* the least of a caller's per-interval weights over its own landings gives
+  ``min_reached``: the least weight over the intervals reached, all that
+  protocol verification needs.
 
 A witness search stops at the first transaction that lands below its
 destination checkpoint, rather than expanding every chain it could reach.
 
-The reach tuples are stored by column: per object and per destination
-object, the lowest interval reached, in rank order.  A column never
-decreases with rank, because a path that leaves from a rank also leaves
-from every lower rank (a lower interval starts every writer a higher one
-starts).  So the ranks of an object whose checkpoints reach a destination
-form a prefix, and ``min_safe_ranks`` finds each object's least safe rank
-toward one checkpoint with one plain bisection per object.
+A column never decreases with rank, because a path that leaves from a rank
+also leaves from every lower rank (a lower interval starts every writer a
+higher one starts).  So the ranks of an object whose checkpoints reach a
+destination form a prefix, and ``min_safe_ranks`` finds each object's least
+safe rank toward one checkpoint with one plain bisection per object.
 
 A CheckpointAnalysis builds each Checkpoint of its closed pattern once, on
 first use, in a table with one tuple per object in rank order; queries return
@@ -62,7 +62,8 @@ its entries instead of new objects, and a saved version's rank is a
 bisection of the object's sorted versions, O(log k) for k checkpoints.
 Objects are 0..m-1 only: CheckpointAnalysis.checkpoint is the one place that
 says which (object, rank) pairs exist, and every query that meets another
-pair raises its error.
+pair raises its error; CheckpointPattern.ranks and rank_of reject any other
+object with the same "unknown object" error.
 """
 
 from __future__ import annotations
@@ -196,9 +197,13 @@ class CheckpointPattern:
         return len(self.versions)
 
     def ranks(self, obj: int) -> range:
-        return range(len(self.versions[obj]))
+        if 0 <= obj < len(self.versions):
+            return range(len(self.versions[obj]))
+        raise AnalysisError(f"unknown object {obj}")
 
     def rank_of(self, obj: int, version: int) -> int:
+        if not 0 <= obj < len(self.versions):
+            raise AnalysisError(f"unknown object {obj}")
         vs = self.versions[obj]
         try:
             rank = bisect_left(vs, version)
@@ -254,6 +259,7 @@ class CheckpointAnalysis:
                     rank += 1
                 self._landings[txn].append((obj, rank))
         self._condense()
+        self._columns: list = [None] * len(versions)  # per destination object; see _column
 
     def _condense(self) -> None:
         """One Tarjan pass over transactions, chain hops plus restart edges.
@@ -277,7 +283,8 @@ class CheckpointAnalysis:
         low: dict[int, int] = {}
         scc: dict[int, int] = {}  # unset while on the stack
         stack: list[int] = []
-        condensation: list[tuple[dict[int, int], tuple[int, ...]]] = []
+        lowest: list[dict[int, int]] = []
+        kids_of: list[tuple[int, ...]] = []
         counter = 0
         for root in out:
             if number[root]:
@@ -303,7 +310,7 @@ class CheckpointAnalysis:
                         low[work[-1][0]] = low[v]
                     if low[v] < number[v]:
                         continue
-                    c = len(condensation)
+                    c = len(kids_of)
                     own: dict[int, int] = {}
                     members: list[int] = []
                     while not members or members[-1] != v:
@@ -315,38 +322,35 @@ class CheckpointAnalysis:
                                 own[x] = landed
                     kids = {scc[w] for u in members for w in out[u]}
                     kids.discard(c)
-                    condensation.append((own, tuple(kids)))
-        self._condensation = condensation
+                    lowest.append(own)
+                    kids_of.append(tuple(kids))
+        self._lowest, self._kids = lowest, kids_of
         # Per object, the SCC of F(obj, rank) for every rank but the last.
         self._starts = tuple(
             tuple(scc[writers[obj][v]] for v in vs[:-1]) for obj, vs in enumerate(versions)
         )
 
-    @cached_property
-    def _reach(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per object and destination object, the column of the reach tuples
-        of its intervals, _reach[obj][y][rank], non-decreasing in rank; built
-        on the first query that reads it.
+    def _fold(self, leaves: list) -> list:
+        """Per SCC, the least of its leaf and its children's values; leaves
+        holds one value per SCC in emission order, children first."""
+        folded: list = []
+        for least, kids in zip(leaves, self._kids):
+            for kid in kids:
+                if folded[kid] < least:
+                    least = folded[kid]
+            folded.append(least)
+        return folded
 
-        An SCC's reach is the element-wise minimum of its own lowest
-        landings and its successors' reach, folded in emission order; an
-        object's last interval, which starts no writer, reaches nothing.
-        """
-        nothing = [len(vs) for vs in self.pattern.versions]
-        reach: list[list[int]] = []
-        for own, kids in self._condensation:
-            row = reach[kids[0]] if kids else nothing
-            for kid in kids[1:]:
-                row = list(map(min, row, reach[kid]))
-            lower = [(x, landed) for x, landed in own.items() if landed < row[x]]
-            if lower:
-                row = list(row)
-                for x, landed in lower:
-                    row[x] = landed
-            reach.append(row)
-        return tuple(
-            tuple(zip(*[reach[c] for c in starts], nothing)) for starts in self._starts
-        )
+    def _column(self, y: int) -> tuple[tuple[int, ...], ...]:
+        """The reach column toward object y, built on first use: per object
+        and rank, the lowest interval of y reached, len(versions[y]) for none,
+        non-decreasing in rank.  An SCC's leaf is its lowest landing on y; an
+        object's last interval starts no writer and reaches nothing."""
+        nothing = len(self.pattern.versions[y])
+        folded = self._fold([own.get(y, nothing) for own in self._lowest])
+        column = tuple(tuple([folded[c] for c in starts]) + (nothing,) for starts in self._starts)
+        self._columns[y] = column
+        return column
 
     def _search(self, obj: int, rank: int, goal: frozenset[int]) -> tuple[dict, int | None]:
         """Paths out of interval (obj, rank), one layer per dependence edge,
@@ -416,14 +420,11 @@ class CheckpointAnalysis:
                 return self.checkpoints[obj][rank]
             except IndexError:
                 pass
-        if 0 <= obj < len(self.checkpoints):
-            raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
-        raise AnalysisError(f"unknown object {obj}")
+        self.pattern.ranks(obj)  # rejects an object outside 0..m-1
+        raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
 
     def checkpoint_at_version(self, obj: int, version: int) -> Checkpoint:
-        # An unknown object has no versions to search; checkpoint rejects it.
-        known = 0 <= obj < len(self.checkpoints)
-        return self.checkpoint(obj, self.pattern.rank_of(obj, version) if known else 0)
+        return self.checkpoint(obj, self.pattern.rank_of(obj, version))
 
     # -- dependence paths ----------------------------------------------------
 
@@ -435,7 +436,7 @@ class CheckpointAnalysis:
         try:
             if src.obj >= 0 and src.rank >= 0 and dst.obj >= 0 and dst.rank >= 0:
                 self.checkpoints[dst.obj][dst.rank]
-                return dst.rank - 1 >= self._reach[src.obj][dst.obj][src.rank]
+                return dst.rank - 1 >= (self._columns[dst.obj] or self._column(dst.obj))[src.obj][src.rank]
         except IndexError:
             pass
         return self.dp_reachable(self.checkpoint(src.obj, src.rank), self.checkpoint(dst.obj, dst.rank))
@@ -448,9 +449,9 @@ class CheckpointAnalysis:
         exactly dst.rank >= min_reachable_ranks(src)[dst.obj].
         """
         self.checkpoint(src.obj, src.rank)
-        rank = src.rank
-        out = [column[rank] + 1 for column in self._reach[src.obj]]
-        out[src.obj] = min(out[src.obj], rank + 1)
+        obj, rank = src.obj, src.rank
+        out = [(column or self._column(y))[obj][rank] + 1 for y, column in enumerate(self._columns)]
+        out[obj] = min(out[obj], rank + 1)
         return tuple(out)
 
     def min_safe_ranks(self, dst: Checkpoint) -> tuple[int, ...]:
@@ -467,7 +468,8 @@ class CheckpointAnalysis:
         try:  # the bounds check, as in dp_reachable
             if dst_obj >= 0 and rank >= 0:
                 self.checkpoints[dst_obj][rank]
-                return tuple([bisect_right(columns[dst_obj], rank - 1) for columns in self._reach])
+                column = self._columns[dst_obj] or self._column(dst_obj)
+                return tuple([bisect_right(reach, rank - 1) for reach in column])
         except IndexError:
             pass
         return self.min_safe_ranks(self.checkpoint(dst_obj, rank))
@@ -476,22 +478,20 @@ class CheckpointAnalysis:
         """Per object and rank, the least weight[y][r] over the checkpoints
         (y, r) that a dependence path from that checkpoint reaches, inf when
         it reaches none.  For weight rows non-decreasing in rank, that is the
-        least weight[y][min_reachable_ranks(ck)[y]] over objects y, here
-        without building the reach columns.
+        least weight[y][min_reachable_ranks(ck)[y]] over objects y, here in
+        one fold rather than one per reach column.
 
-        One scalar per SCC, folded in emission order; a landing (y, l)
-        reaches rank l + 1 of y and every later one.
+        An SCC's leaf is the least weight[y][l + 1] over its own landings
+        (y, l): a landing reaches rank l + 1 of y and every later one.
         """
-        folded: list[float] = []
-        for own, kids in self._condensation:
+        leaves = []
+        for own in self._lowest:
             least = math.inf
             for x, landed in own.items():
                 if weight[x][landed + 1] < least:
                     least = weight[x][landed + 1]
-            for kid in kids:
-                if folded[kid] < least:
-                    least = folded[kid]
-            folded.append(least)
+            leaves.append(least)
+        folded = self._fold(leaves)
         return tuple(
             tuple([min(folded[c], row[rank + 1]) for rank, c in enumerate(starts)]) + (math.inf,)
             for row, starts in zip(weight, self._starts)
@@ -502,13 +502,13 @@ class CheckpointAnalysis:
 
         It has the fewest dependence edges of any path, one edge per chain
         segment; a step to a later checkpoint of src's object takes one
-        black edge, from the writer of the version after src.  Ties go to the first path the search finds: it
-        starts writers in version order, each claiming its chain closure,
-        hops in ascending transaction order and lands in ascending object
-        order.  The search stops at the first transaction it visits that
-        writes dst's object from a version below dst's: its landing there is
-        the first below dst's rank that the whole search would make, so the
-        witness is the one the whole search gives.
+        black edge, from the writer of the version after src.  Ties go to
+        the first path the search finds: it starts writers in version order,
+        each claiming its chain closure, hops in ascending transaction order
+        and lands in ascending object order.  The search stops at the first
+        transaction it visits that writes dst's object from a version below
+        dst's: its landing there is the first below dst's rank that the whole
+        search would make, so the witness is the one the whole search gives.
         """
         if not self.dp_reachable(src, dst):
             return None

@@ -38,12 +38,12 @@ no pairwise pass: a checkpoint's dependence paths reach, per object, every
 rank from some least rank on, so each checkpoint gets one bar, the least
 index logged at or above those ranks, and CheckpointAnalysis.min_reached
 gives every bar in one scalar fold over the SCCs of its transaction graph.
-Only a row whose index is not below its bar reads its reach columns
-(min_reachable_ranks), so a clean trace is verified without them.  Those
-give its offending pairs and, when it reaches its own rank, its self-path:
-a checkpoint on a Z-cycle reaches its own index, so it is never below its
-bar.  Both assembly checks share one sweep from the highest index down, and
-each distinct version vector is tested for consistency once.
+Only a row whose index is not below its bar calls min_reachable_ranks, the
+first call of which builds every reach column, so a clean trace builds none.
+Those ranks give its offending pairs and, when it reaches its own rank, its
+self-path: a checkpoint on a Z-cycle reaches its own index, so it is never
+below its bar.  Both assembly checks share one sweep from the highest index
+down, and each distinct version vector is tested for consistency once.
 """
 
 from __future__ import annotations

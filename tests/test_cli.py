@@ -408,7 +408,7 @@ class TestSimulateAndVerify:
         assert code == 0
         if slack < 0:
             assert spot == {"checked": False, "reason": "candidate space beyond bound"}
-            assert len(built) == 1 and "_reach" not in built[0].__dict__
+            assert len(built) == 1 and not any(built[0]._columns)
         else:
             assert spot["checked"] and len(built) == 1
 

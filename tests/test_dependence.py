@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -282,6 +283,18 @@ class TestPatternShape:
 
 
 class TestCheckpointTable:
+    @pytest.mark.parametrize("where", ["negative", "past_the_last"])
+    def test_pattern_rejects_an_object_outside_the_range(self, fig3, where):
+        analysis = scenario_analysis(fig3)
+        obj = -1 if where == "negative" else analysis.pattern.num_objects
+        for pattern in (fig3.pattern, analysis.pattern):
+            with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
+                pattern.rank_of(obj, 0)
+            with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
+                pattern.ranks(obj)
+        with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
+            analysis.checkpoint_at_version(obj, 0)
+
     @settings(max_examples=150, deadline=None)
     @given(analyses())
     def test_matches_new_checkpoints(self, analysis):
@@ -559,18 +572,21 @@ def monotone_weights(analysis, seed):
 
 
 def assert_condensation_matches_oracles(analysis, seed=0):
-    """The SCC folds against the slow paths they replace: the lazy reach
-    columns against reach_oracle and min_reached against bar_oracle.
-    Returns the checkpoints with a dependence path to themselves."""
+    """The SCC fold against the slow paths it replaces: every reach column,
+    built per destination object, against reach_oracle and min_reached
+    against bar_oracle.  Returns the checkpoints with a dependence path to
+    themselves."""
     cks = all_checkpoints(analysis)
     weights = [monotone_weights(analysis, seed), [[0] * len(vs) for vs in analysis.pattern.versions]]
     folds = [analysis.min_reached(weight) for weight in weights]
-    assert "_reach" not in analysis.__dict__
+    assert not any(analysis._columns)
     for weight, folded in zip(weights, folds):
         assert [folded[ck.obj][ck.rank] for ck in cks] == [bar_oracle(analysis, weight, ck) for ck in cks]
+    columns = [analysis._column(y) for y in range(analysis.pattern.num_objects)]
+    assert analysis._columns == columns
     for ck in cks:
         reach = reach_oracle(analysis, ck.obj, ck.rank)[0]
-        assert [column[ck.rank] for column in analysis._reach[ck.obj]] == reach
+        assert [column[ck.obj][ck.rank] for column in columns] == reach
     return [ck for ck in cks if analysis.dp_reachable(ck, ck)]
 
 
@@ -590,7 +606,7 @@ class TestCondensationMatchesSlowPaths:
         analysis = simulated_analysis(objects, txns, seed, timer_period=10, **config)
         assert_condensation_matches_oracles(analysis, seed)
         # Several SCCs, and at least one Z-cycle of several transactions.
-        assert 1 < len(analysis._condensation) < len(analysis.base.execution.transactions)
+        assert 1 < len(analysis._kids) < len(analysis.base.execution.transactions)
 
     def test_self_paths_on_random_instances(self):
         cyclic = 0
@@ -600,3 +616,15 @@ class TestCondensationMatchesSlowPaths:
             analysis = CheckpointAnalysis(ExecutionAnalysis(execution), pattern)
             cyclic += len(assert_condensation_matches_oracles(analysis, seed))
         assert cyclic > 0
+
+
+def test_reach_answers_pinned_at_64x2000():
+    # CI's byte-exact protocol A trace, far above the sizes the oracles can
+    # check: every object's safe ranks toward its middle checkpoint and
+    # least reachable ranks from its first are pinned by one digest.
+    analysis = simulated_analysis(64, 2000, 1, protocol="A", timer_period=20)
+    versions = analysis.pattern.versions
+    safe = [analysis.min_safe_ranks(analysis.checkpoint(o, len(versions[o]) // 2)) for o in range(64)]
+    least = [analysis.min_reachable_ranks(analysis.checkpoint(o, 0)) for o in range(64)]
+    digest = hashlib.sha256(repr((safe, least)).encode()).hexdigest()
+    assert digest == "a0dc0c54c1c530376df47a3954c9fb7a95f90e71db14c744ebd92a02425a5989"

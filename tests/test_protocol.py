@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import random
 from collections import Counter
 
@@ -263,15 +262,15 @@ class TestVerificationMatchesPairwiseOracle:
     def test_verify_reads_no_reach_column(self, monkeypatch):
         # Bars come from one scalar fold over the SCCs, and only a row at or
         # above its bar reads reach: a clean trace is verified without one
-        # dp_reachable or min_reachable_ranks call, and its reach columns
-        # are built only when a later query asks, once per analysis.
+        # dp_reachable or min_reachable_ranks call, and a reach column is
+        # built only when a later query reads it, once per destination object.
         calls = []
         builds = []
         consistency_calls = []
         built = []
         dp_reachable = CheckpointAnalysis.dp_reachable
         min_reachable_ranks = CheckpointAnalysis.min_reachable_ranks
-        build_columns = CheckpointAnalysis.__dict__["_reach"].func
+        build_column = CheckpointAnalysis._column
         is_consistent_global_state = protocol_module.is_consistent_global_state
         trace_pattern = protocol_module.trace_pattern
 
@@ -283,9 +282,9 @@ class TestVerificationMatchesPairwiseOracle:
             calls.append(src)
             return min_reachable_ranks(self, src)
 
-        def counted_build(self):
-            builds.append(self)
-            return build_columns(self)
+        def counted_build(self, y):
+            builds.append((self, y))
+            return build_column(self, y)
 
         def counted_consistency(states, base):
             consistency_calls.append(dict(states))
@@ -295,11 +294,9 @@ class TestVerificationMatchesPairwiseOracle:
             built.append(trace_pattern(trace))
             return built[-1]
 
-        columns = functools.cached_property(counted_build)
-        columns.__set_name__(CheckpointAnalysis, "_reach")
         monkeypatch.setattr(CheckpointAnalysis, "dp_reachable", counted)
         monkeypatch.setattr(CheckpointAnalysis, "min_reachable_ranks", counted_reach)
-        monkeypatch.setattr(CheckpointAnalysis, "_reach", columns)
+        monkeypatch.setattr(CheckpointAnalysis, "_column", counted_build)
         monkeypatch.setattr(protocol_module, "is_consistent_global_state", counted_consistency)
         monkeypatch.setattr(protocol_module, "trace_pattern", kept)
         spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.6, seed=4)
@@ -311,12 +308,19 @@ class TestVerificationMatchesPairwiseOracle:
         assert calls == [] and builds == []
         assert "direct_edges" not in base.graph.__dict__ and "edges" not in base.__dict__
         cks = [analysis.checkpoint(r.obj, analysis.pattern.rank_of(r.obj, r.version)) for r in log]
+        dst = cks[-1]
         for ck in cks[:10]:
-            analysis.dp_reachable(ck, cks[-1])
+            analysis.dp_reachable(ck, dst)
+            analysis.dp_witness(ck, dst)
+        assert builds == [(analysis, dst.obj)]
+        for ck in analysis.checkpoints[dst.obj]:
+            analysis.min_safe_ranks(ck)
+        assert builds == [(analysis, dst.obj)]
+        for ck in cks[:10]:
             analysis.min_reachable_ranks(ck)
             analysis.min_safe_ranks(ck)
-            analysis.dp_witness(cks[0], ck)
-        assert builds == [analysis]
+        assert sorted(y for _, y in builds) == list(range(6))
+        assert all(a is analysis for a, _ in builds)
         # Assemblies that pick the same versions share one consistency test.
         vectors = {
             tuple(c.state.version for c in gc.members)
