@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .dependence import CheckpointAnalysis, CheckpointPattern, ExecutionAnalysis
 from .theory import is_consistent_global_state
@@ -66,16 +66,12 @@ KIND_BASIC = "basic"
 KIND_FORCED = "forced"
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
     obj: int
     index: int
     kind: str
     version: int
     time: int
-
-    def to_dict(self) -> dict[str, int | str]:
-        return {"obj": self.obj, "index": self.index, "kind": self.kind, "version": self.version, "time": self.time}
 
 
 def initial_record(obj: int) -> CheckpointRecord:

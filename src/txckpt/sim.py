@@ -21,9 +21,10 @@ entry was superseded by a forced checkpoint's re-armed timer is dropped);
 per transaction the number of locks held and the maximum index observed.
 Heap entries are (time, seq, kind, txn, obj) tuples of ints, dispatched by
 one loop.  A CheckpointRecord is built only when a checkpoint is taken, and
-a SimEvent once per logged event.  The forcing decision is
-protocol.forced_index, the one statement of the rule, for commit messages
-and read-lock releases alike.
+a SimEvent once per logged event; both are NamedTuples, and an event holds
+bare values, whose keys EVENT_KEYS names once per event kind.  The forcing
+decision is protocol.forced_index, the one statement of the rule, for commit
+messages and read-lock releases alike.
 
 A run is a pure function of (workload, config): identical inputs give
 byte-identical traces.  So Trace.from_dict reads only the config and the
@@ -37,7 +38,6 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields
-from functools import partial
 from heapq import heappop, heappush
 from itertools import zip_longest
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -60,6 +60,14 @@ EV_LOCK_ACQUIRED = "lock_acquired"
 EV_TXN_COMMIT = "txn_commit"
 EV_COMMIT_MSG = "commit_msg_delivered"
 EV_TIMER = "timer_expired"
+# Each event kind's data keys, sorted: the one statement of the event schema.
+EVENT_KEYS: dict[str, tuple[str, ...]] = {
+    EV_TXN_BEGIN: ("txn",),
+    EV_LOCK_ACQUIRED: ("obj", "txn", "write"),
+    EV_TXN_COMMIT: ("max_index", "txn"),
+    EV_COMMIT_MSG: ("apply", "forced", "max_index", "obj", "txn"),
+    EV_TIMER: ("index", "obj"),
+}
 
 
 class SimulationError(ValueError):
@@ -99,16 +107,16 @@ class SimConfig:
 
 
 class SimEvent(NamedTuple):
-    """One logged event; data holds its (key, value) pairs sorted by key."""
+    """One logged event; values holds its data in EVENT_KEYS[kind] order."""
 
     time: int
     seq: int
     kind: str
-    data: tuple[tuple[str, int], ...]
+    values: tuple[int, ...]
 
     def to_dict(self) -> dict[str, int | str]:
         out: dict[str, int | str] = {"time": self.time, "seq": self.seq, "kind": self.kind}
-        out.update(self.data)
+        out.update(zip(EVENT_KEYS[self.kind], self.values))
         return out
 
 
@@ -122,9 +130,8 @@ class Trace:
 
     def to_dict(self) -> dict[str, Any]:
         cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
-        cfg["message_delay_range"] = list(self.config.message_delay_range)
-        cfg["arrival_gap_range"] = list(self.config.arrival_gap_range)
-        cfg["work_delay_range"] = list(self.config.work_delay_range)
+        for name in ("message_delay_range", "arrival_gap_range", "work_delay_range"):
+            cfg[name] = list(cfg[name])
         wl = {f.name: getattr(self.workload, f.name) for f in fields(self.workload)}
         wl["ops_per_txn"] = list(self.workload.ops_per_txn)
         return {
@@ -137,7 +144,7 @@ class Trace:
                 "commit_order": list(self.execution.commit_order),
             },
             "events": [e.to_dict() for e in self.events],
-            "checkpoint_log": [r.to_dict() for r in self.checkpoint_log],
+            "checkpoint_log": [r._asdict() for r in self.checkpoint_log],
         }
 
     def to_json(self) -> str:
@@ -157,10 +164,14 @@ class Trace:
         for name in known:
             if name.endswith("_range"):
                 cfg[name] = tuple(_int_list(cfg.get(name), f"trace.config.{name}"))
-            elif name != "protocol":
-                _expect(cfg, name, int, "trace.config")
+            else:
+                _expect(cfg, name, str if name == "protocol" else int, "trace.config")
         config = SimConfig(**cfg)
-        workload = workload_from_dict(_expect(data, "workload", Mapping, "trace"))
+        stored_workload = _expect(data, "workload", Mapping, "trace")
+        for name in (f.name for f in fields(WorkloadSpec)):  # workload files may leave some to defaults
+            if name not in stored_workload:
+                raise SimulationError(f"trace.workload: missing field {name!r}")
+        workload = workload_from_dict(stored_workload)
         stored = _expect(data, "execution", Mapping, "trace")
         objects = _expect(stored, "objects", int, "trace.execution")
         for where, count in (("config", config.num_objects), ("workload", workload.num_objects)):
@@ -186,7 +197,7 @@ class Trace:
         _expect_run(stored, "trace.execution.transactions", map(_transaction_dict, trace.execution.transactions))
         _expect_run(stored, "trace.execution.commit_order", trace.execution.commit_order)
         _expect_run(data, "trace.events", map(SimEvent.to_dict, trace.events))
-        _expect_run(data, "trace.checkpoint_log", map(CheckpointRecord.to_dict, trace.checkpoint_log))
+        _expect_run(data, "trace.checkpoint_log", map(CheckpointRecord._asdict, trace.checkpoint_log))
         return trace
 
     @staticmethod
@@ -238,7 +249,6 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
     heap: list[tuple[int, int, int, int, int]] = []  # (time, seq, kind, txn, obj)
     seq = 0
     events: list[SimEvent] = []
-    new_event = partial(tuple.__new__, SimEvent)  # SimEvent(*fields) without its Python-level __new__
     log = [initial_record(obj) for obj in range(m)]
     commit_order: list[int] = []
     outstanding = 0
@@ -267,14 +277,14 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
             if writer[obj] < 0:
                 index[obj] += 1
                 log.append(CheckpointRecord(obj, index[obj], KIND_BASIC, version[obj], now))
-                events.append(new_event((now, len(events), EV_TIMER, (("index", index[obj]), ("obj", obj)))))
+                events.append(SimEvent(now, len(events), EV_TIMER, (index[obj], obj)))
             heappush(heap, (deadline, seq, _TIMER, -1, obj))
             live_timer[obj] = seq
             seq += 1
             continue
         if kind == _COMMIT:
             commit_order.append(t)
-            events.append(new_event((now, len(events), EV_TXN_COMMIT, (("max_index", max_seen[t]), ("txn", t)))))
+            events.append(SimEvent(now, len(events), EV_TXN_COMMIT, (max_seen[t], t)))
             # Commit metadata rides every lock release this transaction owes:
             # commit messages to written objects, release notifications to
             # read-only ones.  Locks free only when the message lands, so
@@ -285,7 +295,7 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
             outstanding += len(order[t])
             continue
         if kind == _BEGIN:
-            events.append(new_event((now, len(events), EV_TXN_BEGIN, (("txn", t),))))
+            events.append(SimEvent(now, len(events), EV_TXN_BEGIN, (t,)))
             granted = False
         else:
             outstanding -= 1
@@ -299,13 +309,9 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
                 heappush(heap, (deadline, seq, _TIMER, -1, obj))
                 live_timer[obj] = seq
                 seq += 1
-            events.append(new_event((now, len(events), EV_COMMIT_MSG, (
-                ("apply", int(apply_write)),
-                ("forced", int(forced is not None)),
-                ("max_index", max_seen[t]),
-                ("obj", obj),
-                ("txn", t),
-            ))))
+            events.append(SimEvent(
+                now, len(events), EV_COMMIT_MSG, (int(apply_write), int(forced is not None), max_seen[t], obj, t)
+            ))
             if apply_write:
                 version[obj] += 1
                 writer[obj] = -1
@@ -332,9 +338,7 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
                         readers[lock] += 1
                     if index[lock] > max_seen[t]:
                         max_seen[t] = index[lock]
-                    events.append(new_event(
-                        (now, len(events), EV_LOCK_ACQUIRED, (("obj", lock), ("txn", t), ("write", int(write))))
-                    ))
+                    events.append(SimEvent(now, len(events), EV_LOCK_ACQUIRED, (lock, t, int(write))))
                     held[t] += 1
                 else:
                     heappush(heap, (now + randint(work_lo, work_hi), seq, _COMMIT, t, -1))

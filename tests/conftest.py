@@ -46,6 +46,7 @@ from txckpt.sim import (
     EV_TIMER,
     EV_TXN_BEGIN,
     EV_TXN_COMMIT,
+    EVENT_KEYS,
     SimConfig,
     SimEvent,
     SimulationError,
@@ -691,7 +692,9 @@ class _SimulationOracle:
         self.seq += 1
 
     def _record(self, kind: str, data: tuple[tuple[str, int], ...]) -> None:
-        self.events.append(SimEvent(self.now, len(self.events), kind, data))
+        # The oracle names every value, so it checks EVENT_KEYS's key order.
+        assert tuple(key for key, _ in data) == EVENT_KEYS[kind], (kind, data)
+        self.events.append(SimEvent(self.now, len(self.events), kind, tuple(value for _, value in data)))
 
     def _next_deadline(self) -> int:
         jitter = self.rng.randint(0, self.config.timer_jitter) if self.config.timer_jitter else 0

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txckpt import cli, sim
 from txckpt.cli import main
@@ -41,6 +48,63 @@ def toggle_first_read(txn):
 def clamp_indices(log):
     for record in log:
         record["index"] = min(record["index"], 1)
+
+
+def rename_key(item, old, new):
+    item[new] = item.pop(old)
+
+
+@functools.lru_cache(maxsize=None)
+def simulated_trace_file() -> tuple[str, int]:
+    """A 3 x 10 trace file's text, and the exit code of its verify."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "trace.json"
+        main(["simulate", "--objects", "3", "--txns", "10", "--seed", "4", "--timer", "5", "--out", str(path)])
+        return path.read_text(), main(["verify", str(path)])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def mutate_trace(draw, data):
+    """Apply one drawn mutation to a parsed trace file, in place.
+
+    config and workload lose one key, so that no mutation asks for a longer
+    re-run.  In execution, events and checkpoint_log, some dict or list is
+    picked, and then a key is deleted or added, a value replaced with another
+    JSON value, or list items dropped, duplicated or swapped.
+    """
+    section = draw(st.sampled_from(["config", "workload", "execution", "events", "checkpoint_log"]))
+    node = data[section]
+    if section in ("config", "workload"):
+        del node[draw(st.sampled_from(sorted(node)))]
+        return
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        inner = [k for k in keys if isinstance(node[k], (dict, list)) and node[k]]
+        if not inner or draw(st.booleans()):
+            break
+        node = node[draw(st.sampled_from(inner))]
+    ops = ["delete", "add", "replace"] if isinstance(node, dict) else ["drop", "duplicate", "swap", "replace"]
+    op = draw(st.sampled_from(ops))
+    if op == "add":
+        node[draw(st.text(max_size=4).filter(lambda k: k not in node))] = draw(JSON_VALUES)
+        return
+    key = draw(st.sampled_from(keys))
+    if op in ("delete", "drop"):
+        del node[key]
+    elif op == "replace":
+        node[key] = draw(JSON_VALUES)
+    elif op == "duplicate":
+        node.insert(key, node[key])
+    else:
+        other = draw(st.sampled_from(keys))
+        node[key], node[other] = node[other], node[key]
 
 
 class TestAnalyze:
@@ -258,8 +322,10 @@ class TestSimulateAndVerify:
         ("trace.events", lambda d: d["events"].pop(3)),
         ("trace.events", lambda d: d["events"][0].update(extra=0)),
         ("trace.checkpoint_log", lambda d: clamp_indices(d["checkpoint_log"])),
+        ("trace.events", lambda d: rename_key(d["events"][0], "txn", "tx")),
+        ("trace.checkpoint_log", lambda d: rename_key(d["checkpoint_log"][-1], "index", "idx")),
     ], ids=["workload-seed", "config-z", "event-time", "record-version", "txn-reads", "dropped-event",
-            "extra-event-key", "log-indices-clamped"])
+            "extra-event-key", "log-indices-clamped", "event-key-renamed", "record-key-renamed"])
     def test_doctored_trace_exits_2(self, capsys, tmp_path, section, edit):
         # A trace must equal the re-run of its config and workload, so no
         # edit of the README's run is verified, whatever it does to the
@@ -364,6 +430,41 @@ class TestSimulateAndVerify:
         code, report = run_cli(capsys, "verify", str(out))
         assert code == 2 and report["ok"] is False
         assert report["error"] == f"trace.{section}.num_objects: {count} disagrees with trace.execution.objects 4"
+
+    @pytest.mark.parametrize("section, field", [
+        ("config", "protocol"), ("config", "seed"),
+        *(("workload", name) for name in
+          ("num_objects", "num_txns", "ops_per_txn", "write_probability", "access_skew", "seed")),
+    ])
+    def test_trace_missing_a_field_exits_2(self, capsys, tmp_path, monkeypatch, section, field):
+        # A trace holds every field to_dict writes: no default stands in for
+        # a missing one, not even where it equals the written value.
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--protocol", "B", "--z", "1",
+                "--out", str(out))
+        data = json.loads(out.read_text())
+        del data[section][field]
+        out.write_text(json.dumps(data))
+        runs = []
+        monkeypatch.setattr(sim, "run_simulation", lambda *args: runs.append(args))
+        code, report = run_cli(capsys, "verify", str(out))
+        assert code == 2 and runs == []
+        assert report["error"] == f"trace.{section}: missing field {field!r}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_mutated_trace_exits_as_its_parse_compares(self, data):
+        # One mutation of a 3 x 10 trace file: verify exits as on the
+        # original when the mutated parse equals it, and 2 otherwise.
+        text, original_code = simulated_trace_file()
+        original, mutated = json.loads(text), json.loads(text)
+        mutate_trace(data.draw, mutated)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.json"
+            path.write_text(json.dumps(mutated))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["verify", str(path)])
+        assert code == (original_code if mutated == original else 2)
 
     @pytest.mark.parametrize("skew, command", [("2000", "simulate"), ("1e308", "simulate"), ("2000", "verify")])
     def test_skew_past_the_float_range_exits_2(self, capsys, tmp_path, skew, command):

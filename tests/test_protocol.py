@@ -215,11 +215,11 @@ def doctored(trace, how, seed):
     rng = random.Random(seed)
     records = list(trace.checkpoint_log)
     if how == "clamped":
-        records = [dataclasses.replace(r, index=min(r.index, 1)) for r in records]
+        records = [r._replace(index=min(r.index, 1)) for r in records]
     elif how == "random":
-        records = [dataclasses.replace(r, index=rng.randint(0, 5)) for r in records]
+        records = [r._replace(index=rng.randint(0, 5)) for r in records]
     elif how == "sparse":  # random indices with gaps, so assemblies repeat
-        records = [dataclasses.replace(r, index=3 * rng.randint(0, 5)) for r in records]
+        records = [r._replace(index=3 * rng.randint(0, 5)) for r in records]
     elif how == "shuffled":
         rng.shuffle(records)
     elif how == "unforced":  # the coordination the protocol relies on is gone

@@ -12,6 +12,7 @@ from txckpt.sim import (
     EV_LOCK_ACQUIRED,
     EV_TIMER,
     EV_TXN_COMMIT,
+    EVENT_KEYS,
     SimConfig,
     SimulationError,
     Trace,
@@ -51,12 +52,22 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("protocol, z, jitter", [("A", 1, 0), ("B", 2, 0), ("A", 1, 3)])
     def test_trace_round_trips_in_memory(self, protocol, z, jitter):
-        # to_json sorts keys, so only object equality shows an event whose
-        # data is out of key order.
+        # from_json returns the re-run of the file's config and workload, so
+        # this compares two runs as tuples: events with their values in
+        # EVENT_KEYS order, and records, not just their sorted JSON text.
         trace = run(seed=3, txns=30, objects=5, protocol=protocol, z=z, timer=4, jitter=jitter)
         again = Trace.from_json(trace.to_json())
         assert again.events == trace.events
         assert again.checkpoint_log == trace.checkpoint_log
+
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 3)])
+    @pytest.mark.parametrize("jitter", [0, 3])
+    def test_events_follow_the_event_schema(self, protocol, z, jitter):
+        trace = run(seed=5, txns=40, objects=5, protocol=protocol, z=z, timer=4, jitter=jitter)
+        assert {e.kind for e in trace.events} == set(EVENT_KEYS)
+        for e in trace.events:
+            assert len(e.values) == len(EVENT_KEYS[e.kind]), e
+            assert set(e.to_dict()) == {"time", "seq", "kind", *EVENT_KEYS[e.kind]}, e
 
     def test_trace_and_report_digest(self):
         # One sha256 over 120 traces and their guarantee reports pins both
@@ -120,7 +131,7 @@ def replay_checkpoint_log(trace):
     observed: dict[int, dict[int, int]] = {}
     messages = {}
     for event in trace.events:
-        data = dict(event.data)
+        data = event.to_dict()
         if event.kind == EV_LOCK_ACQUIRED:
             observed.setdefault(data["txn"], {})[data["obj"]] = dms[data["obj"]].index
             continue
@@ -206,11 +217,11 @@ class TestExecutionShape:
     def test_lock_observes_index_before_commit(self):
         trace = run(seed=4, txns=10)
         commits = {
-            dict(e.data)["txn"]: e.time for e in trace.events if e.kind == EV_TXN_COMMIT
+            e.to_dict()["txn"]: e.time for e in trace.events if e.kind == EV_TXN_COMMIT
         }
         for e in trace.events:
             if e.kind == EV_LOCK_ACQUIRED:
-                assert e.time <= commits[dict(e.data)["txn"]]
+                assert e.time <= commits[e.to_dict()["txn"]]
 
     def test_versions_follow_commit_order(self):
         # Writes to an object apply in commit order even with delivery skew.
@@ -218,7 +229,7 @@ class TestExecutionShape:
         position = {t: i for i, t in enumerate(trace.execution.commit_order)}
         applies: dict[int, list[int]] = {}
         for e in trace.events:
-            data = dict(e.data)
+            data = e.to_dict()
             if e.kind == EV_COMMIT_MSG and data["apply"]:
                 applies.setdefault(data["obj"], []).append(position[data["txn"]])
         for order in applies.values():
@@ -279,8 +290,8 @@ class TestCheckpointBehavior:
         for r in forced:
             writes_before = [
                 e for e in trace.events
-                if e.kind == EV_COMMIT_MSG and dict(e.data)["obj"] == r.obj
-                and dict(e.data)["apply"] and e.time <= r.time
+                if e.kind == EV_COMMIT_MSG and e.to_dict()["obj"] == r.obj
+                and e.to_dict()["apply"] and e.time <= r.time
             ]
             # the forced snapshot never includes the write that forced it
             assert r.version <= len(writes_before)
