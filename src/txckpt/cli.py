@@ -233,7 +233,7 @@ def _trace_summary(trace: Trace) -> dict[str, Any]:
         totals[record.kind] += 1
     return {
         "transactions": len(trace.execution.transactions),
-        "events": len(trace.events),
+        "events": len(trace.event_rows),
         "checkpoints_per_object": {str(obj): counts for obj, counts in per_obj.items()},
         "checkpoint_totals": totals,
     }

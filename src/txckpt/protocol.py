@@ -129,6 +129,7 @@ def verify_protocol_guarantees(
     # records that save it (a basic checkpoint often re-saves a version), so
     # each scoped record becomes one plain (object, rank, index, version) row.
     counts = {KIND_INITIAL: 0, KIND_BASIC: 0, KIND_FORCED: 0}
+    rank_at = [{version: rank for rank, version in enumerate(vs)} for vs in pattern.versions]
     indices: list[list[int]] = [[] for _ in range(m)]
     rows: list[tuple[int, int, int, int]] = []
     by_index: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -137,7 +138,7 @@ def verify_protocol_guarantees(
         obj, index = record.obj, record.index
         indices[obj].append(index)
         if index % z == 0:
-            row = (obj, pattern.rank_of(obj, record.version), index, record.version)
+            row = (obj, rank_at[obj][record.version], index, record.version)
             rows.append(row)
             by_index.setdefault(index, []).append(row)
     for obj, seq in enumerate(indices):

@@ -27,8 +27,9 @@ import json
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from math import ceil
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .dependence import CheckpointPattern, PatternError
 from .model import (
@@ -292,6 +293,26 @@ def load_workload(path: str | Path) -> WorkloadSpec:
     return workload_from_dict(data, where=p.stem)
 
 
+def randint_draws(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
+    """A function drawing what rng.randint(lo, hi) draws, word for word.
+
+    It runs the rejection loop CPython's randint runs (3.10 to 3.13): redraw
+    getrandbits(k), k the bit length of the width, until it is below the
+    width.  A width of one still draws.  lo <= hi.
+    """
+    getrandbits = rng.getrandbits
+    n = hi - lo + 1
+    k = n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    return draw
+
+
 def _skew_weights(spec: WorkloadSpec) -> list[float]:
     return [1.0 / (i + 1) ** spec.access_skew for i in range(spec.num_objects)]
 
@@ -315,15 +336,26 @@ def _weighted_distinct(rng: random.Random, weights: list[float], k: int) -> list
     return chosen
 
 
+def _uniform_distinct(rng: random.Random, m: int, k: int) -> list[int]:
+    """_weighted_distinct over m unit weights, from the same draws: the scan's
+    running sums are then exact integers, so it picks ceil(r) - 1 (0 at r = 0)."""
+    pool = list(range(m))
+    draw = rng.random
+    return [pool.pop(max(ceil(draw() * len(pool)) - 1, 0)) for _ in range(min(k, m))]
+
+
 def workload_transactions(spec: WorkloadSpec) -> list[Transaction]:
     """Seeded access sets for the workload; ids are 0..num_txns-1."""
     rng = random.Random(spec.seed)
     weights = _skew_weights(spec)
-    lo, hi = spec.ops_per_txn
+    ops = randint_draws(rng, *spec.ops_per_txn)
     txns = []
     for txn_id in range(spec.num_txns):
-        k = rng.randint(lo, hi)
-        objs = _weighted_distinct(rng, weights, k)
+        k = ops()
+        if spec.access_skew:
+            objs = _weighted_distinct(rng, weights, k)
+        else:
+            objs = _uniform_distinct(rng, spec.num_objects, k)
         reads, writes = set(), set()
         for obj in objs:
             if rng.random() < spec.write_probability:

@@ -20,11 +20,15 @@ transactions and the heap sequence number of its live timer (an expiry whose
 entry was superseded by a forced checkpoint's re-armed timer is dropped);
 per transaction the number of locks held and the maximum index observed.
 Heap entries are (time, seq, kind, txn, obj) tuples of ints, dispatched by
-one loop.  A CheckpointRecord is built only when a checkpoint is taken, and
-a SimEvent once per logged event; both are NamedTuples, and an event holds
-bare values, whose keys EVENT_KEYS names once per event kind.  The forcing
-decision is protocol.forced_index, the one statement of the rule, for commit
-messages and read-lock releases alike.
+one loop.  A CheckpointRecord (a NamedTuple) is built only when a checkpoint
+is taken.  Each logged event is one plain row (time, kind, *values), whose
+seq is its position in Trace.event_rows and whose value keys EVENT_KEYS
+names once per event kind; Trace.events builds the SimEvent NamedTuples from
+the rows on first read, and the CLI, Trace.to_dict and Trace.from_dict read
+the rows alone.  Delays, jitter and arrival gaps come from
+scenario.randint_draws, which draws what random.randint would without its
+call stack.  The forcing decision is protocol.forced_index, the one
+statement of the rule, for commit messages and read-lock releases alike.
 
 A run is a pure function of (workload, config): identical inputs give
 byte-identical traces.  So Trace.from_dict reads only the config and the
@@ -38,8 +42,9 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 from heapq import heappop, heappush
-from itertools import zip_longest
+from itertools import starmap, zip_longest
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .model import Execution, ValidatedExecution, validate_execution
@@ -52,7 +57,7 @@ from .protocol import (
     forced_index,
     initial_record,
 )
-from .scenario import WorkloadSpec, workload_from_dict, workload_transactions
+from .scenario import WorkloadSpec, randint_draws, workload_from_dict, workload_transactions
 from .scenario import _expect, _int_list, _transaction_dict
 
 EV_TXN_BEGIN = "txn_begin"
@@ -115,9 +120,15 @@ class SimEvent(NamedTuple):
     values: tuple[int, ...]
 
     def to_dict(self) -> dict[str, int | str]:
-        out: dict[str, int | str] = {"time": self.time, "seq": self.seq, "kind": self.kind}
-        out.update(zip(EVENT_KEYS[self.kind], self.values))
-        return out
+        return _event_dict(self.seq, (self.time, self.kind, *self.values))
+
+
+def _event_dict(seq: int, row: tuple[Any, ...]) -> dict[str, int | str]:
+    """The event at position seq of a trace, whose row is (time, kind, *values), as trace files hold it."""
+    time, kind, *values = row
+    out: dict[str, int | str] = {"time": time, "seq": seq, "kind": kind}
+    out.update(zip(EVENT_KEYS[kind], values))
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,8 +136,13 @@ class Trace:
     config: SimConfig
     workload: WorkloadSpec
     execution: ValidatedExecution
-    events: tuple[SimEvent, ...]
+    event_rows: tuple[tuple[Any, ...], ...]  # (time, kind, *values); seq is the position
     checkpoint_log: tuple[CheckpointRecord, ...]
+
+    @cached_property
+    def events(self) -> tuple[SimEvent, ...]:
+        """The logged events as SimEvents, built from event_rows on first read."""
+        return tuple(SimEvent(row[0], seq, row[1], row[2:]) for seq, row in enumerate(self.event_rows))
 
     def to_dict(self) -> dict[str, Any]:
         cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
@@ -143,7 +159,7 @@ class Trace:
                 "transactions": [_transaction_dict(t) for t in self.execution.transactions],
                 "commit_order": list(self.execution.commit_order),
             },
-            "events": [e.to_dict() for e in self.events],
+            "events": list(starmap(_event_dict, enumerate(self.event_rows))),
             "checkpoint_log": [r._asdict() for r in self.checkpoint_log],
         }
 
@@ -196,7 +212,7 @@ class Trace:
         trace = run_simulation(workload, config)
         _expect_run(stored, "trace.execution.transactions", map(_transaction_dict, trace.execution.transactions))
         _expect_run(stored, "trace.execution.commit_order", trace.execution.commit_order)
-        _expect_run(data, "trace.events", map(SimEvent.to_dict, trace.events))
+        _expect_run(data, "trace.events", starmap(_event_dict, enumerate(trace.event_rows)))
         _expect_run(data, "trace.checkpoint_log", map(CheckpointRecord._asdict, trace.checkpoint_log))
         return trace
 
@@ -228,10 +244,12 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
     m = config.num_objects
     txns = workload_transactions(workload)  # transaction t is txns[t]
     n = len(txns)
-    randint = random.Random(config.seed).randint
+    rng = random.Random(config.seed)
     z, period, jitter = config.z, config.timer_period, config.timer_jitter
-    msg_lo, msg_hi = config.message_delay_range
-    work_lo, work_hi = config.work_delay_range
+    arrival_gap = randint_draws(rng, *config.arrival_gap_range)
+    timer_jitter = randint_draws(rng, 0, jitter)  # drawn only when jitter is set
+    message_delay = randint_draws(rng, *config.message_delay_range)
+    work_delay = randint_draws(rng, *config.work_delay_range)
 
     # Per object: data manager, lock, and the seq of its live timer entry.
     index = [0] * m
@@ -248,18 +266,18 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
 
     heap: list[tuple[int, int, int, int, int]] = []  # (time, seq, kind, txn, obj)
     seq = 0
-    events: list[SimEvent] = []
+    events: list[tuple[Any, ...]] = []  # one (time, kind, *values) row per event
     log = [initial_record(obj) for obj in range(m)]
     commit_order: list[int] = []
     outstanding = 0
 
     clock = 0
     for t in range(n):
-        clock += randint(*config.arrival_gap_range)
+        clock += arrival_gap()
         heappush(heap, (clock, seq, _BEGIN, t, -1))
         seq += 1
     for obj in range(m):
-        heappush(heap, (period + (randint(0, jitter) if jitter else 0), seq, _TIMER, -1, obj))
+        heappush(heap, (period + (timer_jitter() if jitter else 0), seq, _TIMER, -1, obj))
         live_timer[obj] = seq
         seq += 1
 
@@ -270,37 +288,37 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
             # timers stop once the work is done.
             if entry_seq != live_timer[obj] or (len(commit_order) == n and not outstanding):
                 continue
-            deadline = now + period + (randint(0, jitter) if jitter else 0)
+            deadline = now + period + (timer_jitter() if jitter else 0)
             # Basic checkpoints happen only while the data manager is idle: a
             # write in flight has already observed the current index, so a new
             # checkpoint here would not be reflected in that writer's metadata.
             if writer[obj] < 0:
                 index[obj] += 1
                 log.append(CheckpointRecord(obj, index[obj], KIND_BASIC, version[obj], now))
-                events.append(SimEvent(now, len(events), EV_TIMER, (index[obj], obj)))
+                events.append((now, EV_TIMER, index[obj], obj))
             heappush(heap, (deadline, seq, _TIMER, -1, obj))
             live_timer[obj] = seq
             seq += 1
             continue
         if kind == _COMMIT:
             commit_order.append(t)
-            events.append(SimEvent(now, len(events), EV_TXN_COMMIT, (max_seen[t], t)))
+            events.append((now, EV_TXN_COMMIT, max_seen[t], t))
             # Commit metadata rides every lock release this transaction owes:
             # commit messages to written objects, release notifications to
             # read-only ones.  Locks free only when the message lands, so
             # per-object processing order matches commit order.
             for dest in order[t]:
-                heappush(heap, (now + randint(msg_lo, msg_hi), seq, _DELIVERY, t, dest))
+                heappush(heap, (now + message_delay(), seq, _DELIVERY, t, dest))
                 seq += 1
             outstanding += len(order[t])
             continue
         if kind == _BEGIN:
-            events.append(SimEvent(now, len(events), EV_TXN_BEGIN, (t,)))
+            events.append((now, EV_TXN_BEGIN, t))
             granted = False
         else:
             outstanding -= 1
             apply_write = obj in writes[t]
-            deadline = now + period + (randint(0, jitter) if jitter else 0)  # drawn on every delivery
+            deadline = now + period + (timer_jitter() if jitter else 0)  # drawn on every delivery
             forced = forced_index(index[obj], max_seen[t], z)
             if forced is not None:
                 # The forced checkpoint saves the state before the write applies.
@@ -309,9 +327,7 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
                 heappush(heap, (deadline, seq, _TIMER, -1, obj))
                 live_timer[obj] = seq
                 seq += 1
-            events.append(SimEvent(
-                now, len(events), EV_COMMIT_MSG, (int(apply_write), int(forced is not None), max_seen[t], obj, t)
-            ))
+            events.append((now, EV_COMMIT_MSG, int(apply_write), int(forced is not None), max_seen[t], obj, t))
             if apply_write:
                 version[obj] += 1
                 writer[obj] = -1
@@ -338,10 +354,10 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
                         readers[lock] += 1
                     if index[lock] > max_seen[t]:
                         max_seen[t] = index[lock]
-                    events.append(SimEvent(now, len(events), EV_LOCK_ACQUIRED, (lock, t, int(write))))
+                    events.append((now, EV_LOCK_ACQUIRED, lock, t, int(write)))
                     held[t] += 1
                 else:
-                    heappush(heap, (now + randint(work_lo, work_hi), seq, _COMMIT, t, -1))
+                    heappush(heap, (now + work_delay(), seq, _COMMIT, t, -1))
                     seq += 1
             if kind == _BEGIN:
                 break

@@ -48,7 +48,6 @@ from txckpt.sim import (
     EV_TXN_COMMIT,
     EVENT_KEYS,
     SimConfig,
-    SimEvent,
     SimulationError,
     Trace,
 )
@@ -682,7 +681,7 @@ class _SimulationOracle:
         self.heap: list[tuple[int, int, str, tuple]] = []
         self.seq = 0
         self.now = 0
-        self.events: list[SimEvent] = []
+        self.event_rows: list[tuple] = []  # (time, kind, *values), as the simulator logs them
         self.log: list[CheckpointRecord] = [initial_record(o) for o in range(config.num_objects)]
         self.commit_order: list[int] = []
         self.outstanding_msgs = 0
@@ -694,7 +693,7 @@ class _SimulationOracle:
     def _record(self, kind: str, data: tuple[tuple[str, int], ...]) -> None:
         # The oracle names every value, so it checks EVENT_KEYS's key order.
         assert tuple(key for key, _ in data) == EVENT_KEYS[kind], (kind, data)
-        self.events.append(SimEvent(self.now, len(self.events), kind, tuple(value for _, value in data)))
+        self.event_rows.append((self.now, kind, *(value for _, value in data)))
 
     def _next_deadline(self) -> int:
         jitter = self.rng.randint(0, self.config.timer_jitter) if self.config.timer_jitter else 0
@@ -826,7 +825,7 @@ class _SimulationOracle:
             count = sum(1 for t in self.txns.values() if obj in t.txn.write_set)
             if self.dms[obj].version != count:
                 raise SimulationError(f"object {obj}: undelivered writes at end of run")
-        return Trace(self.config, self.workload, execution, tuple(self.events), tuple(self.log))
+        return Trace(self.config, self.workload, execution, tuple(self.event_rows), tuple(self.log))
 
 
 def simulation_oracle(workload: WorkloadSpec, config: SimConfig) -> Trace:

@@ -283,6 +283,27 @@ class TestSimulateAndVerify:
         report1["results"]["trace_file"] = report2["results"]["trace_file"] = ""
         assert report1 == report2
 
+    def test_simulate_and_verify_never_build_events(self, capsys, tmp_path, monkeypatch):
+        # Both commands read only a trace's event rows; its SimEvents are
+        # built on first read of Trace.events, which neither makes.
+        runs = []
+        run = sim.run_simulation
+
+        def kept(*args):
+            runs.append(run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(sim, "run_simulation", kept)
+        monkeypatch.setattr(cli, "run_simulation", kept)
+        out = tmp_path / "trace.json"
+        code, report = run_cli(capsys, "simulate", "--objects", "3", "--txns", "10", "--timer", "4", "--out", str(out))
+        assert code == 0 and report["results"]["events"] == len(runs[0].event_rows) > 0
+        code, _ = run_cli(capsys, "verify", str(out))
+        assert code == 0 and len(runs) == 2
+        assert all("events" not in trace.__dict__ for trace in runs)
+        assert runs[1].events == runs[0].events  # built on read, and then kept
+        assert "events" in runs[1].__dict__
+
     def test_sim_batch(self, capsys):
         code, report = run_cli(
             capsys, "verify", "--sim-batch", "5", "--objects", "3", "--txns", "8",

@@ -183,7 +183,7 @@ class TestVerification:
             CheckpointRecord(r.obj, min(r.index, 1), r.kind, r.version, r.time)
             for r in trace.checkpoint_log
         )
-        bad = Trace(trace.config, trace.workload, trace.execution, trace.events, rigged)
+        bad = Trace(trace.config, trace.workload, trace.execution, trace.event_rows, rigged)
         report = verify_protocol_guarantees(bad)
         assert not report.ok
         assert any("not strictly increasing" in v for v in report.violations)

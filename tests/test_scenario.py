@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,17 @@ from hypothesis import strategies as st
 
 from txckpt.dependence import ExecutionAnalysis
 from txckpt.model import assign_versions, build_serialization_graph
+from txckpt import scenario
 from txckpt.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
     WorkloadSpec,
+    _uniform_distinct,
+    _weighted_distinct,
     builtin_scenario,
     generate_random,
     load_scenario,
+    randint_draws,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -157,3 +162,64 @@ class TestWorkloads:
             assert txn.access_set
             assert len(txn.access_set) <= 3
             assert all(0 <= obj < 4 for obj in txn.access_set)
+
+
+class _Draws:
+    """A stand-in for random.Random whose random() returns the given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+class TestFastDraws:
+    """randint_draws and _uniform_distinct must draw what random.randint and
+    the unit-weight scan draw, word for word, or every trace changes."""
+
+    # Widths 1 (lo == hi still draws), powers of two and others.
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (7, 7), (0, 1), (1, 4), (0, 7), (3, 18), (1, 10), (0, 255),
+                                        (0, 256), (0, 1000), (5, 2**40)])
+    def test_draws_equal_randint(self, lo, hi):
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            draw = randint_draws(rng, lo, hi)
+            assert [draw() for _ in range(150)] == [ref.randint(lo, hi) for _ in range(150)], seed
+            assert rng.getstate() == ref.getstate(), seed
+
+    def test_draws_interleave_with_other_draws_as_randint_does(self):
+        rng, ref = random.Random(11), random.Random(11)
+        small, large = randint_draws(rng, 0, 3), randint_draws(rng, 1, 1000)
+        got = [(small(), rng.random(), large()) for _ in range(500)]
+        assert got == [(ref.randint(0, 3), ref.random(), ref.randint(1, 1000)) for _ in range(500)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 64, 256])
+    def test_uniform_pick_equals_the_unit_weight_scan(self, m):
+        for seed in range(2000 // m + 20):
+            for k in {1, 2, m // 2, m, m + 1}:
+                rng, ref = random.Random(seed * 1000 + k), random.Random(seed * 1000 + k)
+                assert _uniform_distinct(rng, m, k) == _weighted_distinct(ref, [1.0] * m, k), (seed, k)
+                assert rng.getstate() == ref.getstate(), (seed, k)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 64, 256])
+    def test_uniform_pick_at_the_edges_of_each_step(self, m):
+        # r = random() * len(pool) at 0, on a step between two picks, just
+        # above one, and at the largest value random() returns.
+        top = 1 - 2.0**-53
+        for u in (u for u in (0.0, 0.5, 1 / m, 1 / m + 2.0**-52, (m - 1) / m, top) if u < 1):
+            values = [u] * m
+            assert _uniform_distinct(_Draws(values), m, m) == _weighted_distinct(_Draws(values), [1.0] * m, m), u
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(0, 60), st.integers(1, 6), st.integers(0, 4),
+        st.floats(0.0, 1.0), st.integers(0, 2**32),
+    )
+    def test_workload_equals_the_scan_path(self, objects, txns, lo, extra, write_probability, seed):
+        spec = WorkloadSpec(objects, txns, (lo, lo + extra), write_probability, 0.0, seed)
+        fast = workload_transactions(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario, "randint_draws", lambda rng, lo, hi: lambda: rng.randint(lo, hi))
+            mp.setattr(scenario, "_uniform_distinct", lambda rng, m, k: _weighted_distinct(rng, [1.0] * m, k))
+            assert fast == workload_transactions(spec)
