@@ -44,7 +44,7 @@ from .scenario import (
     load_workload,
     save_scenario,
 )
-from .sim import SimConfig, SimEvent, SimulationError, Trace, run_simulation
+from .sim import SimConfig, SimulationError, Trace, run_simulation
 from .theory import (
     ConditionViolated,
     ExtensionResult,

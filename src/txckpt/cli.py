@@ -68,8 +68,8 @@ def _violation_dict(
     source: Checkpoint, target: Checkpoint, witness: Sequence[DependenceEdge], names: Sequence[str]
 ) -> dict[str, Any]:
     return {
-        "from": _state_str(names, source.obj, source.state.version),
-        "to": _state_str(names, target.obj, target.state.version),
+        "from": _state_str(names, source.obj, source.version),
+        "to": _state_str(names, target.obj, target.version),
         "witness": [_edge_dict(e, names) for e in witness],
     }
 
@@ -148,7 +148,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     members = _parse_members(scenario, args.members)
     names = scenario.object_names
     resolved = {
-        names[obj]: {"rank": rank, "version": analysis.checkpoint(obj, rank).state.version}
+        names[obj]: {"rank": rank, "version": analysis.checkpoint(obj, rank).version}
         for obj, rank in sorted(members.items())
     }
     pair = violating_pair(members, analysis)
@@ -189,7 +189,7 @@ def cmd_extend(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     results = {
         "condition_holds": True,
         "global_checkpoint": {
-            names[c.obj]: {"rank": c.rank, "version": c.state.version} for c in gc.members
+            names[c.obj]: {"rank": c.rank, "version": c.version} for c in gc.members
         },
         "min_safe_ranks": {
             names[obj]: {names[m]: ranks[obj] for m, ranks in safe}
@@ -233,7 +233,7 @@ def _trace_summary(trace: Trace) -> dict[str, Any]:
         totals[record.kind] += 1
     return {
         "transactions": len(trace.execution.transactions),
-        "events": len(trace.event_rows),
+        "events": len(trace.events),
         "checkpoints_per_object": {str(obj): counts for obj, counts in per_obj.items()},
         "checkpoint_totals": totals,
     }

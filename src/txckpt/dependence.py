@@ -56,6 +56,7 @@ higher one starts).  So the ranks of an object whose checkpoints reach a
 destination form a prefix, and ``min_safe_ranks`` finds each object's least
 safe rank toward one checkpoint with one plain bisection per object.
 
+A Checkpoint is three ints: its object, its rank and the version it saves.
 A CheckpointAnalysis builds each Checkpoint of its closed pattern once, on
 first use, in a table with one tuple per object in rank order; queries return
 its entries instead of new objects, and a saved version's rank is a
@@ -117,11 +118,12 @@ class ExecutionAnalysis:
     @cached_property
     def edges(self) -> tuple[DependenceEdge, ...]:
         """Every dependence edge, sorted by endpoints; O(n^2 k^2), built on first use."""
-        timeline = self.timeline
+        # A writer's pre-version of x is its position among x's writers.
+        pre = {(txn, x): k for x, on_x in enumerate(self.timeline.writers) for k, txn in enumerate(on_x)}
         writers = [t for t in self.execution.transactions if t.write_set]
         edges = []
         for ti in writers:
-            pre_states = [LocalState(y, timeline.pre_version[(ti.id, y)]) for y in sorted(ti.write_set)]
+            pre_states = [LocalState(y, pre[(ti.id, y)]) for y in sorted(ti.write_set)]
             for tj in writers:
                 if ti.id == tj.id:
                     kind = BLACK
@@ -131,7 +133,7 @@ class ExecutionAnalysis:
                     continue
                 for src in pre_states:
                     for x in sorted(tj.write_set):
-                        target = LocalState(x, timeline.post_version[(tj.id, x)])
+                        target = LocalState(x, pre[(tj.id, x)] + 1)
                         edges.append(DependenceEdge(src, target, kind, (ti.id, tj.id)))
         return tuple(sorted(edges, key=lambda e: (e.source, e.target)))
 
@@ -216,14 +218,14 @@ class CheckpointPattern:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """The rank-th saved state of an object."""
+    """The rank-th saved state of an object; version is the object version it saves."""
 
     obj: int
     rank: int
-    state: LocalState
+    version: int
 
     def __repr__(self) -> str:
-        return f"C({self.obj},#{self.rank}=v{self.state.version})"
+        return f"C({self.obj},#{self.rank}=v{self.version})"
 
 
 class CheckpointAnalysis:
@@ -408,7 +410,7 @@ class CheckpointAnalysis:
         """Per object, its checkpoints in rank order, built on first use:
         queries hand these out rather than building new ones."""
         return tuple(
-            tuple(Checkpoint(obj, rank, LocalState(obj, v)) for rank, v in enumerate(vs))
+            tuple(Checkpoint(obj, rank, v) for rank, v in enumerate(vs))
             for obj, vs in enumerate(self.pattern.versions)
         )
 
@@ -512,9 +514,9 @@ class CheckpointAnalysis:
         """
         if not self.dp_reachable(src, dst):
             return None
-        timeline, obj = self.base.timeline, dst.obj
+        writers, obj = self.base.timeline.writers, dst.obj
         # The writers of dst's object whose landing there is below dst's rank.
-        goal = frozenset(timeline.writers[obj][: self.pattern.versions[obj][dst.rank]])
+        goal = frozenset(writers[obj][: self.pattern.versions[obj][dst.rank]])
         parent, last = self._search(src.obj, src.rank, goal)
         witness: list[DependenceEdge] = []
         while last is not None:
@@ -522,8 +524,9 @@ class CheckpointAnalysis:
             while parent[first][1] is None:
                 first = parent[first][0]
             via, entry = parent[first]
-            source = LocalState(entry, timeline.pre_version[(first, entry)])
-            target = LocalState(obj, timeline.post_version[(last, obj)])
+            # A writer's pre-version is its position among the object's writers.
+            source = LocalState(entry, writers[entry].index(first))
+            target = LocalState(obj, writers[obj].index(last) + 1)
             witness.append(DependenceEdge(source, target, BLACK if first == last else DASHED, (first, last)))
             last, obj = via, entry
         witness.reverse()

@@ -186,17 +186,15 @@ def build_serialization_graph(execution: ValidatedExecution) -> SerializationGra
 
 @dataclass(frozen=True)
 class StateTimeline:
-    """Per-object version history and per-transaction pre/post versions.
+    """Per-object version history.
 
-    writers[x][k-1] is the transaction that wrote version k of object x.
-    pre_version[(t, x)] is the version of x a transaction t saw when it
-    accessed x; post_version[(t, x)] = pre + 1 exists only for writes.
+    writers[x][k-1] is the transaction that wrote version k of object x, so
+    a writer t of x moves it from version writers[x].index(t) to one more.
+    The version a reader saw is not kept: nothing reads it.
     """
 
     num_objects: int
     writers: tuple[tuple[int, ...], ...]
-    pre_version: Mapping[tuple[int, int], int]
-    post_version: Mapping[tuple[int, int], int]
 
     def max_version(self, obj: int) -> int:
         return len(self.writers[obj])
@@ -221,17 +219,7 @@ def assign_versions(execution: ValidatedExecution) -> StateTimeline:
     """Number versions by commit order: the k-th writer of x produces version k."""
     txn_by_id = {t.id: t for t in execution.transactions}
     writers: list[list[int]] = [[] for _ in range(execution.num_objects)]
-    pre: dict[tuple[int, int], int] = {}
-    post: dict[tuple[int, int], int] = {}
-    current = [0] * execution.num_objects
     for txn_id in execution.commit_order:
-        txn = txn_by_id[txn_id]
-        for obj in txn.access_set:
-            pre[(txn_id, obj)] = current[obj]
-        for obj in sorted(txn.write_set):
+        for obj in txn_by_id[txn_id].write_set:
             writers[obj].append(txn_id)
-            current[obj] += 1
-            post[(txn_id, obj)] = current[obj]
-    return StateTimeline(
-        execution.num_objects, tuple(tuple(w) for w in writers), pre, post
-    )
+    return StateTimeline(execution.num_objects, tuple(map(tuple, writers)))

@@ -21,11 +21,9 @@ entry was superseded by a forced checkpoint's re-armed timer is dropped);
 per transaction the number of locks held and the maximum index observed.
 Heap entries are (time, seq, kind, txn, obj) tuples of ints, dispatched by
 one loop.  A CheckpointRecord (a NamedTuple) is built only when a checkpoint
-is taken.  Each logged event is one plain row (time, kind, *values), whose
-seq is its position in Trace.event_rows and whose value keys EVENT_KEYS
-names once per event kind; Trace.events builds the SimEvent NamedTuples from
-the rows on first read, and the CLI, Trace.to_dict and Trace.from_dict read
-the rows alone.  Delays, jitter and arrival gaps come from
+is taken.  Each logged event is one plain row (time, kind, *values) in
+Trace.events: its seq is its position there, and EVENT_KEYS names its value
+keys once per event kind.  Delays, jitter and arrival gaps come from
 scenario.randint_draws, which draws what random.randint would without its
 call stack.  The forcing decision is protocol.forced_index, the one
 statement of the rule, for commit messages and read-lock releases alike.
@@ -33,7 +31,9 @@ statement of the rule, for commit messages and read-lock releases alike.
 A run is a pure function of (workload, config): identical inputs give
 byte-identical traces.  So Trace.from_dict reads only the config and the
 workload of a trace file, re-runs them, and returns the re-run once the
-file's execution, events and checkpoint log equal it item by item.
+file's execution, events and checkpoint log equal it item by item, each
+value of the type the re-run gives it.  _sections states those three parts
+of the file's layout once, for writing and for this comparison alike.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields
-from functools import cached_property
 from heapq import heappop, heappush
 from itertools import starmap, zip_longest
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping
 
 from .model import Execution, ValidatedExecution, validate_execution
 from .protocol import (
@@ -79,6 +78,10 @@ class SimulationError(ValueError):
     pass
 
 
+# SimConfig's (lo, hi) fields, which trace files hold as two-item lists.
+_RANGE_FIELDS = ("message_delay_range", "arrival_gap_range", "work_delay_range")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int
@@ -100,7 +103,7 @@ class SimConfig:
             raise SimulationError("timer_period must be at least 1")
         if self.timer_jitter < 0:
             raise SimulationError("timer_jitter must be non-negative")
-        for name in ("message_delay_range", "arrival_gap_range", "work_delay_range"):
+        for name in _RANGE_FIELDS:
             bounds = getattr(self, name)
             if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
                 raise SimulationError(f"{name} must be (lo, hi) with 0 <= lo <= hi")
@@ -111,18 +114,6 @@ class SimConfig:
         return self.z_param if self.protocol == PROTOCOL_B else 1
 
 
-class SimEvent(NamedTuple):
-    """One logged event; values holds its data in EVENT_KEYS[kind] order."""
-
-    time: int
-    seq: int
-    kind: str
-    values: tuple[int, ...]
-
-    def to_dict(self) -> dict[str, int | str]:
-        return _event_dict(self.seq, (self.time, self.kind, *self.values))
-
-
 def _event_dict(seq: int, row: tuple[Any, ...]) -> dict[str, int | str]:
     """The event at position seq of a trace, whose row is (time, kind, *values), as trace files hold it."""
     time, kind, *values = row
@@ -131,37 +122,35 @@ def _event_dict(seq: int, row: tuple[Any, ...]) -> dict[str, int | str]:
     return out
 
 
+def _sections(trace: "Trace") -> Iterator[tuple[str, str, Iterable[Any]]]:
+    """The trace file's item sections as (where, field, items as the file holds them)."""
+    execution = trace.execution
+    yield "trace.execution", "transactions", map(_transaction_dict, execution.transactions)
+    yield "trace.execution", "commit_order", execution.commit_order
+    yield "trace", "events", starmap(_event_dict, enumerate(trace.events))
+    yield "trace", "checkpoint_log", map(CheckpointRecord._asdict, trace.checkpoint_log)
+
+
 @dataclass(frozen=True)
 class Trace:
     config: SimConfig
     workload: WorkloadSpec
     execution: ValidatedExecution
-    event_rows: tuple[tuple[Any, ...], ...]  # (time, kind, *values); seq is the position
+    events: tuple[tuple[Any, ...], ...]  # (time, kind, *values); seq is the position
     checkpoint_log: tuple[CheckpointRecord, ...]
-
-    @cached_property
-    def events(self) -> tuple[SimEvent, ...]:
-        """The logged events as SimEvents, built from event_rows on first read."""
-        return tuple(SimEvent(row[0], seq, row[1], row[2:]) for seq, row in enumerate(self.event_rows))
 
     def to_dict(self) -> dict[str, Any]:
         cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
-        for name in ("message_delay_range", "arrival_gap_range", "work_delay_range"):
+        for name in _RANGE_FIELDS:
             cfg[name] = list(cfg[name])
         wl = {f.name: getattr(self.workload, f.name) for f in fields(self.workload)}
         wl["ops_per_txn"] = list(self.workload.ops_per_txn)
-        return {
-            "schema_version": 1,
-            "config": cfg,
-            "workload": wl,
-            "execution": {
-                "objects": self.execution.num_objects,
-                "transactions": [_transaction_dict(t) for t in self.execution.transactions],
-                "commit_order": list(self.execution.commit_order),
-            },
-            "events": list(starmap(_event_dict, enumerate(self.event_rows))),
-            "checkpoint_log": [r._asdict() for r in self.checkpoint_log],
-        }
+        execution = {"objects": self.execution.num_objects}
+        out = {"schema_version": 1, "config": cfg, "workload": wl, "execution": execution}
+        within = {"trace": out, "trace.execution": execution}
+        for where, field, items in _sections(self):
+            within[where][field] = list(items)
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -178,7 +167,7 @@ class Trace:
         if unknown:
             raise SimulationError(f"trace.config: unknown fields {sorted(unknown)}")
         for name in known:
-            if name.endswith("_range"):
+            if name in _RANGE_FIELDS:
                 cfg[name] = tuple(_int_list(cfg.get(name), f"trace.config.{name}"))
             else:
                 _expect(cfg, name, str if name == "protocol" else int, "trace.config")
@@ -210,10 +199,9 @@ class Trace:
         if unknown:
             raise SimulationError(f"trace.execution: unknown fields {sorted(unknown)}")
         trace = run_simulation(workload, config)
-        _expect_run(stored, "trace.execution.transactions", map(_transaction_dict, trace.execution.transactions))
-        _expect_run(stored, "trace.execution.commit_order", trace.execution.commit_order)
-        _expect_run(data, "trace.events", starmap(_event_dict, enumerate(trace.event_rows)))
-        _expect_run(data, "trace.checkpoint_log", map(CheckpointRecord._asdict, trace.checkpoint_log))
+        within = {"trace": data, "trace.execution": stored}
+        for where, field, items in _sections(trace):
+            _expect_run(within[where], where, field, items)
         return trace
 
     @staticmethod
@@ -225,13 +213,30 @@ class Trace:
         return Trace.from_dict(data)
 
 
-def _expect_run(data: Mapping[str, Any], path: str, run: Iterable[Any]) -> None:
-    """Raise unless data's field named by path's last part lists the re-run's items."""
-    where, _, field = path.rpartition(".")
+_LOOSE = frozenset((bool, float))  # the JSON values that can equal an int under == without being one
+
+
+def _loose(value: Any) -> bool:
+    """True iff value is or holds a bool or a float."""
+    if type(value) is dict:
+        value = value.values()
+    elif type(value) is not list:
+        return type(value) in _LOOSE
+    for item in value:
+        kind = type(item)
+        if kind in _LOOSE or (kind is list or kind is dict) and _loose(item):
+            return True
+    return False
+
+
+def _expect_run(data: Mapping[str, Any], where: str, field: str, run: Iterable[Any]) -> None:
+    """Raise unless data[field] lists the re-run's items.  Each re-run value
+    is an int, a str or a list of ints, so an item that equals its re-run
+    under == is exact unless it holds a bool or a float."""
     missing = object()
     for i, (got, want) in enumerate(zip_longest(_expect(data, field, list, where), run, fillvalue=missing)):
-        if got != want:
-            raise SimulationError(f"{path}[{i}]: differs from a re-run of trace.config and trace.workload")
+        if got != want or _loose(got):
+            raise SimulationError(f"{where}.{field}[{i}]: differs from a re-run of trace.config and trace.workload")
 
 
 _BEGIN, _COMMIT, _DELIVERY, _TIMER = range(4)

@@ -44,7 +44,7 @@ class GlobalCheckpoint:
         return tuple(c.rank for c in self.members)
 
     def states(self) -> dict[int, int]:
-        return {c.obj: c.state.version for c in self.members}
+        return {c.obj: c.version for c in self.members}
 
     def contains(self, candidate: Mapping[int, int]) -> bool:
         """True iff every (object -> rank) entry of candidate appears here;
@@ -169,7 +169,7 @@ def enumerate_consistent_globals(
     base = analysis.base
     out: list[GlobalCheckpoint] = []
     for members in itertools.product(*analysis.checkpoints):
-        if is_consistent_global_state({c.obj: c.state.version for c in members}, base):
+        if is_consistent_global_state({c.obj: c.version for c in members}, base):
             out.append(GlobalCheckpoint(members))
     return out
 

@@ -28,7 +28,6 @@ from txckpt.model import (
     Execution,
     LocalState,
     Transaction,
-    assign_versions,
     validate_execution,
 )
 from txckpt.protocol import (
@@ -62,6 +61,24 @@ def make_execution(num_objects, txns, order=None):
     return validate_execution(Execution(num_objects, transactions, tuple(order)))
 
 
+def version_oracle(execution) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Each access's versions by a replay of the commit order: pre[(t, x)] is
+    the version of x that transaction t saw when it accessed x, and
+    post[(t, x)] = pre + 1 exists only for writes."""
+    txn_by_id = {t.id: t for t in execution.transactions}
+    pre: dict[tuple[int, int], int] = {}
+    post: dict[tuple[int, int], int] = {}
+    current = [0] * execution.num_objects
+    for txn_id in execution.commit_order:
+        txn = txn_by_id[txn_id]
+        for obj in txn.access_set:
+            pre[(txn_id, obj)] = current[obj]
+        for obj in sorted(txn.write_set):
+            current[obj] += 1
+            post[(txn_id, obj)] = current[obj]
+    return pre, post
+
+
 def hb_oracle(execution, a: LocalState, b: LocalState) -> bool:
     """Happened-before by explicit search of the extended relation.
 
@@ -70,7 +87,7 @@ def hb_oracle(execution, a: LocalState, b: LocalState) -> bool:
     are linked in commit order.  Strict reachability between the two states
     is the answer.
     """
-    timeline = assign_versions(execution)
+    pre, post = version_oracle(execution)
     txn_by_id = {t.id: t for t in execution.transactions}
     adj: dict[object, list[object]] = {}
 
@@ -80,8 +97,8 @@ def hb_oracle(execution, a: LocalState, b: LocalState) -> bool:
     for txn_id in execution.commit_order:
         txn = txn_by_id[txn_id]
         for obj in txn.write_set:
-            link(LocalState(obj, timeline.pre_version[(txn_id, obj)]), ("t", txn_id))
-            link(("t", txn_id), LocalState(obj, timeline.post_version[(txn_id, obj)]))
+            link(LocalState(obj, pre[(txn_id, obj)]), ("t", txn_id))
+            link(("t", txn_id), LocalState(obj, post[(txn_id, obj)]))
     order = list(execution.commit_order)
     for i, ti in enumerate(order):
         for tj in order[i + 1 :]:
@@ -156,7 +173,7 @@ def recovery_line_check(line, base: ExecutionAnalysis) -> bool:
 
 def version_vector(gc) -> tuple[int, ...]:
     """A global checkpoint's saved versions, in object order."""
-    return tuple(c.state.version for c in gc.members)
+    return tuple(c.version for c in gc.members)
 
 
 def dp_oracle(analysis: CheckpointAnalysis, src, dst) -> bool:
@@ -277,7 +294,7 @@ def reach_oracle(analysis: CheckpointAnalysis, obj: int, rank: int):
     versions = analysis.pattern.versions
     timeline, hops = analysis.base.timeline, analysis.base.graph.successors
     landings: dict[int, list[tuple[int, int]]] = {}
-    for (txn, x), post in sorted(timeline.post_version.items()):
+    for (txn, x), post in sorted(version_oracle(analysis.base.execution)[1].items()):
         landings.setdefault(txn, []).append((x, bisect.bisect_right(versions[x], post - 1) - 1))
     reach = [len(vs) for vs in versions]
     started = list(reach)
@@ -330,7 +347,7 @@ def witness_oracle(analysis: CheckpointAnalysis, src, dst):
     """
     if not analysis.dp_reachable(src, dst):
         return None
-    timeline = analysis.base.timeline
+    pre, post = version_oracle(analysis.base.execution)
     _, parent, lowered = reach_oracle(analysis, src.obj, src.rank)
     found = [txn for rank, txn in lowered[dst.obj] if rank < dst.rank]
     if not found:
@@ -342,8 +359,8 @@ def witness_oracle(analysis: CheckpointAnalysis, src, dst):
         while parent[first][1] is None:
             first = parent[first][0]
         via, entry = parent[first]
-        source = LocalState(entry, timeline.pre_version[(first, entry)])
-        target = LocalState(obj, timeline.post_version[(last, obj)])
+        source = LocalState(entry, pre[(first, entry)])
+        target = LocalState(obj, post[(last, obj)])
         witness.append(DependenceEdge(source, target, BLACK if first == last else DASHED, (first, last)))
         last, obj = via, entry
     return witness[::-1]
@@ -425,7 +442,7 @@ def checkpoint_oracle(analysis: CheckpointAnalysis, obj: int, rank: int) -> Chec
     object per call, not a table entry."""
     if rank not in analysis.pattern.ranks(obj):
         raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
-    return Checkpoint(obj, rank, LocalState(obj, analysis.pattern.versions[obj][rank]))
+    return Checkpoint(obj, rank, analysis.pattern.versions[obj][rank])
 
 
 def rank_oracle(pattern: CheckpointPattern, obj: int, version: int) -> int:
@@ -681,7 +698,7 @@ class _SimulationOracle:
         self.heap: list[tuple[int, int, str, tuple]] = []
         self.seq = 0
         self.now = 0
-        self.event_rows: list[tuple] = []  # (time, kind, *values), as the simulator logs them
+        self.events: list[tuple] = []  # (time, kind, *values), as the simulator logs them
         self.log: list[CheckpointRecord] = [initial_record(o) for o in range(config.num_objects)]
         self.commit_order: list[int] = []
         self.outstanding_msgs = 0
@@ -693,7 +710,7 @@ class _SimulationOracle:
     def _record(self, kind: str, data: tuple[tuple[str, int], ...]) -> None:
         # The oracle names every value, so it checks EVENT_KEYS's key order.
         assert tuple(key for key, _ in data) == EVENT_KEYS[kind], (kind, data)
-        self.event_rows.append((self.now, kind, *(value for _, value in data)))
+        self.events.append((self.now, kind, *(value for _, value in data)))
 
     def _next_deadline(self) -> int:
         jitter = self.rng.randint(0, self.config.timer_jitter) if self.config.timer_jitter else 0
@@ -825,7 +842,7 @@ class _SimulationOracle:
             count = sum(1 for t in self.txns.values() if obj in t.txn.write_set)
             if self.dms[obj].version != count:
                 raise SimulationError(f"object {obj}: undelivered writes at end of run")
-        return Trace(self.config, self.workload, execution, tuple(self.event_rows), tuple(self.log))
+        return Trace(self.config, self.workload, execution, tuple(self.events), tuple(self.log))
 
 
 def simulation_oracle(workload: WorkloadSpec, config: SimConfig) -> Trace:

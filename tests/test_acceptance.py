@@ -208,7 +208,7 @@ def test_criterion_03_fig3_hidden_dependence():
     assert len(first_z) == 4
     for gc in enumerate_consistent_globals(analysis):
         assert not (
-            gc.members[u].state.version == 0 and gc.members[x].state.version == 2
+            gc.members[u].version == 0 and gc.members[x].version == 2
         )
     elapsed = time.monotonic() - started
     assert elapsed < 1.0

@@ -43,6 +43,7 @@ from conftest import (
     reach_oracle,
     scenario_analysis,
     state_intervals,
+    version_oracle,
     witness_oracle,
 )
 
@@ -210,7 +211,7 @@ class TestIntervals:
         execution = make_execution(1, [(0, [], [0]), (1, [], [0])])
         analysis = analysis_for(execution, {0: [0, 1]})
         assert analysis.pattern.versions[0] == (0, 1, 2)
-        assert analysis.checkpoint(0, 1).state.version == 1
+        assert analysis.checkpoint(0, 1).version == 1
 
 
 def outcome(call):
@@ -227,7 +228,7 @@ def assert_table_matches_oracle(analysis):
     for obj, versions in enumerate(pattern.versions):
         assert len(analysis.checkpoints[obj]) == len(versions)
         for rank, version in enumerate(versions):
-            expected = Checkpoint(obj, rank, LocalState(obj, version))
+            expected = Checkpoint(obj, rank, version)
             assert analysis.checkpoint(obj, rank) == expected
             assert analysis.checkpoint(obj, rank) is analysis.checkpoints[obj][rank]
             assert analysis.checkpoint_at_version(obj, version) is analysis.checkpoints[obj][rank]
@@ -319,9 +320,9 @@ class TestDependencePaths:
         assert analysis.dp_reachable(src, dst)
         witness = analysis.dp_witness(src, dst)
         assert witness and len(witness) >= 2
-        assert witness[0].source == src.state
+        assert witness[0].source == LocalState(src.obj, src.version)
         assert witness[-1].target.obj == x
-        assert witness[-1].target.version <= dst.state.version
+        assert witness[-1].target.version <= dst.version
 
     def test_same_object_rank_order(self, fig3):
         analysis = scenario_analysis(fig3)
@@ -340,7 +341,7 @@ class TestDependencePaths:
         analysis = scenario_analysis(fig3)
         m = analysis.pattern.num_objects
         valid = analysis.checkpoint(0, 0)
-        bad = Checkpoint(m, 0, LocalState(m, 0))
+        bad = Checkpoint(m, 0, 0)
 
         def outcome(call):
             try:
@@ -351,7 +352,7 @@ class TestDependencePaths:
         rejected = 0
         for obj in range(-m - 2, m + 2):
             for rank in range(-2, 6):
-                ck = Checkpoint(obj, rank, LocalState(obj, 0))
+                ck = Checkpoint(obj, rank, 0)
                 expected = outcome(lambda: analysis.checkpoint(obj, rank))
                 if isinstance(expected, str):
                     rejected += 1
@@ -403,7 +404,7 @@ class TestDependencePaths:
         rejected = 0
         for dst_obj in range(-m - 2, m + 2):
             for rank in range(-2, 6):
-                dst = Checkpoint(dst_obj, rank, LocalState(dst_obj, 0))
+                dst = Checkpoint(dst_obj, rank, 0)
                 expected = outcome(lambda: analysis.checkpoint(dst_obj, rank))
                 safe = outcome(lambda: analysis.min_safe_ranks(dst))
                 if isinstance(expected, str):
@@ -491,10 +492,10 @@ class TestDependencePaths:
         m = analysis.pattern.num_objects
         for ck in all_checkpoints(analysis):
             for obj in (-1, m):
-                bad = Checkpoint(obj, ck.rank, ck.state)
+                bad = Checkpoint(obj, ck.rank, ck.version)
                 queries = [
                     lambda: analysis.checkpoint(obj, ck.rank),
-                    lambda: analysis.checkpoint_at_version(obj, ck.state.version),
+                    lambda: analysis.checkpoint_at_version(obj, ck.version),
                     lambda: analysis.min_reachable_ranks(bad),
                     lambda: analysis.min_safe_ranks(bad),
                 ]
@@ -556,6 +557,34 @@ class TestWitnessMatchesWholeSearch:
                 assert seen <= full
                 stopped, whole = stopped + seen, whole + full
         assert whole > 0 and stopped < whole / 2
+
+
+def witness_edges_checked_against_replay(analysis) -> int:
+    """Every dp_witness edge's versions, read off the writers, against the
+    commit-order replay: the pre-version of its first via transaction on
+    its source object, and the post-version of its last on its target.
+    Returns the number of edges checked."""
+    pre, post = version_oracle(analysis.base.execution)
+    checked = 0
+    for src, dst in itertools.product(all_checkpoints(analysis), repeat=2):
+        for edge in analysis.dp_witness(src, dst) or ():
+            first, last = edge.via
+            assert edge.source.version == pre[(first, edge.source.obj)], (src, dst, edge)
+            assert edge.target.version == post[(last, edge.target.obj)], (src, dst, edge)
+            checked += 1
+    return checked
+
+
+class TestWitnessVersionsMatchTheReplay:
+    @settings(max_examples=150, deadline=None)
+    @given(analyses())
+    def test_on_small_analyses(self, analysis):
+        witness_edges_checked_against_replay(analysis)
+
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 2)])
+    def test_on_simulated_traces(self, protocol, z):
+        analysis = simulated_analysis(6, 80, 1, protocol=protocol, z_param=z, timer_period=10)
+        assert witness_edges_checked_against_replay(analysis) > 100
 
 
 def monotone_weights(analysis, seed):

@@ -15,7 +15,7 @@ from txckpt.model import (
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import SimConfig, run_simulation
 
-from conftest import executions, make_execution, serialization_closure_oracle
+from conftest import executions, make_execution, serialization_closure_oracle, version_oracle
 
 
 def test_validate_fig1a_shape(fig1a):
@@ -113,9 +113,13 @@ def test_commit_order_is_linear_extension(execution):
 @given(executions())
 def test_versions_contiguous_and_write_increments(execution):
     timeline = assign_versions(execution)
+    pre, post = version_oracle(execution)
     for txn in execution.transactions:
         for obj in txn.write_set:
-            assert timeline.post_version[(txn.id, obj)] == timeline.pre_version[(txn.id, obj)] + 1
+            assert post[(txn.id, obj)] == pre[(txn.id, obj)] + 1
+            # A write's versions are read off its position among the writers.
+            assert timeline.writers[obj].index(txn.id) == pre[(txn.id, obj)]
+            assert timeline.writer_of(obj, post[(txn.id, obj)]) == txn.id
     for obj in range(execution.num_objects):
         writes = sum(1 for t in execution.transactions if obj in t.write_set)
         assert timeline.max_version(obj) == writes

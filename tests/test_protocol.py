@@ -183,7 +183,7 @@ class TestVerification:
             CheckpointRecord(r.obj, min(r.index, 1), r.kind, r.version, r.time)
             for r in trace.checkpoint_log
         )
-        bad = Trace(trace.config, trace.workload, trace.execution, trace.event_rows, rigged)
+        bad = Trace(trace.config, trace.workload, trace.execution, trace.events, rigged)
         report = verify_protocol_guarantees(bad)
         assert not report.ok
         assert any("not strictly increasing" in v for v in report.violations)
@@ -323,7 +323,7 @@ class TestVerificationMatchesPairwiseOracle:
         assert all(a is analysis for a, _ in builds)
         # Assemblies that pick the same versions share one consistency test.
         vectors = {
-            tuple(c.state.version for c in gc.members)
+            tuple(c.version for c in gc.members)
             for n in range(max(r.index for r in log) + 1)
             if (gc := assemble_indexed_gc(n, log, analysis)) is not None
         }

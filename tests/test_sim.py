@@ -64,10 +64,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("jitter", [0, 3])
     def test_events_follow_the_event_schema(self, protocol, z, jitter):
         trace = run(seed=5, txns=40, objects=5, protocol=protocol, z=z, timer=4, jitter=jitter)
-        assert {e.kind for e in trace.events} == set(EVENT_KEYS)
-        for e in trace.events:
-            assert len(e.values) == len(EVENT_KEYS[e.kind]), e
-            assert set(e.to_dict()) == {"time", "seq", "kind", *EVENT_KEYS[e.kind]}, e
+        assert {kind for _, kind, *_ in trace.events} == set(EVENT_KEYS)
+        for row, e in zip(trace.events, trace.to_dict()["events"], strict=True):
+            time, kind, *values = row
+            assert len(values) == len(EVENT_KEYS[kind]), row
+            assert set(e) == {"time", "seq", "kind", *EVENT_KEYS[kind]}, e
 
     def test_trace_and_report_digest(self):
         # One sha256 over 120 traces and their guarantee reports pins both
@@ -130,27 +131,26 @@ def replay_checkpoint_log(trace):
     log = [initial_record(obj) for obj in range(m)]
     observed: dict[int, dict[int, int]] = {}
     messages = {}
-    for event in trace.events:
-        data = event.to_dict()
-        if event.kind == EV_LOCK_ACQUIRED:
+    for data in trace.to_dict()["events"]:
+        if data["kind"] == EV_LOCK_ACQUIRED:
             observed.setdefault(data["txn"], {})[data["obj"]] = dms[data["obj"]].index
             continue
-        if event.kind == EV_TXN_COMMIT:
+        if data["kind"] == EV_TXN_COMMIT:
             for msg in tm_commit_metadata(txns[data["txn"]], observed[data["txn"]]):
-                assert msg.max_index == data["max_index"], event
+                assert msg.max_index == data["max_index"], data
                 messages[(msg.txn, msg.dest)] = msg
             continue
-        if event.kind == EV_TIMER:
+        if data["kind"] == EV_TIMER:
             obj = data["obj"]
-            dm, record = dm_on_timer(dms[obj], event.time)
-            assert dm.index == data["index"], event
-        elif event.kind == EV_COMMIT_MSG:
+            dm, record = dm_on_timer(dms[obj], data["time"])
+            assert dm.index == data["index"], data
+        elif data["kind"] == EV_COMMIT_MSG:
             obj = data["obj"]
             msg = messages.pop((data["txn"], obj))
-            assert msg.max_index == data["max_index"], event
+            assert msg.max_index == data["max_index"], data
             step = dm_on_commit if data["apply"] else dm_on_release
-            dm, record = step(dms[obj], msg, z, event.time)
-            assert data["forced"] == (record is not None), event
+            dm, record = step(dms[obj], msg, z, data["time"])
+            assert data["forced"] == (record is not None), data
         else:
             continue
         dms[obj] = dm
@@ -211,26 +211,24 @@ class TestExecutionShape:
     def test_every_message_delivered_exactly_once(self):
         trace = run(seed=3, txns=15)
         sent = sum(len(t.access_set) for t in trace.execution.transactions)
-        delivered = [e for e in trace.events if e.kind == EV_COMMIT_MSG]
+        delivered = [row for row in trace.events if row[1] == EV_COMMIT_MSG]
         assert len(delivered) == sent
 
     def test_lock_observes_index_before_commit(self):
         trace = run(seed=4, txns=10)
-        commits = {
-            e.to_dict()["txn"]: e.time for e in trace.events if e.kind == EV_TXN_COMMIT
-        }
-        for e in trace.events:
-            if e.kind == EV_LOCK_ACQUIRED:
-                assert e.time <= commits[e.to_dict()["txn"]]
+        events = trace.to_dict()["events"]
+        commits = {e["txn"]: e["time"] for e in events if e["kind"] == EV_TXN_COMMIT}
+        for e in events:
+            if e["kind"] == EV_LOCK_ACQUIRED:
+                assert e["time"] <= commits[e["txn"]]
 
     def test_versions_follow_commit_order(self):
         # Writes to an object apply in commit order even with delivery skew.
         trace = run(seed=7, txns=18, delays=(1, 25))
         position = {t: i for i, t in enumerate(trace.execution.commit_order)}
         applies: dict[int, list[int]] = {}
-        for e in trace.events:
-            data = e.to_dict()
-            if e.kind == EV_COMMIT_MSG and data["apply"]:
+        for data in trace.to_dict()["events"]:
+            if data["kind"] == EV_COMMIT_MSG and data["apply"]:
                 applies.setdefault(data["obj"], []).append(position[data["txn"]])
         for order in applies.values():
             assert order == sorted(order)
@@ -287,11 +285,11 @@ class TestCheckpointBehavior:
         version_after: dict[int, int] = {}
         forced = [r for r in trace.checkpoint_log if r.kind == "forced"]
         assert forced
+        events = trace.to_dict()["events"]
         for r in forced:
             writes_before = [
-                e for e in trace.events
-                if e.kind == EV_COMMIT_MSG and e.to_dict()["obj"] == r.obj
-                and e.to_dict()["apply"] and e.time <= r.time
+                e for e in events
+                if e["kind"] == EV_COMMIT_MSG and e["obj"] == r.obj and e["apply"] and e["time"] <= r.time
             ]
             # the forced snapshot never includes the write that forced it
             assert r.version <= len(writes_before)

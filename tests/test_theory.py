@@ -149,8 +149,8 @@ class TestExtension:
         u, z, y, x = (fig3.object_index(n) for n in "uzyx")
         result = extend_to_global({x: 1}, analysis)
         gc = result.global_checkpoint
-        assert gc.members[x].state.version == 2
-        assert gc.members[z].rank == 1 and gc.members[z].state.version == 4
+        assert gc.members[x].version == 2
+        assert gc.members[z].rank == 1 and gc.members[z].version == 4
         assert is_consistent_global_state(gc.states(), analysis.base)
         assert analysis.min_safe_ranks(gc.members[x])[z] == 1
 
@@ -343,7 +343,7 @@ class TestIndexedAssembly:
         log = [record(0, 0, 0), record(0, 3, 1), record(1, 1, 1), record(2, 1, 1)]
         gc = assemble_indexed_gc(1, log, analysis)
         assert gc is not None
-        assert gc.members[0].state.version == 1  # picked index 3 for object 0
+        assert gc.members[0].version == 1  # picked index 3 for object 0
 
     def test_missing_when_no_index_at_or_above(self, fig1a):
         analysis = scenario_analysis(fig1a)
@@ -391,10 +391,11 @@ class TestQueriesReadTheTable:
             result = extend_to_global(candidate, analysis)
             extended += result.global_checkpoint.contains(candidate)
         assert len(assemblies) > 5 and extended == len(assemblies)
-        # The first query builds the table, and no checkpoint or state beyond it.
+        # The first query builds the table, whose checkpoints hold their
+        # versions as ints, and no checkpoint or state beyond it.
         table_size = sum(len(vs) for vs in analysis.pattern.versions)
-        assert built == {Checkpoint: table_size, LocalState: table_size}
+        assert built == {Checkpoint: table_size, LocalState: 0}
 
         # verify of a clean trace builds no checkpoint or state at all.
         assert verify_protocol_guarantees(trace).ok
-        assert built == {Checkpoint: table_size, LocalState: table_size}
+        assert built == {Checkpoint: table_size, LocalState: 0}
