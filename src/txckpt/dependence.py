@@ -54,7 +54,13 @@ A column never decreases with rank, because a path that leaves from a rank
 also leaves from every lower rank (a lower interval starts every writer a
 higher one starts).  So the ranks of an object whose checkpoints reach a
 destination form a prefix, and ``min_safe_ranks`` finds each object's least
-safe rank toward one checkpoint with one plain bisection per object.
+safe rank toward one checkpoint with one plain bisection per object.  That
+row is stored per destination checkpoint on first use, one checkpoint at a
+time, so a query pays only for the rows it reads.  Rows do not replace the
+columns: a path that lands in a destination object's last interval reaches
+none of its checkpoints, so no row tells it from no path at all, while
+``min_reachable_ranks`` reports the one as k and the other as k + 1 for k
+checkpoints.
 
 A Checkpoint is three ints: its object, its rank and the version it saves.
 A CheckpointAnalysis builds each Checkpoint of its closed pattern once, on
@@ -262,6 +268,7 @@ class CheckpointAnalysis:
                 self._landings[txn].append((obj, rank))
         self._condense()
         self._columns: list = [None] * len(versions)  # per destination object; see _column
+        self._safe = [[None] * len(vs) for vs in versions]  # per destination checkpoint; see min_safe_ranks
 
     def _condense(self) -> None:
         """One Tarjan pass over transactions, chain hops plus restart edges.
@@ -464,14 +471,18 @@ class CheckpointAnalysis:
         The ranks of an object that reach dst form a prefix (its reach
         column never decreases), so each entry is one bisection; every
         object's last checkpoint, whose interval holds no write, reaches
-        nothing.
+        nothing.  The row is built on the first call for dst and stored;
+        later calls return the stored tuple.
         """
         dst_obj, rank = dst.obj, dst.rank
-        try:  # the bounds check, as in dp_reachable
+        try:  # the bounds check, as in dp_reachable: _safe has the pattern's shape
             if dst_obj >= 0 and rank >= 0:
-                self.checkpoints[dst_obj][rank]
-                column = self._columns[dst_obj] or self._column(dst_obj)
-                return tuple([bisect_right(reach, rank - 1) for reach in column])
+                rows = self._safe[dst_obj]
+                row = rows[rank]
+                if row is None:
+                    column = self._columns[dst_obj] or self._column(dst_obj)
+                    row = rows[rank] = tuple([bisect_right(reach, rank - 1) for reach in column])
+                return row
         except IndexError:
             pass
         return self.min_safe_ranks(self.checkpoint(dst_obj, rank))

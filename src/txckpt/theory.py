@@ -135,17 +135,22 @@ def extend_to_global(candidate: Mapping[int, int], analysis: CheckpointAnalysis)
     in the candidate gets the maximum over the members of the least rank
     whose checkpoint has no dependence path to that member (rank 0 when the
     member has rank 0).
+
+    Those least ranks are the members' min_safe_ranks rows, so the
+    extension is their element-wise maximum, taken in one pass; a single
+    member's row is its own maximum.  On a member's own object the maximum
+    is the member's rank: its own row gives that rank, as it has no path
+    to itself, and another member's row gives no more, since the member
+    has no path to it and the ranks that reach it form a prefix.
     """
     members = _resolve_candidate(candidate, analysis)
     pair = _first_violating_pair(members, analysis)
     if pair is not None:
         raise ConditionViolated(*pair, analysis.dp_witness(*pair))
     safe = [analysis.min_safe_ranks(member) for member in members]
-    chosen = [
-        table[candidate[obj]] if obj in candidate else table[max(ranks[obj] for ranks in safe)]
-        for obj, table in enumerate(analysis.checkpoints)
-    ]
-    return ExtensionResult(GlobalCheckpoint(tuple(chosen)))
+    floor = safe[0] if len(safe) == 1 else map(max, *safe)
+    chosen = tuple([table[rank] for table, rank in zip(analysis.checkpoints, floor)])
+    return ExtensionResult(GlobalCheckpoint(chosen))
 
 
 class OracleBoundExceeded(RuntimeError):

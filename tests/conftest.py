@@ -461,6 +461,18 @@ def min_safe_rank_oracle(analysis: CheckpointAnalysis, obj: int, dst) -> int:
     raise AssertionError(f"every rank of object {obj} reaches {dst}")
 
 
+def safe_ranks_oracle(analysis: CheckpointAnalysis, dst) -> tuple[int, ...]:
+    """min_safe_ranks as one bisection per object of the reach column
+    toward dst's object, recomputed on every call and never stored."""
+    column = analysis._columns[dst.obj] or analysis._column(dst.obj)
+    return tuple(bisect.bisect_right(reach, dst.rank - 1) for reach in column)
+
+
+def stored_safe_rows(analysis: CheckpointAnalysis) -> list[tuple[int, int]]:
+    """The (object, rank) of every checkpoint whose min_safe_ranks row is stored."""
+    return [(obj, rank) for obj, rows in enumerate(analysis._safe) for rank, row in enumerate(rows) if row is not None]
+
+
 def extension_oracle(
     candidate, analysis: CheckpointAnalysis
 ) -> tuple[GlobalCheckpoint, dict[int, dict[int, int]]]:

@@ -23,6 +23,7 @@ from txckpt.scenario import (
     generate_random,
     load_scenario,
     save_scenario,
+    scenario_to_dict,
 )
 from txckpt.sim import Trace
 from txckpt.theory import ConditionViolated
@@ -63,27 +64,41 @@ def simulated_trace_file() -> tuple[str, int]:
         return path.read_text(), main(["verify", str(path)])
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=4,
-)
+def json_values(integers):
+    """JSON values of up to four leaves, integers drawn from integers."""
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=4,
+    )
+
+
+JSON_VALUES = json_values(st.integers())
+# Small integers, so that no mutated scenario or workload file asks for a
+# large analysis or a long run.
+SMALL_JSON_VALUES = json_values(st.integers(-3, 12))
 
 
 def mutate_trace(draw, data):
     """Apply one drawn mutation to a parsed trace file, in place.
 
     config and workload lose one key, so that no mutation asks for a longer
-    re-run.  In execution, events and checkpoint_log, some dict or list is
-    picked, and then a key is deleted or added, a value replaced with another
-    JSON value, or list items dropped, duplicated or swapped.
+    re-run.  execution, events and checkpoint_log are mutated by mutate_json.
     """
     section = draw(st.sampled_from(["config", "workload", "execution", "events", "checkpoint_log"]))
     node = data[section]
     if section in ("config", "workload"):
         del node[draw(st.sampled_from(sorted(node)))]
         return
+    mutate_json(draw, node)
+
+
+def mutate_json(draw, node, values=JSON_VALUES):
+    """Apply one drawn mutation within a non-empty parsed JSON dict or list,
+    in place: some dict or list is picked, and then a key is deleted or
+    added, a value replaced with one of values, or list items dropped,
+    duplicated or swapped."""
     while True:
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         inner = [k for k in keys if isinstance(node[k], (dict, list)) and node[k]]
@@ -93,13 +108,13 @@ def mutate_trace(draw, data):
     ops = ["delete", "add", "replace"] if isinstance(node, dict) else ["drop", "duplicate", "swap", "replace"]
     op = draw(st.sampled_from(ops))
     if op == "add":
-        node[draw(st.text(max_size=4).filter(lambda k: k not in node))] = draw(JSON_VALUES)
+        node[draw(st.text(max_size=4).filter(lambda k: k not in node))] = draw(values)
         return
     key = draw(st.sampled_from(keys))
     if op in ("delete", "drop"):
         del node[key]
     elif op == "replace":
-        node[key] = draw(JSON_VALUES)
+        node[key] = draw(values)
     elif op == "duplicate":
         node.insert(key, node[key])
     else:
@@ -559,6 +574,50 @@ class TestSimulateAndVerify:
         path.write_text("{broken")
         code, report = run_cli(capsys, "verify", str(path))
         assert code == 2 and "error" in report
+
+
+def run_on_file(args, data):
+    """main's exit code and report for args, "{path}" standing for a file
+    that holds data as JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(data))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([str(path) if arg == "{path}" else arg for arg in args])
+    return code, json.loads(out.getvalue())
+
+
+class TestMutatedInputFiles:
+    """One mutation of a scenario or workload file, as mutate_json makes it:
+    every command that reads the file prints one report and exits 0, 1 or 2
+    (2 with an error), never with a traceback."""
+
+    @staticmethod
+    def assert_report(code, report):
+        assert code in (0, 1, 2) and report["ok"] is (code == 0)
+        assert ("error" in report) is (code == 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_scenario(self, data):
+        scenario = scenario_to_dict(builtin_scenario("fig3"))
+        mutate_json(data.draw, scenario, SMALL_JSON_VALUES)
+        members = data.draw(st.lists(st.sampled_from(["u:0", "z:1", "y:1", "x:2", "1:0", "z:9", "w:0"]),
+                                     min_size=1, max_size=3))
+        command = data.draw(st.sampled_from(["analyze", "check", "extend"]))
+        args = [command, "{path}"] + (members if command != "analyze" else [])
+        self.assert_report(*run_on_file(args, scenario))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_workload(self, data):
+        workload = {"num_objects": 3, "num_txns": 8, "ops_per_txn": [1, 3], "write_probability": 0.6,
+                    "access_skew": 0.5, "seed": 4}
+        mutate_json(data.draw, workload, SMALL_JSON_VALUES)
+        code, report = run_on_file(["simulate", "--workload", "{path}", "--timer", "5"], workload)
+        self.assert_report(code, report)
+        assert code != 1
 
 
 @pytest.mark.parametrize("args, content", [

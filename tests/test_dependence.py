@@ -41,8 +41,10 @@ from conftest import (
     min_safe_rank_oracle,
     rank_oracle,
     reach_oracle,
+    safe_ranks_oracle,
     scenario_analysis,
     state_intervals,
+    stored_safe_rows,
     version_oracle,
     witness_oracle,
 )
@@ -504,6 +506,54 @@ class TestDependencePaths:
                 for query in queries:
                     with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
                         query()
+
+
+def assert_safe_rows_match_bisection(analysis):
+    """min_safe_ranks against safe_ranks_oracle for every checkpoint: on its
+    first call, on a repeated call, which returns the stored row, and on a
+    fresh analysis of the same pattern once every column and every later
+    checkpoint's row is built."""
+    cks = all_checkpoints(analysis)
+    for dst in cks:
+        first = analysis.min_safe_ranks(dst)
+        assert first == safe_ranks_oracle(analysis, dst)
+        assert analysis.min_safe_ranks(dst) is first
+    assert stored_safe_rows(analysis) == [(ck.obj, ck.rank) for ck in cks]
+    warm = CheckpointAnalysis(analysis.base, analysis.pattern)
+    for y in range(warm.pattern.num_objects):
+        warm._column(y)
+    for dst in reversed(cks):
+        assert warm.min_safe_ranks(warm.checkpoint(dst.obj, dst.rank)) == safe_ranks_oracle(warm, dst)
+
+
+class TestStoredSafeRows:
+    """min_safe_ranks stores each destination checkpoint's row on first use;
+    safe_ranks_oracle bisects the reach column on every call, as it once did."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(analyses())
+    def test_rows_match_the_bisection(self, analysis):
+        assert_safe_rows_match_bisection(analysis)
+
+    @pytest.mark.parametrize("protocol, z", [("A", 1), ("B", 2)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rows_match_the_bisection_on_simulated_traces(self, protocol, z, seed):
+        assert_safe_rows_match_bisection(simulated_analysis(6, 60, seed, protocol=protocol, z_param=z, timer_period=10))
+
+    def test_bad_checkpoints_fail_alike_before_and_after_rows_are_stored(self, fig3):
+        # A negative object or rank, a rank past the last and an object
+        # outside 0..m-1 each raise checkpoint's error, whether or not a row
+        # of that object is stored.
+        for analysis in (scenario_analysis(fig3), simulated_analysis(6, 60, 1, protocol="B", z_param=2, timer_period=10)):
+            m = analysis.pattern.num_objects
+            bad = [Checkpoint(obj, rank, 0) for obj in range(m) for rank in (-1, -5, len(analysis.pattern.versions[obj]))]
+            bad += [Checkpoint(obj, rank, 0) for obj in (-1, -m, m, m + 3) for rank in (-1, 0, 1)]
+            expected = [outcome(lambda: analysis.checkpoint(ck.obj, ck.rank)) for ck in bad]
+            assert all(kind is AnalysisError for kind, _ in expected)
+            assert [outcome(lambda: analysis.min_safe_ranks(ck)) for ck in bad] == expected
+            for ck in all_checkpoints(analysis):
+                analysis.min_safe_ranks(ck)
+            assert [outcome(lambda: analysis.min_safe_ranks(ck)) for ck in bad] == expected
 
 
 class TestWitnessMatchesWholeSearch:

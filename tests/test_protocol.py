@@ -30,6 +30,7 @@ from conftest import (
     dm_on_release,
     dm_on_timer,
     guarantee_violations_oracle,
+    stored_safe_rows,
     tm_commit_metadata,
 )
 
@@ -262,8 +263,9 @@ class TestVerificationMatchesPairwiseOracle:
     def test_verify_reads_no_reach_column(self, monkeypatch):
         # Bars come from one scalar fold over the SCCs, and only a row at or
         # above its bar reads reach: a clean trace is verified without one
-        # dp_reachable or min_reachable_ranks call, and a reach column is
-        # built only when a later query reads it, once per destination object.
+        # dp_reachable or min_reachable_ranks call and stores no
+        # min_safe_ranks row, and a reach column is built only when a later
+        # query reads it, once per destination object.
         calls = []
         builds = []
         consistency_calls = []
@@ -305,7 +307,7 @@ class TestVerificationMatchesPairwiseOracle:
         (base, analysis), = built
         log = trace.checkpoint_log
         assert report.ok and len(log) > 50
-        assert calls == [] and builds == []
+        assert calls == [] and builds == [] and stored_safe_rows(analysis) == []
         assert "direct_edges" not in base.graph.__dict__ and "edges" not in base.__dict__
         cks = [analysis.checkpoint(r.obj, analysis.pattern.rank_of(r.obj, r.version)) for r in log]
         dst = cks[-1]
@@ -316,6 +318,7 @@ class TestVerificationMatchesPairwiseOracle:
         for ck in analysis.checkpoints[dst.obj]:
             analysis.min_safe_ranks(ck)
         assert builds == [(analysis, dst.obj)]
+        assert stored_safe_rows(analysis) == [(dst.obj, ck.rank) for ck in analysis.checkpoints[dst.obj]]
         for ck in cks[:10]:
             analysis.min_reachable_ranks(ck)
             analysis.min_safe_ranks(ck)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from conftest import (
     recovery_line_check,
     recovery_line_violations,
     scenario_analysis,
+    stored_safe_rows,
     version_vector,
 )
 
@@ -268,6 +270,29 @@ class TestExtensionFastPath:
             sizes.add(k)
             assert calls == {"checkpoint": k, "min_safe_ranks": k}
         assert sizes == {1, 2, 3, 4}
+
+
+class TestColdExtensionWork:
+    def test_cold_extension_builds_its_members_columns_and_rows_only(self):
+        # The query_mix benchmark's trace, with a fresh analysis per
+        # candidate: a holding extension builds the reach column of each
+        # member's object and stores one min_safe_ranks row per member; a
+        # violated one stops at its first pair and stores no row.
+        spec = WorkloadSpec(12, 200, ops_per_txn=(1, 4), write_probability=0.6, seed=1)
+        config = SimConfig(seed=1, num_objects=12, protocol="A", timer_period=20)
+        base, shared = trace_pattern(run_simulation(spec, config))
+        held = Counter()
+        for candidate in sampled_candidates(shared, 60, 7):
+            analysis = CheckpointAnalysis(base, shared.pattern)
+            holds = not isinstance(extension_outcome(extend_to_global, candidate, analysis), tuple)
+            built = {y for y, column in enumerate(analysis._columns) if column is not None}
+            if holds:
+                assert built == set(candidate)
+                assert stored_safe_rows(analysis) == sorted(candidate.items())
+            else:
+                assert built <= set(candidate) and stored_safe_rows(analysis) == []
+            held[holds, len(candidate)] += 1
+        assert {k for holds, k in held if holds} == {1, 2, 3, 4} and held[False, 2] > 0
 
 
 class TestEnumeration:
