@@ -47,8 +47,9 @@ least of its own leaf and its children's values.  Two leaves serve:
   ``min_reached``: the least weight over the intervals reached, all that
   protocol verification needs.
 
-A witness search stops at the first transaction that lands below its
-destination checkpoint, rather than expanding every chain it could reach.
+A witness search stops where it discovers the first transaction that lands
+below its destination checkpoint, read off that transaction's landings,
+rather than expanding every chain it could reach.
 
 A column never decreases with rank, because a path that leaves from a rank
 also leaves from every lower rank (a lower interval starts every writer a
@@ -79,7 +80,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     LocalState,
@@ -98,13 +99,13 @@ class AnalysisError(ValueError):
     """A query referenced a state or checkpoint unknown to the analysis."""
 
 
-@dataclass(frozen=True)
-class DependenceEdge:
+class DependenceEdge(NamedTuple):
     """Atomic precedence between two local states.
 
     kind is black when one transaction's write set produced both endpoints,
     dashed when the serialization order connects two distinct writers.
-    via = (source transaction, target transaction).
+    via = (source transaction, target transaction).  A NamedTuple: it
+    compares equal to the plain tuple (source, target, kind, via).
     """
 
     source: LocalState
@@ -256,16 +257,16 @@ class CheckpointAnalysis:
         self.base = base
         self.pattern = pattern.with_final_states(base.timeline)
         timeline, versions = base.timeline, self.pattern.versions
-        # Per transaction: its landings (written object, interval of its
-        # pre-version there), in object order.  Paths hop along the
+        # Per transaction: its landings, written object -> interval of its
+        # pre-version there, in object order.  Paths hop along the
         # serialization graph's conflict-chain successors.
-        self._landings: dict[int, list[tuple[int, int]]] = {t.id: [] for t in base.execution.transactions}
+        self._landings: dict[int, dict[int, int]] = {t.id: {} for t in base.execution.transactions}
         for obj, (vs, obj_writers) in enumerate(zip(versions, timeline.writers)):
             rank = 0
             for pre, txn in enumerate(obj_writers):
                 if pre == vs[rank + 1]:
                     rank += 1
-                self._landings[txn].append((obj, rank))
+                self._landings[txn][obj] = rank
         self._condense()
         self._columns: list = [None] * len(versions)  # per destination object; see _column
         self._safe = [[None] * len(vs) for vs in versions]  # per destination checkpoint; see min_safe_ranks
@@ -285,7 +286,7 @@ class CheckpointAnalysis:
         versions, writers = self.pattern.versions, self.base.timeline.writers
         hops, landings = self.base.graph.successors, self._landings
         out = {
-            txn: hops[txn] + tuple([writers[x][versions[x][landed]] for x, landed in landed_on])
+            txn: hops[txn] + tuple([writers[x][versions[x][landed]] for x, landed in landed_on.items()])
             for txn, landed_on in landings.items()
         }
         number = dict.fromkeys(out, 0)  # DFS number, 0 while unvisited
@@ -326,7 +327,7 @@ class CheckpointAnalysis:
                         w = stack.pop()
                         members.append(w)
                         scc[w] = c
-                        for x, landed in landings[w]:
+                        for x, landed in landings[w].items():
                             if landed < own.get(x, landed + 1):
                                 own[x] = landed
                     kids = {scc[w] for u in members for w in out[u]}
@@ -361,41 +362,42 @@ class CheckpointAnalysis:
         self._columns[y] = column
         return column
 
-    def _search(self, obj: int, rank: int, goal: frozenset[int]) -> tuple[dict, int | None]:
+    def _search(self, obj: int, rank: int, y: int, below: int) -> tuple[dict, int | None]:
         """Paths out of interval (obj, rank), one layer per dependence edge,
-        until the first visited transaction in goal.
+        until it discovers a goal: a transaction whose landing on object y
+        is below rank ``below``.
 
         The writers of obj from interval rank upward start, each followed by
         its chain closure.  Every landing of a layer's writer starts the
         landed object's writers not yet started as the next layer.  Returns
-        each visited transaction's parent - (previous, None) after a hop,
+        each discovered transaction's parent - (previous, None) after a hop,
         (landing transaction or None, object entered) at a start - and the
-        first visited transaction in goal (None when it visits none).
-        Layers are scanned in the order their transactions joined, so that
-        is the first goal transaction a search without a goal would scan.
+        first goal discovered (None when there is none).  Transactions are
+        scanned in the order they are discovered, so the first goal
+        discovered is the first goal a search without a goal would scan,
+        and its parent chain is the one that search gives.
         """
-        versions = self.pattern.versions
-        writers = self.base.timeline.writers
-        hops = self.base.graph.successors
-        landings = self._landings
-        started = [len(vs) for vs in versions]
+        versions, writers = self.pattern.versions, self.base.timeline.writers
+        hops, landings = self.base.graph.successors, self._landings
+        started: dict[int, int] = {}  # object -> least rank started; any landing starts an absent one
         parent: dict[int, tuple[int | None, int | None]] = {}
 
         def start(x: int, rank: int, via: int | None, layer: list[int]) -> int | None:
-            stop = versions[x][started[x]] if started[x] < len(versions[x]) else None
+            stop = versions[x][started[x]] if x in started else None
             for txn in writers[x][versions[x][rank]:stop]:
                 if txn not in parent:
                     parent[txn] = (via, x)
-                    i = len(layer)
-                    layer.append(txn)
-                    while i < len(layer):  # txn's chain closure joins the layer
-                        if layer[i] in goal:
-                            return layer[i]
-                        for nxt in hops[layer[i]]:
+                    if landings[txn].get(y, below) < below:
+                        return txn
+                    closure = [txn]
+                    for here in closure:
+                        for nxt in hops[here]:
                             if nxt not in parent:
-                                parent[nxt] = (layer[i], None)
-                                layer.append(nxt)
-                        i += 1
+                                parent[nxt] = (here, None)
+                                if landings[nxt].get(y, below) < below:
+                                    return nxt
+                                closure.append(nxt)
+                    layer += closure
             started[x] = rank
             return None
 
@@ -404,8 +406,8 @@ class CheckpointAnalysis:
         while layer and hit is None:
             following: list[int] = []
             for txn in layer:
-                for x, landed in landings[txn]:
-                    if landed < started[x] and (hit := start(x, landed, txn, following)) is not None:
+                for x, landed in landings[txn].items():
+                    if landed < started.get(x, landed + 1) and (hit := start(x, landed, txn, following)) is not None:
                         return parent, hit
             layer = following
         return parent, hit
@@ -518,17 +520,16 @@ class CheckpointAnalysis:
         black edge, from the writer of the version after src.  Ties go to
         the first path the search finds: it starts writers in version order,
         each claiming its chain closure, hops in ascending transaction order
-        and lands in ascending object order.  The search stops at the first
-        transaction it visits that writes dst's object from a version below
-        dst's: its landing there is the first below dst's rank that the whole
-        search would make, so the witness is the one the whole search gives.
+        and lands in ascending object order.  The search stops where it
+        discovers the first transaction whose landing on dst's object, read
+        off its landings, is below dst's rank: that is the first such landing
+        the whole search would make, so the witness is the one the whole
+        search gives.
         """
         if not self.dp_reachable(src, dst):
             return None
         writers, obj = self.base.timeline.writers, dst.obj
-        # The writers of dst's object whose landing there is below dst's rank.
-        goal = frozenset(writers[obj][: self.pattern.versions[obj][dst.rank]])
-        parent, last = self._search(src.obj, src.rank, goal)
+        parent, last = self._search(src.obj, src.rank, obj, dst.rank)
         witness: list[DependenceEdge] = []
         while last is not None:
             first = last

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class ExecutionError(ValueError):
     """The execution violates a structural invariant."""
 
 
-@dataclass(frozen=True, order=True)
-class LocalState:
-    """One version of one object: version 0 is the initial state."""
+class LocalState(NamedTuple):
+    """One version of one object: version 0 is the initial state.  A
+    NamedTuple: it compares equal to, and orders as, the tuple (obj, version)."""
 
     obj: int
     version: int

@@ -54,13 +54,15 @@ class GlobalCheckpoint:
 
 
 class ConditionViolated(Exception):
-    """Two candidate members are joined by a dependence path."""
+    """Two candidate members are joined by a dependence path.  Its args are
+    (source, target, witness), so it pickles; its message is built when read."""
 
     def __init__(self, source: Checkpoint, target: Checkpoint, witness: list[DependenceEdge]):
-        self.source = source
-        self.target = target
-        self.witness = witness
-        super().__init__(f"dependence path from {source} to {target}")
+        super().__init__(source, target, witness)
+        self.source, self.target, self.witness = source, target, witness
+
+    def __str__(self) -> str:
+        return f"dependence path from {self.source} to {self.target}"
 
 
 def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAnalysis) -> bool:

@@ -485,6 +485,18 @@ class TestSimulateAndVerify:
         same = all(mutated[s] == original[s] for s in ("config", "workload")) and exact(mutated) == exact(original)
         assert code == (original_code if same else 2)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_trace_with_a_config_value_replaced_reports_once(self, data):
+        # One config value of the 3 x 10 trace replaced with a small JSON
+        # value, so that no mutation asks for a long re-run: verify prints
+        # one report and exits 0, 1 or 2, 2 exactly when it carries an
+        # error.  Not "2 unless equal": under protocol A, a changed z_param
+        # re-runs identically.
+        trace = json.loads(simulated_trace_file()[0])
+        trace["config"][data.draw(st.sampled_from(sorted(trace["config"])))] = data.draw(SMALL_JSON_VALUES)
+        TestMutatedInputFiles.assert_report(*run_on_file(["verify", "{path}"], trace))
+
     @pytest.mark.parametrize("edit", [
         lambda d: next(e for e in d["events"] if e.get("apply") == 1).update(apply=True),
         lambda d: d["checkpoint_log"][-1].update(index=float(d["checkpoint_log"][-1]["index"])),

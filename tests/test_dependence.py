@@ -16,6 +16,7 @@ from txckpt.dependence import (
     Checkpoint,
     CheckpointAnalysis,
     CheckpointPattern,
+    DependenceEdge,
     ExecutionAnalysis,
     PatternError,
 )
@@ -70,6 +71,36 @@ def all_checkpoints(analysis):
 
 def edge_pairs(base):
     return {(e.source, e.target) for e in base.edges}
+
+
+class TestValueTypes:
+    """LocalState and DependenceEdge are NamedTuples: their reprs are as
+    before, they order and hash by field order, compare equal to plain
+    tuples of their fields, and take no assignment."""
+
+    def test_reprs(self):
+        assert repr(LocalState(0, 1)) == "s(0,1)"
+        edge = DependenceEdge(LocalState(0, 1), LocalState(1, 2), BLACK, (3, 4))
+        assert repr(edge) == "DependenceEdge(source=s(0,1), target=s(1,2), kind='black', via=(3, 4))"
+
+    def test_order_and_hash_follow_field_order(self):
+        states = [LocalState(obj, version) for obj in range(3) for version in range(3)]
+        assert sorted(random.Random(0).sample(states, len(states))) == states
+        for state in states:
+            assert state == (state.obj, state.version) and hash(state) == hash((state.obj, state.version))
+        edges = list(simulated_analysis(4, 30, 1, protocol="A", timer_period=5).base.edges)
+        fields = lambda e: (e.source, e.target, e.kind, e.via)
+        assert sorted(random.Random(1).sample(edges, len(edges))) == sorted(edges, key=fields)
+        for edge in edges:
+            assert edge == fields(edge) and hash(edge) == hash(fields(edge))
+
+    def test_no_assignment(self):
+        state = LocalState(0, 1)
+        edge = DependenceEdge(state, LocalState(1, 2), DASHED, (3, 4))
+        for value, name in [(state, "obj"), (state, "version"), (state, "other"), (edge, "kind"), (edge, "other")]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        assert state == (0, 1) and edge == (state, (1, 2), DASHED, (3, 4))
 
 
 class TestHappenedBefore:
@@ -586,6 +617,56 @@ class TestWitnessMatchesWholeSearch:
             longest = max(longest, len(witness or ()))
         assert longest >= 2
 
+    @staticmethod
+    def recorded_searches(analysis, monkeypatch, pairs):
+        """Each search's parent map and hit, over dp_witness on pairs."""
+        search, searches = analysis._search, []
+
+        def recorded(*args):
+            parent, hit = search(*args)
+            searches.append((parent, hit))
+            return parent, hit
+
+        monkeypatch.setattr(analysis, "_search", recorded)
+        for src, dst in pairs:
+            analysis.dp_witness(src, dst)
+        return searches
+
+    def assert_searches_stop_at_their_hit(self, analysis, monkeypatch, pairs):
+        # dp_witness searches only when a path exists, so every search hits,
+        # and the hit is the last transaction it discovered.
+        searches = self.recorded_searches(analysis, monkeypatch, pairs)
+        for parent, hit in searches:
+            assert hit is not None and list(parent)[-1] == hit
+        return len(searches)
+
+    def test_search_stops_at_its_hit_on_a_12x200_trace(self, query_analysis, monkeypatch):
+        cks = all_checkpoints(query_analysis)
+        pairs = random.Random(1).sample(list(itertools.product(cks, repeat=2)), 3000)
+        assert self.assert_searches_stop_at_their_hit(query_analysis, monkeypatch, pairs) > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_stops_at_its_hit_on_protocol_b_traces(self, seed, monkeypatch):
+        analysis = simulated_analysis(6, 80, seed, protocol="B", z_param=2, timer_period=10)
+        pairs = itertools.product(all_checkpoints(analysis), repeat=2)
+        assert self.assert_searches_stop_at_their_hit(analysis, monkeypatch, pairs) > 100
+
+    def test_later_checkpoint_of_the_same_object_discovers_one_writer(self, query_analysis, monkeypatch):
+        # The first writer the search starts, of the version src saves, lands
+        # on src's own object at src's rank, below dst's: it is the goal.
+        pairs = [
+            (src, dst) for row in query_analysis.checkpoints
+            for src, dst in itertools.combinations(row, 2)
+        ]
+        searches = self.recorded_searches(query_analysis, monkeypatch, pairs)
+        assert len(searches) == len(pairs) > 100
+        writers = query_analysis.base.timeline.writers
+        for (src, dst), (parent, hit) in zip(pairs, searches):
+            assert hit == writers[src.obj][src.version]
+            assert parent == {hit: (None, src.obj)}
+            source, target = LocalState(src.obj, src.version), LocalState(src.obj, src.version + 1)
+            assert query_analysis.dp_witness(src, dst) == [DependenceEdge(source, target, BLACK, (hit, hit))]
+
     def test_one_segment_witness_stops_early(self, query_analysis, monkeypatch):
         search = query_analysis._search
         visited = []
@@ -707,3 +788,17 @@ def test_reach_answers_pinned_at_64x2000():
     least = [analysis.min_reachable_ranks(analysis.checkpoint(o, 0)) for o in range(64)]
     digest = hashlib.sha256(repr((safe, least)).encode()).hexdigest()
     assert digest == "a0dc0c54c1c530376df47a3954c9fb7a95f90e71db14c744ebd92a02425a5989"
+
+
+def test_witness_answers_pinned_at_64x2000():
+    # The same trace: dp_witness on 2,000 random checkpoint pairs, with
+    # their reprs pinned byte for byte by one digest.
+    analysis = simulated_analysis(64, 2000, 1, protocol="A", timer_period=20)
+    cks = [c for row in analysis.checkpoints for c in row]
+    rng = random.Random(64)
+    pairs = [(rng.choice(cks), rng.choice(cks)) for _ in range(2000)]
+    witnesses = [analysis.dp_witness(src, dst) for src, dst in pairs]
+    assert len(cks) == 2811
+    assert Counter(None if w is None else len(w) for w in witnesses) == {None: 1092, 1: 905, 2: 3}
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+    assert digest == "f22894a1e96a483a6d2920439d6d0d4e062da5bf8d5134d5d86340b65fba22d9"

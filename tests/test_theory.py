@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -145,6 +146,21 @@ class TestExtension:
         assert witness
         assert witness[0].source.obj == u
         assert witness[-1].target.obj == y
+
+    def test_violation_args_text_and_pickle(self, fig3):
+        # The args are the source, target and witness; the text is built
+        # when read, and a pickled copy carries all four.
+        analysis = scenario_analysis(fig3)
+        u, y = fig3.object_index("u"), fig3.object_index("y")
+        with pytest.raises(ConditionViolated) as info:
+            extend_to_global({u: 0, y: 1}, analysis)
+        exc = info.value
+        assert exc.args == (exc.source, exc.target, exc.witness)
+        assert (exc.source, exc.target) == (analysis.checkpoint(u, 0), analysis.checkpoint(y, 1))
+        assert str(exc) == "dependence path from C(0,#0=v0) to C(2,#1=v2)"
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (copy.source, copy.target, copy.witness) == (exc.source, exc.target, exc.witness)
+        assert copy.args == exc.args and str(copy) == str(exc)
 
     def test_fig3_extends_late_checkpoint(self, fig3):
         analysis = scenario_analysis(fig3)
