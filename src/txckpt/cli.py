@@ -19,6 +19,7 @@ from typing import Any, Sequence
 
 from .dependence import AnalysisError, Checkpoint, CheckpointAnalysis, DependenceEdge, ExecutionAnalysis
 from .model import ExecutionError
+from .protocol import KIND_BASIC, KIND_FORCED, KIND_INITIAL, PROTOCOL_A, PROTOCOL_B
 from .protocol import trace_pattern, verify_protocol_guarantees
 from .scenario import (
     Scenario,
@@ -88,8 +89,6 @@ def _parse_members(scenario: Scenario, tokens: Sequence[str]) -> dict[int, int]:
         if obj in members:
             raise InputError(f"object {name!r} appears twice in the candidate set")
         members[obj] = rank
-    if not members:
-        raise InputError("candidate set must contain at least one member")
     return members
 
 
@@ -206,19 +205,19 @@ def _config_from_args(args: argparse.Namespace, num_objects: int) -> SimConfig:
         num_objects=num_objects,
         protocol=args.protocol,
         z_param=args.z,
-        message_delay_range=(args.delay[0], args.delay[1]),
+        message_delay_range=tuple(args.delay),
         timer_period=args.timer,
         timer_jitter=args.jitter,
     )
 
 
 def _workload_from_args(args: argparse.Namespace) -> WorkloadSpec:
-    if getattr(args, "workload", None):
+    if args.workload:
         return load_workload(args.workload)
     return WorkloadSpec(
         num_objects=args.objects,
         num_txns=args.txns,
-        ops_per_txn=(args.ops[0], args.ops[1]),
+        ops_per_txn=tuple(args.ops),
         write_probability=args.write_prob,
         access_skew=args.skew,
         seed=args.wseed,
@@ -226,7 +225,7 @@ def _workload_from_args(args: argparse.Namespace) -> WorkloadSpec:
 
 
 def _trace_summary(trace: Trace) -> dict[str, Any]:
-    totals = {"initial": 0, "basic": 0, "forced": 0}
+    totals = dict.fromkeys((KIND_INITIAL, KIND_BASIC, KIND_FORCED), 0)
     per_obj = {obj: dict.fromkeys(totals, 0) for obj in range(trace.execution.num_objects)}
     for record in trace.checkpoint_log:
         per_obj[record.obj][record.kind] += 1
@@ -317,7 +316,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 replace(workload, seed=workload.seed + i), replace(config, seed=config.seed + i)
             )
             report = verify_protocol_guarantees(trace)
-            forced_total += report.counts_by_kind["forced"]
+            forced_total += report.counts_by_kind[KIND_FORCED]
             violations.extend(f"run {i}: {v}" for v in report.violations)
         results = {
             "runs": args.sim_batch,
@@ -341,24 +340,24 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return {"results": results, "ok": not disagreements}, 0 if not disagreements else 1
 
 
-def _add_workload_args(parser: argparse.ArgumentParser, with_file: bool = True) -> None:
-    if with_file:
-        parser.add_argument("--workload", help="workload JSON file (overrides inline parameters)")
+# Option defaults are the dataclasses' own, but for --objects, --txns,
+# --write-prob and --seed, which have no class default or a CLI one.
+def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--objects", type=int, default=4)
     parser.add_argument("--txns", type=int, default=12)
-    parser.add_argument("--ops", type=int, nargs=2, default=[1, 3], metavar=("LO", "HI"))
+    parser.add_argument("--ops", type=int, nargs=2, default=WorkloadSpec.ops_per_txn, metavar=("LO", "HI"))
     parser.add_argument("--write-prob", type=float, default=0.6)
-    parser.add_argument("--skew", type=float, default=0.0)
-    parser.add_argument("--wseed", type=int, default=0, help="workload generation seed")
+    parser.add_argument("--skew", type=float, default=WorkloadSpec.access_skew)
+    parser.add_argument("--wseed", type=int, default=WorkloadSpec.seed, help="workload generation seed")
 
 
 def _add_sim_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--protocol", choices=["A", "B"], default="A")
-    parser.add_argument("--z", type=int, default=1)
+    parser.add_argument("--protocol", choices=[PROTOCOL_A, PROTOCOL_B], default=SimConfig.protocol)
+    parser.add_argument("--z", type=int, default=SimConfig.z_param)
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--timer", type=int, default=25, help="basic checkpoint timer period")
-    parser.add_argument("--jitter", type=int, default=0, help="timer jitter upper bound")
-    parser.add_argument("--delay", type=int, nargs=2, default=[1, 10], metavar=("LO", "HI"))
+    parser.add_argument("--timer", type=int, default=SimConfig.timer_period, help="basic checkpoint timer period")
+    parser.add_argument("--jitter", type=int, default=SimConfig.timer_jitter, help="timer jitter upper bound")
+    parser.add_argument("--delay", type=int, nargs=2, default=SimConfig.message_delay_range, metavar=("LO", "HI"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("simulate", help="run one seeded simulation")
+    p.add_argument("--workload", help="workload JSON file (overrides inline parameters)")
     _add_workload_args(p)
     _add_sim_args(p)
     p.add_argument("--out", help="write the trace JSON here")
@@ -393,11 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-batch", type=int, default=0, help="simulate and verify this many seeded runs")
     p.add_argument("--theorem-batch", type=int, default=0,
                    help="check condition/oracle agreement on this many random instances")
-    _add_workload_args(p, with_file=False)
+    _add_workload_args(p)
     _add_sim_args(p)
     p.add_argument("--oracle-bound", type=int, default=10**5)
     p.add_argument("--spot-samples", type=int, default=50)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, workload=None)
     return parser
 
 

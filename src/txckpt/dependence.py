@@ -497,7 +497,10 @@ class CheckpointAnalysis:
         one fold rather than one per reach column.
 
         An SCC's leaf is the least weight[y][l + 1] over its own landings
-        (y, l): a landing reaches rank l + 1 of y and every later one.
+        (y, l): a landing reaches rank l + 1 of y and every later one.  No
+        term for the checkpoint's own object is needed: F(obj, rank) lands on
+        obj at interval rank or below, so the fold of its SCC is already at
+        most weight[obj][rank + 1].
         """
         leaves = []
         for own in self._lowest:
@@ -507,10 +510,7 @@ class CheckpointAnalysis:
                     least = weight[x][landed + 1]
             leaves.append(least)
         folded = self._fold(leaves)
-        return tuple(
-            tuple([min(folded[c], row[rank + 1]) for rank, c in enumerate(starts)]) + (math.inf,)
-            for row, starts in zip(weight, self._starts)
-        )
+        return tuple(tuple([folded[c] for c in starts]) + (math.inf,) for starts in self._starts)
 
     def dp_witness(self, src: Checkpoint, dst: Checkpoint) -> list[DependenceEdge] | None:
         """A concrete edge sequence realizing dp_reachable, None if unreachable.

@@ -17,8 +17,9 @@ Checkpoint keys may be object names or decimal indices; version 0 is implied
 for every object and added on load.  Unknown fields are rejected.
 
 Workload files describe random-workload parameters for the generator and the
-simulator: num_objects, num_txns, ops_per_txn [lo, hi], write_probability,
-access_skew, seed.
+simulator: WorkloadSpec's fields, a missing one taking its default.  Its and
+sim.SimConfig's fields, JSON types and defaults are stated once, in the
+classes, and fields_from_json and fields_to_json read and write by them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from math import ceil
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
@@ -48,7 +49,6 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     execution: ValidatedExecution
     pattern: CheckpointPattern
     object_names: tuple[str, ...]
@@ -135,7 +135,7 @@ def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scena
         pattern = CheckpointPattern.make(by_obj, timeline)
     except PatternError as exc:
         raise ScenarioError(f"{name}.checkpoints: {exc}") from exc
-    return Scenario(name, execution, pattern, tuple(names))
+    return Scenario(execution, pattern, tuple(names))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
@@ -263,34 +263,51 @@ class WorkloadSpec:
             raise ScenarioError("num_objects ** access_skew exceeds the float range") from None
 
 
-def workload_from_dict(data: Mapping[str, Any], where: str = "workload") -> WorkloadSpec:
+def fields_from_json(cls: type, data: Any, where: str, defaults: bool = True) -> Any:
+    """The dataclass cls built from the JSON object data by cls's fields.
+
+    A field's JSON type is that of its default: [lo, hi] of ints for a
+    tuple, any number for a float (read as a float), a string for a string,
+    and an int where there is no default.  A missing field takes its default
+    when defaults is set, and is an error otherwise.
+    """
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where}: expected an object")
-    allowed = {"num_objects", "num_txns", "ops_per_txn", "write_probability", "access_skew", "seed"}
-    unknown = set(data) - allowed
+    known = fields(cls)
+    unknown = set(data) - {f.name for f in known}
     if unknown:
         raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
-    ops = _int_list(data.get("ops_per_txn", [1, 3]), f"{where}.ops_per_txn")
-    if len(ops) != 2:
-        raise ScenarioError(f"{where}.ops_per_txn: expected [lo, hi]")
-    try:
-        return WorkloadSpec(
-            num_objects=_expect(data, "num_objects", int, where),
-            num_txns=_expect(data, "num_txns", int, where),
-            ops_per_txn=(ops[0], ops[1]),
-            write_probability=float(_expect(data, "write_probability", (int, float), where, 0.5)),
-            access_skew=float(_expect(data, "access_skew", (int, float), where, 0.0)),
-            seed=_expect(data, "seed", int, where, 0),
-        )
-    except OverflowError:  # float() of a JSON integer beyond the float range
-        raise ScenarioError(f"{where}: write_probability or access_skew out of range") from None
+    values: dict[str, Any] = {}
+    for f in known:
+        if f.name not in data:
+            if defaults and f.default is not MISSING:
+                continue
+            raise ScenarioError(f"{where}: missing field {f.name!r}")
+        kind = int if f.default is MISSING else type(f.default)
+        if kind is tuple:
+            values[f.name] = tuple(_int_list(data[f.name], f"{where}.{f.name}"))
+            if len(values[f.name]) != 2:
+                raise ScenarioError(f"{where}.{f.name}: expected [lo, hi]")
+        elif kind is float:
+            try:
+                values[f.name] = float(_expect(data, f.name, (int, float), where))
+            except OverflowError:  # a JSON integer beyond the float range
+                raise ScenarioError(f"{where}.{f.name}: out of the float range") from None
+        else:
+            values[f.name] = _expect(data, f.name, kind, where)
+    return cls(**values)
+
+
+def fields_to_json(obj: Any) -> dict[str, Any]:
+    """The dataclass instance obj as fields_from_json reads it: tuples as lists."""
+    return {name: list(value) if isinstance(value, tuple) else value for name, value in asdict(obj).items()}
 
 
 def load_workload(path: str | Path) -> WorkloadSpec:
     p = Path(path)
     with reading_json(p):
         data = json.loads(p.read_text(encoding="utf-8"))
-    return workload_from_dict(data, where=p.stem)
+    return fields_from_json(WorkloadSpec, data, p.stem)
 
 
 def randint_draws(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:

@@ -33,7 +33,8 @@ byte-identical traces.  So Trace.from_dict reads only the config and the
 workload of a trace file, re-runs them, and returns the re-run once the
 file's execution, events and checkpoint log equal it item by item, each
 value of the type the re-run gives it.  _sections states those three parts
-of the file's layout once, for writing and for this comparison alike.
+of the file's layout once, for writing and for this comparison alike.  The
+config and workload are read by scenario.fields_from_json with no defaults.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .protocol import (
     forced_index,
     initial_record,
 )
-from .scenario import WorkloadSpec, randint_draws, workload_from_dict, workload_transactions
-from .scenario import _expect, _int_list, _transaction_dict
+from .scenario import WorkloadSpec, fields_from_json, fields_to_json, randint_draws, workload_transactions
+from .scenario import _expect, _transaction_dict
 
 EV_TXN_BEGIN = "txn_begin"
 EV_LOCK_ACQUIRED = "lock_acquired"
@@ -76,10 +77,6 @@ EVENT_KEYS: dict[str, tuple[str, ...]] = {
 
 class SimulationError(ValueError):
     pass
-
-
-# SimConfig's (lo, hi) fields, which trace files hold as two-item lists.
-_RANGE_FIELDS = ("message_delay_range", "arrival_gap_range", "work_delay_range")
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ class SimConfig:
             raise SimulationError("timer_period must be at least 1")
         if self.timer_jitter < 0:
             raise SimulationError("timer_jitter must be non-negative")
-        for name in _RANGE_FIELDS:
+        for name in (f.name for f in fields(self) if type(f.default) is tuple):  # as fields_from_json finds pairs
             bounds = getattr(self, name)
             if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1]:
                 raise SimulationError(f"{name} must be (lo, hi) with 0 <= lo <= hi")
@@ -140,13 +137,9 @@ class Trace:
     checkpoint_log: tuple[CheckpointRecord, ...]
 
     def to_dict(self) -> dict[str, Any]:
-        cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
-        for name in _RANGE_FIELDS:
-            cfg[name] = list(cfg[name])
-        wl = {f.name: getattr(self.workload, f.name) for f in fields(self.workload)}
-        wl["ops_per_txn"] = list(self.workload.ops_per_txn)
         execution = {"objects": self.execution.num_objects}
-        out = {"schema_version": 1, "config": cfg, "workload": wl, "execution": execution}
+        out = {"schema_version": 1, "config": fields_to_json(self.config),
+               "workload": fields_to_json(self.workload), "execution": execution}
         within = {"trace": out, "trace.execution": execution}
         for where, field, items in _sections(self):
             within[where][field] = list(items)
@@ -158,25 +151,14 @@ class Trace:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Trace":
         """The re-run of the trace's config and workload, if the trace equals it."""
-        if not isinstance(data, Mapping) or data.get("schema_version") != 1:
+        if not isinstance(data, Mapping) or data.get("schema_version") != 1 or _loose(data["schema_version"]):
             raise SimulationError("unsupported trace schema version")
         cfg = dict(_expect(data, "config", Mapping, "trace"))
         cfg.pop("object_placement", None)  # written by older versions, never read
-        known = [f.name for f in fields(SimConfig)]
-        unknown = set(cfg) - set(known)
-        if unknown:
-            raise SimulationError(f"trace.config: unknown fields {sorted(unknown)}")
-        for name in known:
-            if name in _RANGE_FIELDS:
-                cfg[name] = tuple(_int_list(cfg.get(name), f"trace.config.{name}"))
-            else:
-                _expect(cfg, name, str if name == "protocol" else int, "trace.config")
-        config = SimConfig(**cfg)
+        # Unlike a workload file, a trace holds every field: no default applies.
+        config = fields_from_json(SimConfig, cfg, "trace.config", defaults=False)
         stored_workload = _expect(data, "workload", Mapping, "trace")
-        for name in (f.name for f in fields(WorkloadSpec)):  # workload files may leave some to defaults
-            if name not in stored_workload:
-                raise SimulationError(f"trace.workload: missing field {name!r}")
-        workload = workload_from_dict(stored_workload)
+        workload = fields_from_json(WorkloadSpec, stored_workload, "trace.workload", defaults=False)
         stored = _expect(data, "execution", Mapping, "trace")
         objects = _expect(stored, "objects", int, "trace.execution")
         for where, count in (("config", config.num_objects), ("workload", workload.num_objects)):

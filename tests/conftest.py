@@ -6,6 +6,7 @@ import bisect
 import functools
 import heapq
 import itertools
+import json
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from typing import Mapping, NamedTuple
 import pytest
 from hypothesis import strategies as st
 
+from txckpt.cli import main
 from txckpt.dependence import (
     BLACK,
     DASHED,
@@ -51,6 +53,35 @@ from txckpt.sim import (
     Trace,
 )
 from txckpt.theory import ConditionViolated, GlobalCheckpoint
+
+
+def run_cli(capsys, *args):
+    """A command's exit code and its one JSON report (two would not parse)."""
+    code = main(list(args))
+    out = capsys.readouterr().out
+    return code, json.loads(out)
+
+
+def cli_error(capsys, *args):
+    """The error of the one report a command prints as it exits 2."""
+    code, report = run_cli(capsys, *args)
+    assert code == 2 and report["ok"] is False, report
+    return report["error"]
+
+
+def file_error(capsys, tmp_path, data, *args):
+    """The error a command reports on the file in.json holding data as JSON;
+    each "{file}" in args names that file."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    return cli_error(capsys, *(arg.format(file=path) for arg in args))
+
+
+def raised(kind, fn, *args):
+    """The text of the kind of error fn(*args) raises."""
+    with pytest.raises(kind) as info:
+        fn(*args)
+    return str(info.value)
 
 
 def make_execution(num_objects, txns, order=None):

@@ -25,16 +25,10 @@ from txckpt.scenario import (
     save_scenario,
     scenario_to_dict,
 )
-from txckpt.sim import Trace
+from txckpt.sim import SimConfig, Trace
 from txckpt.theory import ConditionViolated
 
-from conftest import extension_oracle, scenario_analysis, state_intervals
-
-
-def run_cli(capsys, *args):
-    code = main(list(args))
-    out = capsys.readouterr().out
-    return code, json.loads(out)
+from conftest import cli_error, extension_oracle, run_cli, scenario_analysis, state_intervals
 
 
 def lower_one_version(log):
@@ -159,7 +153,7 @@ class TestAnalyze:
             spec = WorkloadSpec(2 + seed % 4, 3 + seed % 9, ops_per_txn=(1, 3), write_probability=0.6, seed=seed)
             execution, pattern = generate_random(spec, max_checkpoints_per_object=1 + seed % 4)
             names = tuple(f"o{obj}" for obj in range(execution.num_objects))
-            scenario = Scenario(f"random{seed}", execution, pattern, names)
+            scenario = Scenario(execution, pattern, names)
             path = tmp_path / f"random{seed}.json"
             save_scenario(scenario, path)
             code, report = run_cli(capsys, "analyze", str(path))
@@ -220,6 +214,23 @@ class TestCheck:
         assert code == 2 and "error" in report and report["ok"] is False
 
 
+@pytest.mark.parametrize("args, code, key, want", [
+    (("check", "fig3", "u:x"), 2, "error", "candidate member 'u:x': rank must be an integer"),
+    # A bound below the candidate space leaves the oracle unchecked.
+    (("check", "fig1a", "x:0", "y:0", "z:0", "--oracle-bound", "1"), 0, "oracle", {"checked": False}),
+    # One object offers no pair to sample, so the spot checks test each of
+    # the trace's three saved versions alone.
+    (("verify", "{trace}"), 0, "theorem_spot_checks", {"checked": True, "candidates": 3, "disagreements": 0}),
+], ids=["rank-not-an-integer", "oracle-beyond-bound", "one-object-spot-checks"])
+def test_cli_input_checks(capsys, tmp_path, args, code, key, want):
+    # The CLI's own checks and branches that no other test reaches.
+    trace = tmp_path / "one.json"
+    run_cli(capsys, "simulate", "--objects", "1", "--txns", "6", "--timer", "5", "--out", str(trace))
+    got, report = run_cli(capsys, *(arg.format(trace=trace) for arg in args))
+    assert got == code
+    assert (report if code == 2 else report["results"])[key] == want
+
+
 class TestExtend:
     def test_fig3_extends_x(self, capsys):
         code, report = run_cli(capsys, "extend", "fig3", "x:1")
@@ -246,7 +257,7 @@ class TestExtend:
         # random 5-object one read back from disk.
         execution, pattern = generate_random(WorkloadSpec(5, 12, ops_per_txn=(1, 3), write_probability=0.6, seed=2))
         path = tmp_path / "random.json"
-        save_scenario(Scenario("random", execution, pattern, tuple(f"o{obj}" for obj in range(5))), path)
+        save_scenario(Scenario(execution, pattern, tuple(f"o{obj}" for obj in range(5))), path)
         held = violated = 0
         for source in ("fig1a", "fig1b", "fig3", str(path)):
             scenario = load_scenario(source)
@@ -285,6 +296,26 @@ class TestSimulateAndVerify:
         assert report["results"]["violations"] == []
         assert report["results"]["theorem_spot_checks"]["disagreements"] == 0
 
+    @pytest.mark.parametrize("version", [1.0, True, "1", 2, None], ids=["float", "true", "str", "2", "missing"])
+    def test_schema_version_must_be_the_int_1(self, capsys, tmp_path, version):
+        out = tmp_path / "trace.json"
+        run_cli(capsys, "simulate", "--objects", "3", "--txns", "6", "--out", str(out))
+        assert run_cli(capsys, "verify", str(out))[0] == 0
+        data = json.loads(out.read_text())
+        if version is None:
+            del data["schema_version"]
+        else:
+            data["schema_version"] = version
+        out.write_text(json.dumps(data))
+        assert cli_error(capsys, "verify", str(out)) == "unsupported trace schema version"
+
+    def test_option_defaults_are_the_dataclass_defaults(self):
+        # Apart from --objects 4, --txns 12, --seed 0 and --write-prob 0.6.
+        for command in ("simulate", "verify"):
+            args = cli.build_parser().parse_args([command])
+            assert cli._config_from_args(args, 4) == SimConfig(seed=0, num_objects=4)
+            assert cli._workload_from_args(args) == WorkloadSpec(4, 12, write_probability=0.6)
+
     def test_simulate_deterministic_output(self, capsys, tmp_path):
         args = (
             "simulate", "--objects", "3", "--txns", "8", "--protocol", "B", "--z", "2",
@@ -316,11 +347,14 @@ class TestSimulateAndVerify:
             main(["verify"])
 
     def test_workload_file(self, capsys, tmp_path):
+        # A workload file's missing fields take WorkloadSpec's defaults.
         wl = tmp_path / "wl.json"
         wl.write_text(json.dumps({"num_objects": 2, "num_txns": 4, "seed": 3}))
         code, report = run_cli(capsys, "simulate", "--workload", str(wl), "--seed", "2")
         assert code == 0
         assert report["results"]["transactions"] == 4
+        inline = ("--objects", "2", "--txns", "4", "--wseed", "3", "--write-prob", "0.5")
+        assert run_cli(capsys, "simulate", *inline, "--seed", "2") == (code, report)
 
     def test_scenario_file_round_trip_through_cli(self, capsys, tmp_path):
         path = tmp_path / "fig3.json"

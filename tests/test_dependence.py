@@ -23,7 +23,7 @@ from txckpt.dependence import (
 from txckpt import protocol as protocol_module
 from txckpt.model import LocalState, assign_versions
 from txckpt.protocol import trace_pattern
-from txckpt.scenario import WorkloadSpec, generate_random
+from txckpt.scenario import WorkloadSpec, builtin_scenario, generate_random
 from txckpt.sim import SimConfig, run_simulation
 
 from conftest import (
@@ -35,11 +35,13 @@ from conftest import (
     checkpoint_oracle,
     dp_oracle,
     executions,
+    file_error,
     hb_oracle,
     interval_dp_distances,
     interval_dp_reachable,
     make_execution,
     min_safe_rank_oracle,
+    raised,
     rank_oracle,
     reach_oracle,
     safe_ranks_oracle,
@@ -802,3 +804,17 @@ def test_witness_answers_pinned_at_64x2000():
     assert Counter(None if w is None else len(w) for w in witnesses) == {None: 1092, 1: 905, 2: 3}
     digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
     assert digest == "f22894a1e96a483a6d2920439d6d0d4e062da5bf8d5134d5d86340b65fba22d9"
+
+
+@pytest.mark.parametrize("case, error", [
+    (lambda c, t: file_error(c, t, {"objects": 1, "checkpoints": {"0": [-1]}}, "analyze", "{file}"),
+     "in.checkpoints: object 0: negative checkpoint version"),
+    # bisect cannot compare None with a version, so it is none of them.
+    (lambda c, t: raised(AnalysisError, builtin_scenario("fig3").pattern.rank_of, 0, None),
+     "version None of object 0 is not checkpointed"),
+    (lambda c, t: raised(AnalysisError, CheckpointAnalysis,
+                         ExecutionAnalysis(builtin_scenario("fig3").execution), CheckpointPattern(((0,),))),
+     "pattern and execution disagree on object count"),
+], ids=["negative-version", "incomparable-version", "object-count"])
+def test_dependence_input_checks(capsys, tmp_path, case, error):
+    assert case(capsys, tmp_path) == error

@@ -15,7 +15,7 @@ from txckpt.model import (
 from txckpt.scenario import WorkloadSpec
 from txckpt.sim import SimConfig, run_simulation
 
-from conftest import executions, make_execution, serialization_closure_oracle, version_oracle
+from conftest import executions, file_error, make_execution, serialization_closure_oracle, version_oracle
 
 
 def test_validate_fig1a_shape(fig1a):
@@ -160,3 +160,15 @@ def test_direct_edges_built_on_first_use(fig3):
     graph = build_serialization_graph(fig3.execution)
     assert "direct_edges" not in graph.__dict__
     assert graph.direct_edges and "direct_edges" in graph.__dict__
+
+
+@pytest.mark.parametrize("scenario, error", [
+    ({"objects": -1}, "num_objects must be non-negative"),
+    ({"objects": 1, "transactions": [{"id": -1, "reads": [0]}], "commit_order": [-1]},
+     "transaction id -1 is negative"),
+    ({"objects": 1, "transactions": [{"id": 1, "reads": [0]}, {"id": 1, "writes": [0]}], "commit_order": [1]},
+     "duplicate transaction id 1"),
+], ids=["negative-objects", "negative-id", "duplicate-id"])
+def test_model_input_checks(capsys, tmp_path, scenario, error):
+    # validate_execution's checks, reached through a scenario file.
+    assert file_error(capsys, tmp_path, scenario, "analyze", "{file}") == f"in: {error}"

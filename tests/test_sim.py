@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -21,9 +22,11 @@ from txckpt.sim import (
 
 from conftest import (
     DataManagerState,
+    cli_error,
     dm_on_commit,
     dm_on_release,
     dm_on_timer,
+    run_cli,
     simulation_oracle,
     tm_commit_metadata,
 )
@@ -293,3 +296,26 @@ class TestCheckpointBehavior:
             ]
             # the forced snapshot never includes the write that forced it
             assert r.version <= len(writes_before)
+
+
+def _edited_trace_error(capsys, tmp_path, edit):
+    """The error verify reports on a 3 x 6 trace after edit(its config)."""
+    out = tmp_path / "trace.json"
+    run_cli(capsys, "simulate", "--objects", "3", "--txns", "6", "--out", str(out))
+    data = json.loads(out.read_text())
+    edit(data["config"])
+    out.write_text(json.dumps(data))
+    return cli_error(capsys, "verify", str(out))
+
+
+@pytest.mark.parametrize("case, error", [
+    (lambda c, t: cli_error(c, "simulate", "--z", "0"), "z_param must be at least 1"),
+    (lambda c, t: cli_error(c, "simulate", "--jitter", "-1"), "timer_jitter must be non-negative"),
+    (lambda c, t: _edited_trace_error(c, t, lambda cfg: cfg.update(color=1)), "trace.config: unknown fields ['color']"),
+    (lambda c, t: _edited_trace_error(c, t, lambda cfg: cfg.pop("message_delay_range")),
+     "trace.config: missing field 'message_delay_range'"),
+    (lambda c, t: _edited_trace_error(c, t, lambda cfg: cfg.update(work_delay_range=[1, 2, 3])),
+     "trace.config.work_delay_range: expected [lo, hi]"),
+], ids=["z", "jitter", "unknown-config-field", "missing-pair", "pair-of-three"])
+def test_sim_input_checks(capsys, tmp_path, case, error):
+    assert case(capsys, tmp_path) == error

@@ -14,6 +14,7 @@ from txckpt.model import LocalState
 from txckpt.protocol import CheckpointRecord, verify_protocol_guarantees
 from txckpt.theory import (
     ConditionViolated,
+    GlobalCheckpoint,
     OracleBoundExceeded,
     assemble_indexed_gc,
     enumerate_consistent_globals,
@@ -33,6 +34,7 @@ from conftest import (
     executions,
     extension_oracle,
     make_execution,
+    raised,
     recovery_line_check,
     recovery_line_violations,
     scenario_analysis,
@@ -440,3 +442,9 @@ class TestQueriesReadTheTable:
         # verify of a clean trace builds no checkpoint or state at all.
         assert verify_protocol_guarantees(trace).ok
         assert built == {Checkpoint: table_size, LocalState: 0}
+
+
+@pytest.mark.parametrize("objects", [(1, 0), (0, 2)], ids=["swapped", "gap"])
+def test_theory_input_checks(objects):
+    members = tuple(Checkpoint(obj, 0, 0) for obj in objects)
+    assert raised(AnalysisError, GlobalCheckpoint, members) == "global checkpoint members out of object order"
