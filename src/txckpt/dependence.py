@@ -123,6 +123,12 @@ class ExecutionAnalysis:
         self.timeline: StateTimeline = assign_versions(execution)
 
     @cached_property
+    def writer_positions(self) -> dict[int, tuple[int, ...]]:
+        """Per object, the commit positions of its writers in version order, built on first use."""
+        position = self.graph.position
+        return {x: tuple([position[txn] for txn in on_x]) for x, on_x in enumerate(self.timeline.writers)}
+
+    @cached_property
     def edges(self) -> tuple[DependenceEdge, ...]:
         """Every dependence edge, sorted by endpoints; O(n^2 k^2), built on first use."""
         # A writer's pre-version of x is its position among x's writers.

@@ -109,38 +109,32 @@ class SerializationGraph:
     later.  The order is the transitive closure of each object's conflict
     chain (the writer of a version -> the readers of that version -> the next
     writer), so only chain steps are kept: ``successors`` maps each
-    transaction to its chain successors, ascending.  The closure is one int
-    per transaction, a bitset over commit positions, and ``reaches`` is a bit
-    test.  Chain steps point forward in commit order, so the order is acyclic
-    and the commit order is one of its linear extensions.
+    transaction to its chain successors, ascending.  ``closure`` holds one
+    int per commit position, a bitset over commit positions of the
+    transactions that position reaches, its own bit included; ``reaches``
+    is a bit test on two distinct transactions.  Chain steps point forward
+    in commit order, so the order is acyclic and the commit order is one of
+    its linear extensions.
     """
 
     def __init__(self, execution: ValidatedExecution, successors: Mapping[int, tuple[int, ...]]):
         self.nodes: tuple[int, ...] = execution.commit_order
         self.successors = successors
         self._execution = execution
-        self._position = {txn: pos for pos, txn in enumerate(self.nodes)}
+        self.position = {txn: pos for pos, txn in enumerate(self.nodes)}
         closure = [0] * len(self.nodes)
         for pos in range(len(self.nodes) - 1, -1, -1):
-            reached = 0
+            reached = 1 << pos
             for nxt in successors[self.nodes[pos]]:
-                q = self._position[nxt]
-                reached |= closure[q] | 1 << q
+                reached |= closure[self.position[nxt]]
             closure[pos] = reached
-        self._closure = closure
+        self.closure = closure
 
     def reaches(self, a: int, b: int) -> bool:
-        """True iff a precedes b in the transitive serialization order."""
-        return self._closure[self._position[a]] >> self._position[b] & 1 == 1
-
-    def reaches_any(self, sources: Iterable[int], targets: Iterable[int]) -> bool:
-        """True iff some target is a source or is reached from one."""
-        position, closure = self._position, self._closure
-        reached = 0
-        for txn in sources:
-            pos = position[txn]
-            reached |= closure[pos] | 1 << pos
-        return any(reached >> position[txn] & 1 for txn in targets)
+        """True iff a strictly precedes b in the transitive serialization
+        order; no transaction reaches itself."""
+        pos_a, pos_b = self.position[a], self.position[b]
+        return pos_a != pos_b and self.closure[pos_a] >> pos_b & 1 == 1
 
     @cached_property
     def direct_edges(self) -> frozenset[tuple[int, int]]:

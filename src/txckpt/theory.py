@@ -71,23 +71,24 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
     states maps every object to a version.  Member a happened-before member
     b exactly when the writer that replaces a is, or reaches, the writer
     that produced b; no state happened-before itself, since its producer
-    commits before its replacer.  So one closure union over the replacing
-    writers and one membership test per producing writer decide it.
+    commits before its replacer.  So one pass over the objects ORs each
+    replacer's reflexive closure into one bitset and each producer's bit
+    into another, and the state is consistent when they share no bit.
     """
-    num_objects = analysis.execution.num_objects
-    if set(states) != set(range(num_objects)):
+    positions = analysis.writer_positions
+    if states.keys() != positions.keys():
         raise AnalysisError("global state must name every object exactly once")
-    replacers: list[int] = []
-    producers: list[int] = []
-    for obj, obj_writers in enumerate(analysis.timeline.writers):
+    closure = analysis.graph.closure
+    after = before = 0
+    for obj, on_obj in positions.items():
         version = states[obj]
-        if not 0 <= version <= len(obj_writers):
+        if not 0 <= version <= len(on_obj):
             raise AnalysisError(f"unknown state {LocalState(obj, version)}")
-        if version < len(obj_writers):
-            replacers.append(obj_writers[version])
+        if version < len(on_obj):
+            after |= closure[on_obj[version]]
         if version:
-            producers.append(obj_writers[version - 1])
-    return not analysis.graph.reaches_any(replacers, producers)
+            before |= 1 << on_obj[version - 1]
+    return not after & before
 
 
 def _resolve_candidate(candidate: Mapping[int, int], analysis: CheckpointAnalysis) -> list[Checkpoint]:

@@ -139,6 +139,9 @@ def assert_reaches_matches_oracle(execution):
     for a in execution.commit_order:
         for b in execution.commit_order:
             assert graph.reaches(a, b) == (b in closure[a])
+            # The closure bitsets are reflexive: each position holds its own bit.
+            reached = graph.closure[graph.position[a]] >> graph.position[b] & 1 == 1
+            assert reached == (a == b or b in closure[a])
     # Chain steps are conflicting pairs, so they sit among the direct edges.
     assert {(a, b) for a, nxt in graph.successors.items() for b in nxt} <= graph.direct_edges
 

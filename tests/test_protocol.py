@@ -331,3 +331,5 @@ class TestVerificationMatchesPairwiseOracle:
             if (gc := assemble_indexed_gc(n, log, analysis)) is not None
         }
         assert 0 < len(consistency_calls) <= len(vectors)
+        tested = [tuple(states[obj] for obj in range(6)) for states in consistency_calls]
+        assert len(set(tested)) == len(tested)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import pickle
 import random
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from txckpt.dependence import AnalysisError, Checkpoint, CheckpointAnalysis, ExecutionAnalysis
 from txckpt.model import LocalState
@@ -64,6 +65,16 @@ class TestConsistency:
         with pytest.raises(AnalysisError, match="every object"):
             is_consistent_global_state({0: 0}, base)
 
+    @pytest.mark.parametrize(
+        "states",
+        [{0: 9}, {0: 0, 1: 0, 2: 0, 3: 0}, {0: 0, 1: -1, 2: 0, 3: 0}, {0: 0, 1: 0, 3: 0}],
+        ids=["missing", "extra", "extra-and-unknown", "renamed"],
+    )
+    def test_object_set_checked_before_any_version(self, fig1a, states):
+        base = ExecutionAnalysis(fig1a.execution)
+        error = "global state must name every object exactly once"
+        assert raised(AnalysisError, is_consistent_global_state, states, base) == error
+
     def test_unknown_state_rejected(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
         with pytest.raises(AnalysisError, match=r"unknown state s\(1,5\)"):
@@ -72,13 +83,40 @@ class TestConsistency:
         with pytest.raises(AnalysisError, match="unknown state"):
             is_consistent_global_state({0: 2}, single)
 
-    @settings(max_examples=150)
-    @given(executions(max_objects=4, max_txns=8), st.randoms(use_true_random=False))
-    def test_matches_pairwise_oracle(self, execution, rng):
+    def test_first_unknown_state_in_object_order_is_named(self, fig1a):
+        base = ExecutionAnalysis(fig1a.execution)
+        states = {2: -1, 1: 5, 0: 0}  # mapping order is not object order
+        assert raised(AnalysisError, is_consistent_global_state, states, base) == "unknown state s(1,5)"
+
+    def test_negative_version_is_unknown(self, fig3):
+        # Not read as a position counted from the end of the object's writers.
+        base = ExecutionAnalysis(fig3.execution)
+        m = base.execution.num_objects
+        states = {obj: 0 for obj in range(m)} | {m - 1: -1}
+        assert raised(AnalysisError, is_consistent_global_state, states, base) == f"unknown state s({m - 1},-1)"
+
+    def test_read_only_mapping_accepted(self, fig1a):
+        base = ExecutionAnalysis(fig1a.execution)
+        x, y, z = (fig1a.object_index(n) for n in "xyz")
+        assert is_consistent_global_state(MappingProxyType({x: 1, y: 1, z: 1}), base)
+        assert not is_consistent_global_state(MappingProxyType({x: 1, y: 0, z: 1}), base)
+
+    def test_writer_positions_built_on_first_use(self, fig1a):
+        base = ExecutionAnalysis(fig1a.execution)
+        assert "writer_positions" not in base.__dict__
+        assert is_consistent_global_state({0: 0, 1: 0, 2: 0}, base)
+        position = {txn: pos for pos, txn in enumerate(base.execution.commit_order)}
+        assert base.__dict__["writer_positions"] == {
+            obj: tuple(position[txn] for txn in on_obj) for obj, on_obj in enumerate(base.timeline.writers)
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(executions(max_objects=4, max_txns=8))
+    def test_matches_pairwise_oracle(self, execution):
         base = ExecutionAnalysis(execution)
-        top = [base.timeline.max_version(o) for o in range(execution.num_objects)]
-        for _ in range(10):
-            states = {o: rng.randint(0, t) for o, t in enumerate(top)}
+        versions = [range(base.timeline.max_version(o) + 1) for o in range(execution.num_objects)]
+        for vector in itertools.product(*versions):
+            states = dict(enumerate(vector))
             assert is_consistent_global_state(states, base) == consistent_oracle(states, base)
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -86,19 +124,18 @@ class TestConsistency:
         spec = WorkloadSpec(6, 80, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
         trace = run_simulation(spec, SimConfig(seed=seed, num_objects=6, timer_period=8))
         base, analysis = trace_pattern(trace)
-        rng = random.Random(seed)
         outcomes = []
         for n in range(max(r.index for r in trace.checkpoint_log) + 1):
-            # Each assembly verify checks, then the same with one member moved.
+            # Each assembly verify checks, with each member moved to each of
+            # its object's versions (its own among them).
             gc = assemble_indexed_gc(n, trace.checkpoint_log, analysis)
             if gc is None:
                 continue
-            moved = dict(gc.states())
-            obj = rng.randrange(len(moved))
-            moved[obj] = rng.randint(0, base.timeline.max_version(obj))
-            for states in (gc.states(), moved):
-                outcomes.append(is_consistent_global_state(states, base))
-                assert outcomes[-1] == consistent_oracle(states, base)
+            for obj in range(len(gc.members)):
+                for version in range(base.timeline.max_version(obj) + 1):
+                    states = gc.states() | {obj: version}
+                    outcomes.append(is_consistent_global_state(states, base))
+                    assert outcomes[-1] == consistent_oracle(states, base)
         assert len(outcomes) > 20 and any(outcomes) and not all(outcomes)
 
 
@@ -448,3 +485,32 @@ class TestQueriesReadTheTable:
 def test_theory_input_checks(objects):
     members = tuple(Checkpoint(obj, 0, 0) for obj in objects)
     assert raised(AnalysisError, GlobalCheckpoint, members) == "global checkpoint members out of object order"
+
+
+def test_consistency_answers_pinned_at_64x2000():
+    # CI's byte-exact protocol A trace, far above the sizes the pairwise
+    # oracle can check: every assembly verify checks, and 2,000 random
+    # global states, each an assembly with one member moved to a random
+    # version, with their answers pinned by one digest.
+    spec = WorkloadSpec(64, 2000, ops_per_txn=(1, 4), write_probability=0.6, seed=1)
+    trace = run_simulation(spec, SimConfig(seed=1, num_objects=64, timer_period=20))
+    base, analysis = trace_pattern(trace)
+    assert not any(base.graph.reaches(txn, txn) for txn in base.graph.nodes)
+    log = trace.checkpoint_log
+    assembled = [
+        gc.states() for n in range(max(r.index for r in log) + 1)
+        if (gc := assemble_indexed_gc(n, log, analysis)) is not None
+    ]
+    rng = random.Random(64)
+    moved = []
+    for _ in range(2000):
+        obj = rng.randrange(64)
+        moved.append(rng.choice(assembled) | {obj: rng.randint(0, base.timeline.max_version(obj))})
+    answers = [
+        (tuple(states[obj] for obj in range(64)), is_consistent_global_state(states, base))
+        for states in assembled + moved
+    ]
+    assert len(assembled) == 249 and all(holds for _, holds in answers[:249])
+    assert Counter(holds for _, holds in answers) == {False: 1948, True: 301}
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == "bdc8c541162cd347dfd87857c41098f5f2fcfb453d0f24f6a53d8d2b0bf1ed16"
