@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .dependence import AnalysisError, Checkpoint, CheckpointAnalysis, DependenceEdge, ExecutionAnalysis
-from .model import ExecutionError
+from .model import ExecutionError, LocalState
 from .protocol import KIND_BASIC, KIND_FORCED, KIND_INITIAL, PROTOCOL_A, PROTOCOL_B
 from .protocol import trace_pattern, verify_protocol_guarantees
 from .scenario import (
@@ -127,15 +127,13 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     }
     total_states = sum(base.timeline.max_version(o) + 1 for o in range(len(names)))
     if total_states <= args.max_states:
-        matrix = []
-        states = base.timeline.all_states()
-        for a in states:
-            for b in states:
-                if a != b and base.happened_before(a, b):
-                    matrix.append(
-                        [_state_str(names, a.obj, a.version), _state_str(names, b.obj, b.version)]
-                    )
-        results["happened_before"] = matrix
+        states = [LocalState(o, v) for o in range(len(names)) for v in range(base.timeline.max_version(o) + 1)]
+        results["happened_before"] = [
+            [_state_str(names, *a), _state_str(names, *b)]
+            for a in states
+            for b in states
+            if a != b and base.happened_before(a, b)
+        ]
     else:
         results["happened_before_omitted"] = total_states
     return {"results": results, "ok": True}, 0

@@ -8,6 +8,9 @@ writer of objects W has a black edge from each pre-state to each post-state
 each pre-state of the earlier to each post-state of the later.  That
 O(n^2 k^2) edge set is built only on first use of ``ExecutionAnalysis.edges``:
 nothing in the library reads it, the tests check the path search against it.
+Both, and ``theory.is_consistent_global_state``, read one encoding: a state
+precedes another exactly when the reflexive ``closure`` of its replacer holds
+the other's producer, both read off ``ExecutionAnalysis.writer_positions``.
 
 Dependence paths (DP) chain edges through checkpoint intervals.  Timing
 convention: a checkpoint saves its version as soon as that version exists, so
@@ -130,40 +133,32 @@ class ExecutionAnalysis:
 
     @cached_property
     def edges(self) -> tuple[DependenceEdge, ...]:
-        """Every dependence edge, sorted by endpoints; O(n^2 k^2), built on first use."""
-        # A writer's pre-version of x is its position among x's writers.
-        pre = {(txn, x): k for x, on_x in enumerate(self.timeline.writers) for k, txn in enumerate(on_x)}
-        writers = [t for t in self.execution.transactions if t.write_set]
-        edges = []
-        for ti in writers:
-            pre_states = [LocalState(y, pre[(ti.id, y)]) for y in sorted(ti.write_set)]
-            for tj in writers:
-                if ti.id == tj.id:
-                    kind = BLACK
-                elif self.graph.reaches(ti.id, tj.id):
-                    kind = DASHED
-                else:
-                    continue
-                for src in pre_states:
-                    for x in sorted(tj.write_set):
-                        target = LocalState(x, pre[(tj.id, x)] + 1)
-                        edges.append(DependenceEdge(src, target, kind, (ti.id, tj.id)))
-        return tuple(sorted(edges, key=lambda e: (e.source, e.target)))
+        """Every dependence edge, in (source, target) order; O(n^2 k^2), built on first use.
+
+        The k-th writer of x replaces (x, k) and produces (x, k + 1); (y, j) has an
+        edge to (x, k + 1) when its replacer's closure holds that producer."""
+        closure, txn = self.graph.closure, self.graph.nodes
+        writes = [(x, k, pos) for x, on_x in self.writer_positions.items() for k, pos in enumerate(on_x)]
+        return tuple(
+            DependenceEdge(LocalState(y, j), LocalState(x, k + 1), BLACK if i == t else DASHED, (txn[i], txn[t]))
+            for y, j, i in writes
+            for x, k, t in writes
+            if closure[i] >> t & 1
+        )
 
     def happened_before(self, a: LocalState, b: LocalState) -> bool:
-        """True iff state a strictly precedes state b.
-
-        a reaches forward only through the writer that replaces it; b is
-        reachable only through the writer that produced it.
-        """
+        """True iff state a strictly precedes state b: the closure of a's
+        replacer, ``writer_positions[a.obj][a.version]``, holds b's producer,
+        ``writer_positions[b.obj][b.version - 1]``.  A state whose version is
+        not an int is unknown."""
+        positions = self.writer_positions
         for s in (a, b):
-            if not self.timeline.has_state(s):
+            on_obj = positions.get(s.obj)
+            if on_obj is None or not isinstance(s.version, int) or not 0 <= s.version <= len(on_obj):
                 raise AnalysisError(f"unknown state {s}")
-        out_writer = self.timeline.writer_of(a.obj, a.version + 1)
-        in_writer = self.timeline.writer_of(b.obj, b.version)
-        if out_writer is None or in_writer is None:
+        if a.version == len(positions[a.obj]) or not b.version:  # no replacer, or no producer
             return False
-        return out_writer == in_writer or self.graph.reaches(out_writer, in_writer)
+        return self.graph.closure[positions[a.obj][a.version]] >> positions[b.obj][b.version - 1] & 1 == 1
 
 
 class PatternError(ValueError):

@@ -182,9 +182,9 @@ def build_serialization_graph(execution: ValidatedExecution) -> SerializationGra
 class StateTimeline:
     """Per-object version history.
 
-    writers[x][k-1] is the transaction that wrote version k of object x, so
-    a writer t of x moves it from version writers[x].index(t) to one more.
-    The version a reader saw is not kept: nothing reads it.
+    writers[x] lists object x's writers in commit order: writers[x][k]
+    replaces version k of x and produces version k + 1, so x's versions are
+    0..len(writers[x]).  Only the writers are kept.
     """
 
     num_objects: int
@@ -192,21 +192,6 @@ class StateTimeline:
 
     def max_version(self, obj: int) -> int:
         return len(self.writers[obj])
-
-    def writer_of(self, obj: int, version: int) -> int | None:
-        """Transaction that produced (obj, version), None for version 0 or unknown."""
-        if 1 <= version <= len(self.writers[obj]):
-            return self.writers[obj][version - 1]
-        return None
-
-    def states(self, obj: int) -> list[LocalState]:
-        return [LocalState(obj, v) for v in range(self.max_version(obj) + 1)]
-
-    def all_states(self) -> list[LocalState]:
-        return [s for obj in range(self.num_objects) for s in self.states(obj)]
-
-    def has_state(self, state: LocalState) -> bool:
-        return 0 <= state.obj < self.num_objects and 0 <= state.version <= self.max_version(state.obj)
 
 
 def assign_versions(execution: ValidatedExecution) -> StateTimeline:

@@ -79,6 +79,12 @@ def _expect(data: Mapping[str, Any], field: str, kind: type | tuple[type, ...], 
     return value
 
 
+def _known_fields(data: Mapping[str, Any], known: set[str], where: str) -> None:
+    """Raise unless every key of data is one of known."""
+    if not data.keys() <= known:
+        raise ScenarioError(f"{where}: unknown fields {sorted(data.keys() - known)}")
+
+
 def _int_list(value: Any, where: str) -> list[int]:
     if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
         raise ScenarioError(f"{where}: expected a list of integers")
@@ -91,18 +97,14 @@ def _transaction_dict(txn: Transaction) -> dict[str, Any]:
 
 
 def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scenario:
-    unknown = set(data) - {"objects", "object_names", "transactions", "commit_order", "checkpoints"}
-    if unknown:
-        raise ScenarioError(f"{name}: unknown fields {sorted(unknown)}")
+    _known_fields(data, {"objects", "object_names", "transactions", "commit_order", "checkpoints"}, name)
     num_objects = _expect(data, "objects", int, name)
     txns = []
     for i, raw in enumerate(_expect(data, "transactions", list, name, [])):
         at = f"{name}.transactions[{i}]"
         if not isinstance(raw, Mapping):
             raise ScenarioError(f"{at}: expected an object")
-        unknown = set(raw) - {"id", "reads", "writes"}
-        if unknown:
-            raise ScenarioError(f"{at}: unknown fields {sorted(unknown)}")
+        _known_fields(raw, {"id", "reads", "writes"}, at)
         reads, writes = (_int_list(raw.get(k, []), f"{at}.{k}") for k in ("reads", "writes"))
         txns.append(Transaction.make(_expect(raw, "id", int, at), reads, writes))
     order = _int_list(data.get("commit_order", []), f"{name}.commit_order")
@@ -274,9 +276,7 @@ def fields_from_json(cls: type, data: Any, where: str, defaults: bool = True) ->
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where}: expected an object")
     known = fields(cls)
-    unknown = set(data) - {f.name for f in known}
-    if unknown:
-        raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
+    _known_fields(data, {f.name for f in known}, where)
     values: dict[str, Any] = {}
     for f in known:
         if f.name not in data:

@@ -58,7 +58,7 @@ from .protocol import (
     initial_record,
 )
 from .scenario import WorkloadSpec, fields_from_json, fields_to_json, randint_draws, workload_transactions
-from .scenario import _expect, _transaction_dict
+from .scenario import _expect, _known_fields, _transaction_dict
 
 EV_TXN_BEGIN = "txn_begin"
 EV_LOCK_ACQUIRED = "lock_acquired"
@@ -153,6 +153,8 @@ class Trace:
         """The re-run of the trace's config and workload, if the trace equals it."""
         if not isinstance(data, Mapping) or data.get("schema_version") != 1 or _loose(data["schema_version"]):
             raise SimulationError("unsupported trace schema version")
+        sections = {"schema_version", "config", "workload", "execution", "events", "checkpoint_log"}
+        _known_fields(data, sections, "trace")
         cfg = dict(_expect(data, "config", Mapping, "trace"))
         cfg.pop("object_placement", None)  # written by older versions, never read
         # Unlike a workload file, a trace holds every field: no default applies.
@@ -177,9 +179,7 @@ class Trace:
             raise SimulationError(
                 f"trace.checkpoint_log: {logged} records, fewer than trace.execution.objects {objects}"
             )
-        unknown = set(stored) - {"objects", "transactions", "commit_order"}
-        if unknown:
-            raise SimulationError(f"trace.execution: unknown fields {sorted(unknown)}")
+        _known_fields(stored, {"objects", "transactions", "commit_order"}, "trace.execution")
         trace = run_simulation(workload, config)
         within = {"trace": data, "trace.execution": stored}
         for where, field, items in _sections(trace):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .dependence import (
@@ -74,20 +75,26 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
     commits before its replacer.  So one pass over the objects ORs each
     replacer's reflexive closure into one bitset and each producer's bit
     into another, and the state is consistent when they share no bit.
+    A version that is not an int (that does not index a tuple) is unknown.
     """
     positions = analysis.writer_positions
     if states.keys() != positions.keys():
         raise AnalysisError("global state must name every object exactly once")
     closure = analysis.graph.closure
     after = before = 0
-    for obj, on_obj in positions.items():
-        version = states[obj]
-        if not 0 <= version <= len(on_obj):
-            raise AnalysisError(f"unknown state {LocalState(obj, version)}")
-        if version < len(on_obj):
-            after |= closure[on_obj[version]]
-        if version:
-            before |= 1 << on_obj[version - 1]
+    try:
+        for obj, on_obj in positions.items():
+            version = states[obj]
+            if not 0 <= version <= len(on_obj):
+                raise AnalysisError(f"unknown state {LocalState(obj, version)}")
+            if version < len(on_obj):
+                after |= closure[on_obj[version]]
+            elif not on_obj:  # no writer to index: check the 0 itself
+                index(version)
+            if version:
+                before |= 1 << on_obj[version - 1]
+    except TypeError:  # a version that does not index a tuple: not an int
+        raise AnalysisError(f"unknown state {LocalState(obj, version)}") from None
     return not after & before
 
 

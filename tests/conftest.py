@@ -110,6 +110,11 @@ def version_oracle(execution) -> tuple[dict[tuple[int, int], int], dict[tuple[in
     return pre, post
 
 
+def all_states(timeline) -> list[LocalState]:
+    """Every state of the timeline, by object, then version."""
+    return [LocalState(obj, v) for obj, on_obj in enumerate(timeline.writers) for v in range(len(on_obj) + 1)]
+
+
 def hb_oracle(execution, a: LocalState, b: LocalState) -> bool:
     """Happened-before by explicit search of the extended relation.
 

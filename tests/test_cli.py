@@ -77,10 +77,14 @@ SMALL_JSON_VALUES = json_values(st.integers(-3, 12))
 def mutate_trace(draw, data):
     """Apply one drawn mutation to a parsed trace file, in place.
 
-    config and workload lose one key, so that no mutation asks for a longer
-    re-run.  execution, events and checkpoint_log are mutated by mutate_json.
+    The top level gains one key.  config and workload lose one key, so that
+    no mutation asks for a longer re-run.  execution, events and
+    checkpoint_log are mutated by mutate_json.
     """
-    section = draw(st.sampled_from(["config", "workload", "execution", "events", "checkpoint_log"]))
+    section = draw(st.sampled_from(["trace", "config", "workload", "execution", "events", "checkpoint_log"]))
+    if section == "trace":
+        data[draw(st.text(max_size=4).filter(lambda k: k not in data))] = draw(JSON_VALUES)
+        return
     node = data[section]
     if section in ("config", "workload"):
         del node[draw(st.sampled_from(sorted(node)))]
@@ -468,6 +472,21 @@ class TestSimulateAndVerify:
         code, report = run_cli(capsys, *args)
         assert code == 2 and "error" in report and report["ok"] is False
 
+    @pytest.mark.parametrize("section", [None, "execution", "config", "workload"])
+    def test_unknown_key_exits_2_before_the_run(self, capsys, tmp_path, monkeypatch, section):
+        # A key the trace format does not have, at the top level or within
+        # a section, is an input error found before the re-run.
+        data = json.loads(simulated_trace_file()[0])
+        (data if section is None else data[section])["bogus"] = 1
+        out = tmp_path / "trace.json"
+        out.write_text(json.dumps(data))
+        runs = []
+        monkeypatch.setattr(sim, "run_simulation", lambda *args: runs.append(args))
+        code, report = run_cli(capsys, "verify", str(out))
+        where = "trace" if section is None else f"trace.{section}"
+        assert code == 2 and runs == []
+        assert report["error"] == f"{where}: unknown fields ['bogus']"
+
     @pytest.mark.parametrize("section, count", [("config", 7), ("workload", 9)])
     def test_object_count_mismatch_exits_2(self, capsys, tmp_path, section, count):
         out = tmp_path / "trace.json"
@@ -516,7 +535,11 @@ class TestSimulateAndVerify:
         # The re-run's items are ints, strs and lists of ints, so those three
         # sections are compared by type as well: 1.0 and true are not 1.
         exact = lambda d: json.dumps([d["execution"], d["events"], d["checkpoint_log"]], sort_keys=True)
-        same = all(mutated[s] == original[s] for s in ("config", "workload")) and exact(mutated) == exact(original)
+        same = (
+            mutated.keys() == original.keys()
+            and all(mutated[s] == original[s] for s in ("config", "workload"))
+            and exact(mutated) == exact(original)
+        )
         assert code == (original_code if same else 2)
 
     @settings(max_examples=80, deadline=None)

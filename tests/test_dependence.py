@@ -27,6 +27,7 @@ from txckpt.scenario import WorkloadSpec, builtin_scenario, generate_random
 from txckpt.sim import SimConfig, run_simulation
 
 from conftest import (
+    all_states,
     analyses,
     analysis_for,
     assert_witness_chain,
@@ -124,19 +125,29 @@ class TestHappenedBefore:
 
     def test_irreflexive(self, fig3):
         base = ExecutionAnalysis(fig3.execution)
-        for state in base.timeline.all_states():
+        for state in all_states(base.timeline):
             assert not base.happened_before(state, state)
 
     def test_unknown_state_rejected(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
         with pytest.raises(AnalysisError, match="unknown state"):
             base.happened_before(LocalState(0, 5), LocalState(0, 0))
+        m, last = base.execution.num_objects, base.timeline.max_version(0)
+        known = LocalState(0, 0)
+        unknown = [LocalState(-1, 0), LocalState(m, 0), LocalState(0, -1), LocalState(0, last + 1)]
+        for bad in unknown:
+            error = f"unknown state {bad}"
+            assert raised(AnalysisError, base.happened_before, bad, known) == error
+            assert raised(AnalysisError, base.happened_before, known, bad) == error
+            # a is checked first, so it is the one named when both are unknown.
+            for other in unknown:
+                assert raised(AnalysisError, base.happened_before, bad, other) == error
 
     @settings(max_examples=100)
     @given(executions())
     def test_matches_reachability_oracle(self, execution):
         base = ExecutionAnalysis(execution)
-        states = base.timeline.all_states()
+        states = all_states(base.timeline)
         for a in states:
             for b in states:
                 assert base.happened_before(a, b) == hb_oracle(execution, a, b)
@@ -194,10 +205,25 @@ class TestDependenceEdges:
     def test_edges_are_exactly_the_happened_before_pairs(self, execution):
         base = ExecutionAnalysis(execution)
         pairs = edge_pairs(base)
-        states = base.timeline.all_states()
+        states = all_states(base.timeline)
         for a in states:
             for b in states:
                 assert ((a, b) in pairs) == base.happened_before(a, b)
+
+    @settings(max_examples=100)
+    @given(executions())
+    def test_edges_read_off_the_writers(self, execution):
+        # via[0] replaces the source and via[1] produced the target; an edge
+        # is black exactly when one writer does both.  Edges come in strictly
+        # increasing (source, target) order.
+        base = ExecutionAnalysis(execution)
+        writers = base.timeline.writers
+        for e in base.edges:
+            assert writers[e.source.obj][e.source.version] == e.via[0]
+            assert e.target.version >= 1 and writers[e.target.obj][e.target.version - 1] == e.via[1]
+            assert (e.kind == BLACK) == (e.via[0] == e.via[1])
+        endpoints = [(e.source, e.target) for e in base.edges]
+        assert all(p < q for p, q in zip(endpoints, endpoints[1:]))
 
     @settings(max_examples=60)
     @given(executions())
@@ -237,7 +263,7 @@ class TestIntervals:
     def test_intervals_partition_states(self, analysis):
         timeline = analysis.base.timeline
         for obj in range(timeline.num_objects):
-            ranks = [state_intervals(analysis)[s].rank for s in timeline.states(obj)]
+            ranks = [state_intervals(analysis)[s].rank for s in all_states(timeline) if s.obj == obj]
             assert ranks == sorted(ranks)
             # contiguous coverage, one interval per checkpoint
             assert set(ranks) == set(analysis.pattern.ranks(obj))

@@ -79,9 +79,9 @@ def test_serialization_read_read_not_a_conflict():
 def test_versions_fig1a(fig1a):
     timeline = assign_versions(fig1a.execution)
     x, y, z = (fig1a.object_index(n) for n in "xyz")
-    assert timeline.writer_of(x, 1) == 2
-    assert timeline.writer_of(y, 1) == 1
-    assert timeline.writer_of(z, 1) == 1
+    assert timeline.writers[x] == (2,)
+    assert timeline.writers[y] == (1,)
+    assert timeline.writers[z] == (1,)
 
 
 def test_versions_fig3_z_written_four_times(fig3):
@@ -119,7 +119,7 @@ def test_versions_contiguous_and_write_increments(execution):
             assert post[(txn.id, obj)] == pre[(txn.id, obj)] + 1
             # A write's versions are read off its position among the writers.
             assert timeline.writers[obj].index(txn.id) == pre[(txn.id, obj)]
-            assert timeline.writer_of(obj, post[(txn.id, obj)]) == txn.id
+            assert timeline.writers[obj][post[(txn.id, obj)] - 1] == txn.id
     for obj in range(execution.num_objects):
         writes = sum(1 for t in execution.transactions if obj in t.write_set)
         assert timeline.max_version(obj) == writes

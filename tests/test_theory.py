@@ -95,6 +95,34 @@ class TestConsistency:
         states = {obj: 0 for obj in range(m)} | {m - 1: -1}
         assert raised(AnalysisError, is_consistent_global_state, states, base) == f"unknown state s({m - 1},-1)"
 
+    @pytest.mark.parametrize("version", [1.0, 0.0, "1", None, 0.5], ids=["1.0", "0.0", "str", "None", "0.5"])
+    @pytest.mark.parametrize("reader", ["is_consistent_global_state", "happened_before"])
+    def test_version_not_an_int_is_unknown(self, fig1a, reader, version):
+        # Object 0 of fig1a has one writer; object 0 of `bare` has none, so
+        # no writer position is indexed by its version.
+        bare = ExecutionAnalysis(make_execution(2, [(0, [0], [1])]))
+        for base in (ExecutionAnalysis(fig1a.execution), bare):
+            if reader == "happened_before":
+                error = raised(AnalysisError, base.happened_before, LocalState(1, 0), LocalState(0, version))
+            else:
+                states = {obj: 0 for obj in base.writer_positions} | {0: version}
+                error = raised(AnalysisError, is_consistent_global_state, states, base)
+            assert error == f"unknown state {LocalState(0, version)}"
+
+    def test_bool_version_is_an_int(self, fig1a):
+        base = ExecutionAnalysis(fig1a.execution)
+        for flag in (False, True):
+            assert is_consistent_global_state({0: flag, 1: 0, 2: 0}, base) == is_consistent_global_state(
+                {0: int(flag), 1: 0, 2: 0}, base
+            )
+            for other in (LocalState(1, 0), LocalState(1, 1)):
+                assert base.happened_before(other, LocalState(0, flag)) == base.happened_before(
+                    other, LocalState(0, int(flag))
+                )
+                assert base.happened_before(LocalState(0, flag), other) == base.happened_before(
+                    LocalState(0, int(flag)), other
+                )
+
     def test_read_only_mapping_accepted(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
         x, y, z = (fig1a.object_index(n) for n in "xyz")
