@@ -71,10 +71,11 @@ A CheckpointAnalysis builds each Checkpoint of its closed pattern once, on
 first use, in a table with one tuple per object in rank order; queries return
 its entries instead of new objects, and a saved version's rank is a
 bisection of the object's sorted versions, O(log k) for k checkpoints.
-Objects are 0..m-1 only: CheckpointAnalysis.checkpoint is the one place that
-says which (object, rank) pairs exist, and every query that meets another
-pair raises its error; CheckpointPattern.ranks and rank_of reject any other
-object with the same "unknown object" error.
+Objects are 0..m-1 only: CheckpointAnalysis.checkpoint says which (object,
+rank) pairs exist, CheckpointPattern.ranks which objects, and every query
+that meets another pair or object raises their error.  Every query rejects
+an object, rank or version that is not an int, as it rejects -1 and m: the
+indexing that bounds-checks a valid pair raises TypeError on it.
 """
 
 from __future__ import annotations
@@ -149,11 +150,11 @@ class ExecutionAnalysis:
     def happened_before(self, a: LocalState, b: LocalState) -> bool:
         """True iff state a strictly precedes state b: the closure of a's
         replacer, ``writer_positions[a.obj][a.version]``, holds b's producer,
-        ``writer_positions[b.obj][b.version - 1]``.  A state whose version is
-        not an int is unknown."""
+        ``writer_positions[b.obj][b.version - 1]``.  A state whose object or
+        version is not an int is unknown."""
         positions = self.writer_positions
         for s in (a, b):
-            on_obj = positions.get(s.obj)
+            on_obj = positions.get(s.obj) if isinstance(s.obj, int) else None
             if on_obj is None or not isinstance(s.version, int) or not 0 <= s.version <= len(on_obj):
                 raise AnalysisError(f"unknown state {s}")
         if a.version == len(positions[a.obj]) or not b.version:  # no replacer, or no producer
@@ -207,21 +208,22 @@ class CheckpointPattern:
         return len(self.versions)
 
     def ranks(self, obj: int) -> range:
-        if 0 <= obj < len(self.versions):
-            return range(len(self.versions[obj]))
-        raise AnalysisError(f"unknown object {obj}")
+        """The ranks of obj; the error for any object but 0..m-1 is raised here."""
+        try:
+            if obj >= 0:
+                return range(len(self.versions[obj]))
+        except (IndexError, TypeError):
+            pass
+        raise AnalysisError(f"unknown object {obj!r}")
 
     def rank_of(self, obj: int, version: int) -> int:
-        if not 0 <= obj < len(self.versions):
-            raise AnalysisError(f"unknown object {obj}")
+        self.ranks(obj)  # rejects any object but 0..m-1
         vs = self.versions[obj]
-        try:
+        if isinstance(version, int):  # any other version is not one of them
             rank = bisect_left(vs, version)
-        except TypeError:  # not comparable with a version: not one of them
-            rank = len(vs)
-        if rank < len(vs) and vs[rank] == version:
-            return rank
-        raise AnalysisError(f"version {version} of object {obj} is not checkpointed")
+            if rank < len(vs) and vs[rank] == version:
+                return rank
+        raise AnalysisError(f"version {version!r} of object {obj} is not checkpointed")
 
 
 @dataclass(frozen=True)
@@ -426,14 +428,14 @@ class CheckpointAnalysis:
 
     def checkpoint(self, obj: int, rank: int) -> Checkpoint:
         """The rank-th checkpoint of obj, one of objects 0..m-1; the error
-        for any other (obj, rank) pair is raised here."""
-        if obj >= 0 and rank >= 0:
-            try:
+        for any other (obj, rank) pair, ints or not, is raised here."""
+        try:
+            if obj >= 0 and rank >= 0:
                 return self.checkpoints[obj][rank]
-            except IndexError:
-                pass
+        except (IndexError, TypeError):
+            pass
         self.pattern.ranks(obj)  # rejects an object outside 0..m-1
-        raise AnalysisError(f"object {obj} has no checkpoint of rank {rank}")
+        raise AnalysisError(f"object {obj} has no checkpoint of rank {rank!r}")
 
     def checkpoint_at_version(self, obj: int, version: int) -> Checkpoint:
         return self.checkpoint(obj, self.pattern.rank_of(obj, version))
@@ -443,13 +445,13 @@ class CheckpointAnalysis:
     def dp_reachable(self, src: Checkpoint, dst: Checkpoint) -> bool:
         """True iff a dependence path leads from checkpoint src to checkpoint dst."""
         # Indexing the reach columns and the checkpoint table is the bounds
-        # check; they have the pattern's shape, so when it fails the
+        # and type check; they have the pattern's shape, so when it fails the
         # endpoints go through checkpoint, which rejects the first bad one.
         try:
             if src.obj >= 0 and src.rank >= 0 and dst.obj >= 0 and dst.rank >= 0:
                 self.checkpoints[dst.obj][dst.rank]
                 return dst.rank - 1 >= (self._columns[dst.obj] or self._column(dst.obj))[src.obj][src.rank]
-        except IndexError:
+        except (IndexError, TypeError):
             pass
         return self.dp_reachable(self.checkpoint(src.obj, src.rank), self.checkpoint(dst.obj, dst.rank))
 
@@ -486,7 +488,7 @@ class CheckpointAnalysis:
                     column = self._columns[dst_obj] or self._column(dst_obj)
                     row = rows[rank] = tuple([bisect_right(reach, rank - 1) for reach in column])
                 return row
-        except IndexError:
+        except (IndexError, TypeError):
             pass
         return self.min_safe_ranks(self.checkpoint(dst_obj, rank))
 

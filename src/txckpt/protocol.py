@@ -43,7 +43,7 @@ first call of which builds every reach column, so a clean trace builds none.
 Those ranks give its offending pairs and, when it reaches its own rank, its
 self-path: a checkpoint on a Z-cycle reaches its own index, so it is never
 below its bar.  Both assembly checks share one sweep from the highest index
-down, and each distinct version vector is tested for consistency once.
+down, and each complete assembly is one consistency test.
 """
 
 from __future__ import annotations
@@ -174,39 +174,25 @@ def verify_protocol_guarantees(
                 )
     violations.extend(pairs)
 
-    # Consistency depends only on the version vector, and assemblies often
-    # pick the same versions: each vector is tested once.
-    tested: dict[tuple[int, ...], bool] = {}
-
-    def consistent(states: Mapping[int, int]) -> bool:
-        vector = tuple(states[obj] for obj in range(m))
-        if vector not in tested:
-            tested[vector] = is_consistent_global_state(states, base)
-        return tested[vector]
-
-    # Both assembly checks in one sweep from the highest index down.  The
-    # equal-index assembly at n takes the last record at n in log order per
-    # object.  When z is 1, every index is visited and the gap-filled
-    # assembly (assemble_indexed_gc(n)) is kept up to date: the records at n
-    # replace their objects' picks, the first in log order winning, and
-    # consistency is looked up again only when a pick changed.
+    # Both assembly checks in one sweep from the highest index down, each
+    # complete assembly one consistency test.  The equal-index assembly at n
+    # takes the last record at n in log order per object.  When z is 1, every
+    # index is visited and the gap-filled assembly (assemble_indexed_gc(n))
+    # is kept up to date: the records at n replace their objects' picks, the
+    # first in log order winning.
     exact_bad: list[int] = []
     gap_bad: list[int] = []
     picks: dict[int, int] = {}
-    ok = True
     for n in range(max(by_index, default=0), -1, -1) if z == 1 else sorted(by_index, reverse=True):
         at_n = by_index.get(n, ())
         exact = {obj: version for obj, _, _, version in at_n}
-        if len(exact) == m and not consistent(exact):
+        if len(exact) == m and not is_consistent_global_state(exact, base):
             exact_bad.append(n)
         if z == 1:
             for obj, _, _, version in reversed(at_n):
                 picks[obj] = version
-            if len(picks) == m:
-                if at_n:
-                    ok = consistent(picks)
-                if not ok:
-                    gap_bad.append(n)
+            if len(picks) == m and not is_consistent_global_state(picks, base):
+                gap_bad.append(n)
     violations.extend(f"equal-index assembly at index {n} is not consistent" for n in reversed(exact_bad))
     violations.extend(f"gap-filled assembly at index {n} is not consistent" for n in reversed(gap_bad))
 

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from math import ceil
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .dependence import CheckpointPattern, PatternError
 from .model import (
@@ -47,6 +47,19 @@ class ScenarioError(ValueError):
     """Scenario or workload file failed to parse or validate."""
 
 
+def resolve_object(token: str, names: Sequence[str]) -> int:
+    """The object token names: one of names, else a decimal index in 0..len(names)-1."""
+    if token in names:
+        return names.index(token)
+    try:
+        idx = int(token)
+    except ValueError:
+        raise ScenarioError(f"unknown object {token!r}") from None
+    if not 0 <= idx < len(names):
+        raise ScenarioError(f"object index {idx} out of range")
+    return idx
+
+
 @dataclass(frozen=True)
 class Scenario:
     execution: ValidatedExecution
@@ -55,15 +68,7 @@ class Scenario:
 
     def object_index(self, token: str) -> int:
         """Resolve an object name or decimal index."""
-        if token in self.object_names:
-            return self.object_names.index(token)
-        try:
-            idx = int(token)
-        except ValueError:
-            raise ScenarioError(f"unknown object {token!r}") from None
-        if not 0 <= idx < self.execution.num_objects:
-            raise ScenarioError(f"object index {idx} out of range")
-        return idx
+        return resolve_object(token, self.object_names)
 
 
 def _expect(data: Mapping[str, Any], field: str, kind: type | tuple[type, ...], where: str,
@@ -123,15 +128,10 @@ def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scena
         raise ScenarioError(f"{name}.checkpoints: expected a mapping")
     by_obj: dict[int, list[int]] = {}
     for key, versions in raw_ckpt.items():
-        if key in names:
-            obj = names.index(key)
-        else:
-            try:
-                obj = int(key)
-            except ValueError:
-                raise ScenarioError(f"{name}.checkpoints: unknown object {key!r}") from None
-        if not 0 <= obj < num_objects:
-            raise ScenarioError(f"{name}.checkpoints: object index {obj} out of range")
+        try:
+            obj = resolve_object(key, names)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{name}.checkpoints: {exc}") from None
         by_obj[obj] = _int_list(versions, f"{name}.checkpoints[{key!r}]")
     try:
         pattern = CheckpointPattern.make(by_obj, timeline)

@@ -49,9 +49,10 @@ class GlobalCheckpoint:
 
     def contains(self, candidate: Mapping[int, int]) -> bool:
         """True iff every (object -> rank) entry of candidate appears here;
-        an object outside 0..m-1 appears nowhere."""
+        an object outside 0..m-1, or not an int, appears nowhere."""
         members = self.members
-        return all(0 <= obj < len(members) and members[obj].rank == rank for obj, rank in candidate.items())
+        return all(isinstance(obj, int) and 0 <= obj < len(members) and members[obj].rank == rank
+                   for obj, rank in candidate.items())
 
 
 class ConditionViolated(Exception):
@@ -75,7 +76,7 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
     commits before its replacer.  So one pass over the objects ORs each
     replacer's reflexive closure into one bitset and each producer's bit
     into another, and the state is consistent when they share no bit.
-    A version that is not an int (that does not index a tuple) is unknown.
+    An object or a version that is not an int, even 1.0, is unknown.
     """
     positions = analysis.writer_positions
     if states.keys() != positions.keys():
@@ -83,6 +84,8 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
     closure = analysis.graph.closure
     after = before = 0
     try:
+        for obj in states:  # the key-set comparison cannot tell 1.0 from 1
+            index(obj)
         for obj, on_obj in positions.items():
             version = states[obj]
             if not 0 <= version <= len(on_obj):
@@ -93,8 +96,8 @@ def is_consistent_global_state(states: Mapping[int, int], analysis: ExecutionAna
                 index(version)
             if version:
                 before |= 1 << on_obj[version - 1]
-    except TypeError:  # a version that does not index a tuple: not an int
-        raise AnalysisError(f"unknown state {LocalState(obj, version)}") from None
+    except TypeError:  # an object or a version that does not index a tuple: not an int
+        raise AnalysisError(f"unknown state {LocalState(obj, states[obj])}") from None
     return not after & before
 
 
@@ -102,7 +105,11 @@ def _resolve_candidate(candidate: Mapping[int, int], analysis: CheckpointAnalysi
     """The candidate's members in object order."""
     if not candidate:
         raise AnalysisError("candidate set must contain at least one checkpoint")
-    return [analysis.checkpoint(obj, rank) for obj, rank in sorted(candidate.items())]
+    try:
+        items = sorted(candidate.items())
+    except TypeError:  # objects that do not compare are not all ints: checkpoint rejects one
+        items = candidate.items()
+    return [analysis.checkpoint(obj, rank) for obj, rank in items]
 
 
 def _first_violating_pair(

@@ -547,24 +547,40 @@ class TestDependencePaths:
         assert base.edges and "edges" in base.__dict__
 
     def test_objects_outside_the_range_are_unknown(self, fig3):
-        # Object -1 is not object m-1 counted from the end, and object m is
-        # not an object: every query rejects either one at either endpoint.
+        # Object -1 is not object m-1 counted from the end, object m is not
+        # an object, and neither is anything but an int, even 1.0: every
+        # query rejects each at either endpoint.  So is a rank or a version
+        # that is not an int, even where it equals one.
         analysis = scenario_analysis(fig3)
-        m = analysis.pattern.num_objects
+        pattern = analysis.pattern
+        m = pattern.num_objects
         for ck in all_checkpoints(analysis):
-            for obj in (-1, m):
+            for obj in (-1, m, 1.0, "1", None):
                 bad = Checkpoint(obj, ck.rank, ck.version)
                 queries = [
                     lambda: analysis.checkpoint(obj, ck.rank),
                     lambda: analysis.checkpoint_at_version(obj, ck.version),
+                    lambda: pattern.ranks(obj),
+                    lambda: pattern.rank_of(obj, ck.version),
                     lambda: analysis.min_reachable_ranks(bad),
                     lambda: analysis.min_safe_ranks(bad),
                 ]
                 for pair in ((bad, ck), (ck, bad)):
                     queries += [lambda p=pair: analysis.dp_reachable(*p), lambda p=pair: analysis.dp_witness(*p)]
                 for query in queries:
-                    with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
-                        query()
+                    assert raised(AnalysisError, query) == f"unknown object {obj!r}"
+            bad = Checkpoint(ck.obj, float(ck.rank), ck.version)
+            queries = [
+                lambda: analysis.checkpoint(ck.obj, float(ck.rank)),
+                lambda: analysis.min_reachable_ranks(bad),
+                lambda: analysis.min_safe_ranks(bad),
+            ]
+            for pair in ((bad, ck), (ck, bad)):
+                queries += [lambda p=pair: analysis.dp_reachable(*p), lambda p=pair: analysis.dp_witness(*p)]
+            for query in queries:
+                assert raised(AnalysisError, query) == f"object {ck.obj} has no checkpoint of rank {float(ck.rank)}"
+            error = raised(AnalysisError, analysis.checkpoint_at_version, ck.obj, float(ck.version))
+            assert error == f"version {float(ck.version)} of object {ck.obj} is not checkpointed"
 
 
 def assert_safe_rows_match_bisection(analysis):
@@ -835,7 +851,7 @@ def test_witness_answers_pinned_at_64x2000():
 @pytest.mark.parametrize("case, error", [
     (lambda c, t: file_error(c, t, {"objects": 1, "checkpoints": {"0": [-1]}}, "analyze", "{file}"),
      "in.checkpoints: object 0: negative checkpoint version"),
-    # bisect cannot compare None with a version, so it is none of them.
+    # None is not an int, so it is none of the versions.
     (lambda c, t: raised(AnalysisError, builtin_scenario("fig3").pattern.rank_of, 0, None),
      "version None of object 0 is not checkpointed"),
     (lambda c, t: raised(AnalysisError, CheckpointAnalysis,

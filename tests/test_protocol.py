@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 
@@ -228,6 +229,25 @@ def doctored(trace, how, seed):
     return dataclasses.replace(trace, checkpoint_log=tuple(records))
 
 
+def test_violation_reports_pinned_at_8x120():
+    # The oracle cross-check stops at 4 x 30; this pins every report, in
+    # message order, of the doctored logs at verify_batch's size, where the
+    # assemblies of each sweep repeat and most versions are reached.
+    reports = []
+    for protocol, z in (("A", 1), ("B", 2)):
+        for seed in (1, 2):
+            spec = WorkloadSpec(8, 120, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+            config = SimConfig(seed=seed, num_objects=8, protocol=protocol, z_param=z, timer_period=20)
+            trace = run_simulation(spec, config)
+            for how in ("clean", "clamped", "random", "sparse", "shuffled", "unforced"):
+                reports.append(verify_protocol_guarantees(doctored(trace, how, seed)))
+    messages = [v for report in reports for v in report.violations]
+    assert len(messages) == 109234
+    assert sum("equal-index" in v for v in messages) == 33 and sum("gap-filled" in v for v in messages) == 92
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == "e3dd61a5a3bd6bff5731da15fe71b644bc28d890cadb08830222d40eaed1a912"
+
+
 class TestVerificationMatchesPairwiseOracle:
     @pytest.mark.parametrize("how", ["clean", "clamped", "random", "shuffled", "sparse", "unforced"])
     @pytest.mark.parametrize("z", [1, 2, 3])
@@ -324,12 +344,15 @@ class TestVerificationMatchesPairwiseOracle:
             analysis.min_safe_ranks(ck)
         assert sorted(y for _, y in builds) == list(range(6))
         assert all(a is analysis for a, _ in builds)
-        # Assemblies that pick the same versions share one consistency test.
-        vectors = {
-            tuple(c.version for c in gc.members)
-            for n in range(max(r.index for r in log) + 1)
-            if (gc := assemble_indexed_gc(n, log, analysis)) is not None
-        }
-        assert 0 < len(consistency_calls) <= len(vectors)
-        tested = [tuple(states[obj] for obj in range(6)) for states in consistency_calls]
-        assert len(set(tested)) == len(tested)
+        # Each complete assembly is one consistency test, in sweep order from
+        # the highest index down: at n, the equal-index assembly (the last
+        # record at n per object) when it names every object, then, z being
+        # 1, the gap-filled assembly when every object has a pick.
+        expected = []
+        for n in range(max(r.index for r in log), -1, -1):
+            exact = {r.obj: r.version for r in log if r.index == n}
+            if len(exact) == 6:
+                expected.append(exact)
+            if (gc := assemble_indexed_gc(n, log, analysis)) is not None:
+                expected.append(gc.states())
+        assert consistency_calls == expected

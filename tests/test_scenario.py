@@ -227,10 +227,13 @@ class TestFastDraws:
 
 @pytest.mark.parametrize("case, error", [
     (lambda c, t: cli_error(c, "check", "fig3", "9:0"), "object index 9 out of range"),
+    (lambda c, t: cli_error(c, "check", "fig3", "w:0"), "unknown object 'w'"),
     (lambda c, t: file_error(c, t, {"objects": 2, "object_names": ["a", "a"]}, "analyze", "{file}"),
      "in.object_names: names must be unique"),
     (lambda c, t: file_error(c, t, {"objects": 1, "checkpoints": {"3": [0]}}, "analyze", "{file}"),
      "in.checkpoints: object index 3 out of range"),
+    (lambda c, t: file_error(c, t, {"objects": 1, "checkpoints": {"w": [0]}}, "analyze", "{file}"),
+     "in.checkpoints: unknown object 'w'"),
     (lambda c, t: file_error(c, t, [1], "analyze", "{file}"), "{file}: expected a JSON object"),
     (lambda c, t: cli_error(c, "simulate", "--txns", "-1"), "num_txns must be non-negative"),
     (lambda c, t: file_error(c, t, [1], "simulate", "--workload", "{file}"), "in: expected an object"),
@@ -240,7 +243,7 @@ class TestFastDraws:
     (lambda c, t: file_error(c, t, {"num_objects": 2, "num_txns": 1, "ops_per_txn": [1, 2, 3]},
                              "simulate", "--workload", "{file}"),
      "in.ops_per_txn: expected [lo, hi]"),
-], ids=["object-index", "duplicate-names", "checkpoint-key", "scenario-not-an-object", "negative-txns",
-        "workload-not-an-object", "float-overflow", "ops-not-a-pair"])
+], ids=["object-index", "object-name", "duplicate-names", "checkpoint-key", "checkpoint-name", "scenario-not-an-object",
+        "negative-txns", "workload-not-an-object", "float-overflow", "ops-not-a-pair"])
 def test_scenario_input_checks(capsys, tmp_path, case, error):
     assert case(capsys, tmp_path) == error.format(file=tmp_path / "in.json")

@@ -109,6 +109,18 @@ class TestConsistency:
                 error = raised(AnalysisError, is_consistent_global_state, states, base)
             assert error == f"unknown state {LocalState(0, version)}"
 
+    @pytest.mark.parametrize("obj", [1.0, "1", None], ids=["1.0", "str", "None"])
+    def test_object_not_an_int_is_unknown(self, fig1a, obj):
+        # 1.0 equals object 1 and hashes as it does, yet names no object.
+        base = ExecutionAnalysis(fig1a.execution)
+        for pair in ((LocalState(obj, 0), LocalState(0, 1)), (LocalState(0, 0), LocalState(obj, 0))):
+            assert raised(AnalysisError, base.happened_before, *pair) == f"unknown state {LocalState(obj, 0)}"
+        error = raised(AnalysisError, is_consistent_global_state, {0: 1, obj: 0, 2: 0}, base)
+        if obj == 1:  # the key set is fig1a's
+            assert error == f"unknown state {LocalState(obj, 0)}"
+        else:
+            assert error == "global state must name every object exactly once"
+
     def test_bool_version_is_an_int(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
         for flag in (False, True):
@@ -193,14 +205,16 @@ class TestTheoremCondition:
     @pytest.mark.parametrize("query", [theorem_condition, extend_to_global])
     @pytest.mark.parametrize("alone", [True, False])
     def test_object_outside_the_range_rejected(self, fig3, query, alone):
-        # Object -1 is not object m-1 counted from the end, and object m is
-        # not an object, whatever the other members.
+        # Object -1 is not object m-1 counted from the end, object m is not
+        # an object, and neither is anything but an int, whatever the other
+        # members; nor is rank 1.0 a rank.
         analysis = scenario_analysis(fig3)
         m = analysis.pattern.num_objects
-        for obj in (-1, m):
+        for obj in (-1, m, 1.0, "1", None):
             candidate = {obj: 0} if alone else {0: 0, obj: 0}
-            with pytest.raises(AnalysisError, match=f"^unknown object {obj}$"):
-                query(candidate, analysis)
+            assert raised(AnalysisError, query, candidate, analysis) == f"unknown object {obj!r}"
+        candidate = {1: 1.0} if alone else {0: 0, 1: 1.0}
+        assert raised(AnalysisError, query, candidate, analysis) == "object 1 has no checkpoint of rank 1.0"
 
 
 class TestExtension:
@@ -465,10 +479,11 @@ class TestGlobalCheckpointContains:
         m = analysis.pattern.num_objects
         gc = extend_to_global({obj: 0 for obj in range(m)}, analysis).global_checkpoint
         assert gc.contains({m - 1: 0})
-        # Object -1 is not the last object, and object m is not an object.
-        assert not gc.contains({-1: 0})
-        assert not gc.contains({m: 0})
-        assert not gc.contains({0: 0, m: 0})
+        # Object -1 is not the last object, object m is not an object, and
+        # neither is anything but an int.
+        for obj in (-1, m, 1.0, "1", None):
+            assert not gc.contains({obj: 0})
+            assert not gc.contains({0: 0, obj: 0})
 
 
 class TestQueriesReadTheTable:
