@@ -28,7 +28,9 @@ from .scenario import (
     generate_random,
     load_scenario,
     load_workload,
+    parse_decimal,
     reading_json,
+    resolve_object,
 )
 from .sim import SimConfig, SimulationError, Trace, run_simulation
 from .theory import (
@@ -81,9 +83,9 @@ def _parse_members(scenario: Scenario, tokens: Sequence[str]) -> dict[int, int]:
         if ":" not in token:
             raise InputError(f"candidate member {token!r} is not of the form object:rank")
         name, _, rank_text = token.partition(":")
-        obj = scenario.object_index(name)
+        obj = resolve_object(name, scenario.object_names)
         try:
-            rank = int(rank_text)
+            rank = parse_decimal(rank_text)
         except ValueError:
             raise InputError(f"candidate member {token!r}: rank must be an integer") from None
         if obj in members:
@@ -402,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not (args.trace or args.sim_batch or args.theorem_batch):
-        parser.error("verify needs a trace file, --sim-batch, or --theorem-batch")
+    if args.command == "verify" and sum(map(bool, (args.trace, args.sim_batch, args.theorem_batch))) != 1:
+        parser.error("verify needs exactly one of a trace file, --sim-batch, or --theorem-batch")
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -31,7 +31,7 @@ class LocalState(NamedTuple):
     version: int
 
     def __repr__(self) -> str:
-        return f"s({self.obj},{self.version})"
+        return f"s({self.obj!r},{self.version!r})"
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ Scenario files are JSON with integer fields only:
       "checkpoints": {"x": [0, 1], "y": [0, 1], "z": [0, 1]}   # optional
     }
 
-Checkpoint keys may be object names or decimal indices; version 0 is implied
-for every object and added on load.  Unknown fields are rejected.
+Checkpoint keys may be object names or decimal indices, one key per object;
+version 0 is implied for every object and added on load.  Unknown fields are
+rejected.
 
 Workload files describe random-workload parameters for the generator and the
 simulator: WorkloadSpec's fields, a missing one taking its default.  Its and
@@ -47,12 +48,20 @@ class ScenarioError(ValueError):
     """Scenario or workload file failed to parse or validate."""
 
 
+def parse_decimal(text: str) -> int:
+    """text read as ASCII digits after an optional '-'; ValueError otherwise."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal: {text!r}")
+    return int(text)
+
+
 def resolve_object(token: str, names: Sequence[str]) -> int:
     """The object token names: one of names, else a decimal index in 0..len(names)-1."""
     if token in names:
         return names.index(token)
     try:
-        idx = int(token)
+        idx = parse_decimal(token)
     except ValueError:
         raise ScenarioError(f"unknown object {token!r}") from None
     if not 0 <= idx < len(names):
@@ -65,10 +74,6 @@ class Scenario:
     execution: ValidatedExecution
     pattern: CheckpointPattern
     object_names: tuple[str, ...]
-
-    def object_index(self, token: str) -> int:
-        """Resolve an object name or decimal index."""
-        return resolve_object(token, self.object_names)
 
 
 def _expect(data: Mapping[str, Any], field: str, kind: type | tuple[type, ...], where: str,
@@ -132,6 +137,8 @@ def scenario_from_dict(data: Mapping[str, Any], name: str = "scenario") -> Scena
             obj = resolve_object(key, names)
         except ScenarioError as exc:
             raise ScenarioError(f"{name}.checkpoints: {exc}") from None
+        if obj in by_obj:
+            raise ScenarioError(f"{name}.checkpoints: object {key!r} appears twice")
         by_obj[obj] = _int_list(versions, f"{name}.checkpoints[{key!r}]")
     try:
         pattern = CheckpointPattern.make(by_obj, timeline)
@@ -259,7 +266,7 @@ class WorkloadSpec:
             raise ScenarioError("write_probability must lie in [0, 1]")
         if not self.access_skew >= 0.0:  # also rejects NaN
             raise ScenarioError("access_skew must be non-negative")
-        try:  # the largest power _skew_weights takes
+        try:  # the largest power workload_transactions' skew weights take
             float(self.num_objects) ** self.access_skew
         except OverflowError:
             raise ScenarioError("num_objects ** access_skew exceeds the float range") from None
@@ -330,10 +337,6 @@ def randint_draws(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
     return draw
 
 
-def _skew_weights(spec: WorkloadSpec) -> list[float]:
-    return [1.0 / (i + 1) ** spec.access_skew for i in range(spec.num_objects)]
-
-
 def _weighted_distinct(rng: random.Random, weights: list[float], k: int) -> list[int]:
     pool = list(range(len(weights)))
     live = list(weights)
@@ -364,7 +367,8 @@ def _uniform_distinct(rng: random.Random, m: int, k: int) -> list[int]:
 def workload_transactions(spec: WorkloadSpec) -> list[Transaction]:
     """Seeded access sets for the workload; ids are 0..num_txns-1."""
     rng = random.Random(spec.seed)
-    weights = _skew_weights(spec)
+    if spec.access_skew:
+        weights = [1.0 / (i + 1) ** spec.access_skew for i in range(spec.num_objects)]
     ops = randint_draws(rng, *spec.ops_per_txn)
     txns = []
     for txn_id in range(spec.num_txns):

@@ -40,7 +40,7 @@ from txckpt.protocol import (
     initial_record,
     trace_pattern,
 )
-from txckpt.scenario import WorkloadSpec, builtin_scenario, workload_transactions
+from txckpt.scenario import WorkloadSpec, builtin_scenario, resolve_object, workload_transactions
 from txckpt.sim import (
     EV_COMMIT_MSG,
     EV_LOCK_ACQUIRED,
@@ -567,7 +567,7 @@ def fig3_reconstruction_facts(scenario) -> dict[str, bool]:
     states before its second checkpoint.
     """
     analysis = ExecutionAnalysis(scenario.execution)
-    z = scenario.object_index("z")
+    z = resolve_object("z", scenario.object_names)
     z_versions = scenario.pattern.versions[z]
     return {
         "t1_precedes_t6": analysis.graph.reaches(1, 6),

@@ -22,6 +22,7 @@ from txckpt.scenario import (
     WorkloadSpec,
     builtin_scenario,
     generate_random,
+    resolve_object,
 )
 from txckpt.sim import SimConfig, run_simulation
 from txckpt.theory import (
@@ -199,7 +200,7 @@ def test_criterion_03_fig3_hidden_dependence():
     assert all(facts.values()), f"scenario reconstruction facts failed: {facts}"
     analysis = scenario_analysis(scenario)
     base = analysis.base
-    u, z, y, x = (scenario.object_index(n) for n in "uzyx")
+    u, z, y, x = (resolve_object(n, scenario.object_names) for n in "uzyx")
     assert not base.happened_before(LocalState(u, 0), LocalState(x, 2))
     assert not base.happened_before(LocalState(x, 2), LocalState(u, 0))
     assert base.happened_before(LocalState(u, 0), LocalState(y, 2))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from txckpt import cli, sim
 from txckpt.cli import main
-from txckpt.dependence import CheckpointAnalysis
+from txckpt.dependence import CheckpointAnalysis, ExecutionAnalysis
 from txckpt.protocol import trace_pattern
 from txckpt.scenario import (
     Scenario,
@@ -26,7 +26,7 @@ from txckpt.scenario import (
     scenario_to_dict,
 )
 from txckpt.sim import SimConfig, Trace
-from txckpt.theory import ConditionViolated
+from txckpt.theory import ConditionViolated, theorem_condition
 
 from conftest import cli_error, extension_oracle, run_cli, scenario_analysis, state_intervals
 
@@ -220,12 +220,16 @@ class TestCheck:
 
 @pytest.mark.parametrize("args, code, key, want", [
     (("check", "fig3", "u:x"), 2, "error", "candidate member 'u:x': rank must be an integer"),
+    *((("check", "fig3", f"{obj}:0"), 2, "error", f"unknown object {obj!r}") for obj in ("+1", " 1", "\u0663")),
+    *((("check", "fig3", f"u:{rank}"), 2, "error", f"candidate member 'u:{rank}': rank must be an integer")
+      for rank in ("+0", "\u0660", "1_0")),
     # A bound below the candidate space leaves the oracle unchecked.
     (("check", "fig1a", "x:0", "y:0", "z:0", "--oracle-bound", "1"), 0, "oracle", {"checked": False}),
     # One object offers no pair to sample, so the spot checks test each of
     # the trace's three saved versions alone.
     (("verify", "{trace}"), 0, "theorem_spot_checks", {"checked": True, "candidates": 3, "disagreements": 0}),
-], ids=["rank-not-an-integer", "oracle-beyond-bound", "one-object-spot-checks"])
+], ids=["rank-not-an-integer", "object-plus", "object-space", "object-arabic-indic",
+        "rank-plus", "rank-arabic-indic", "rank-underscore", "oracle-beyond-bound", "one-object-spot-checks"])
 def test_cli_input_checks(capsys, tmp_path, args, code, key, want):
     # The CLI's own checks and branches that no other test reaches.
     trace = tmp_path / "one.json"
@@ -349,6 +353,30 @@ class TestSimulateAndVerify:
     def test_verify_needs_input(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify"])
+
+    @pytest.mark.parametrize("args", [
+        ("--sim-batch", "1", "--theorem-batch", "1"), ("{trace}", "--sim-batch", "3"),
+        ("{trace}", "--theorem-batch", "1"),
+    ], ids=["sim-and-theorem", "trace-and-sim", "trace-and-theorem"])
+    def test_verify_takes_one_mode(self, capsys, tmp_path, args):
+        trace = tmp_path / "t.json"
+        trace.write_text(simulated_trace_file()[0])
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *(arg.format(trace=trace) for arg in args)])
+        assert info.value.code == 2 and "exactly one of" in capsys.readouterr().err
+
+    def test_theorem_batch_reports_each_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "theorem_condition", lambda c, analysis: not theorem_condition(c, analysis))
+        code, report = run_cli(capsys, "verify", "--theorem-batch", "2", "--objects", "3", "--txns", "4")
+        want = []
+        for i in range(2):  # the CLI's default workload, seeded 0 and 1
+            execution, pattern = generate_random(WorkloadSpec(3, 4, write_probability=0.6, seed=i))
+            closed = CheckpointAnalysis(ExecutionAnalysis(execution), pattern).pattern
+            singles = [(obj, rank) for obj, vs in enumerate(closed.versions) for rank in range(len(vs))]
+            pairs = [a + b for a, b in itertools.combinations(singles, 2) if a[0] != b[0]]
+            want += [{"instance": i, "candidate": {str(c[j]): c[j + 1] for j in range(0, len(c), 2)}}
+                     for c in singles + pairs]
+        assert code == 1 and report["results"] == {"instances": 2, "disagreements": want}
 
     def test_workload_file(self, capsys, tmp_path):
         # A workload file's missing fields take WorkloadSpec's defaults.

@@ -23,7 +23,7 @@ from txckpt.dependence import (
 from txckpt import protocol as protocol_module
 from txckpt.model import LocalState, assign_versions
 from txckpt.protocol import trace_pattern
-from txckpt.scenario import WorkloadSpec, builtin_scenario, generate_random
+from txckpt.scenario import WorkloadSpec, builtin_scenario, generate_random, resolve_object
 from txckpt.sim import SimConfig, run_simulation
 
 from conftest import (
@@ -109,17 +109,17 @@ class TestValueTypes:
 class TestHappenedBefore:
     def test_fig1a_serialization_precedence(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        x, y = fig1a.object_index("x"), fig1a.object_index("y")
+        x, y = resolve_object("x", fig1a.object_names), resolve_object("y", fig1a.object_names)
         assert base.happened_before(LocalState(y, 0), LocalState(x, 1))
 
     def test_fig3_causal_pair(self, fig3):
         base = ExecutionAnalysis(fig3.execution)
-        u, y = fig3.object_index("u"), fig3.object_index("y")
+        u, y = resolve_object("u", fig3.object_names), resolve_object("y", fig3.object_names)
         assert base.happened_before(LocalState(u, 0), LocalState(y, 2))
 
     def test_fig3_unrelated_pair(self, fig3):
         base = ExecutionAnalysis(fig3.execution)
-        u, x = fig3.object_index("u"), fig3.object_index("x")
+        u, x = resolve_object("u", fig3.object_names), resolve_object("x", fig3.object_names)
         assert not base.happened_before(LocalState(u, 0), LocalState(x, 2))
         assert not base.happened_before(LocalState(x, 2), LocalState(u, 0))
 
@@ -156,7 +156,7 @@ class TestHappenedBefore:
 class TestDependenceEdges:
     def test_fig1a_black_edges_of_writer(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        y, z = fig1a.object_index("y"), fig1a.object_index("z")
+        y, z = resolve_object("y", fig1a.object_names), resolve_object("z", fig1a.object_names)
         blacks = {(e.source, e.target) for e in base.edges if e.via == (1, 1)}
         assert blacks == {
             (LocalState(y, 0), LocalState(y, 1)),
@@ -167,7 +167,7 @@ class TestDependenceEdges:
 
     def test_fig1a_dashed_edges(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        x, y, z = (fig1a.object_index(n) for n in "xyz")
+        x, y, z = (resolve_object(n, fig1a.object_names) for n in "xyz")
         dashed = {(e.source, e.target) for e in base.edges if e.kind == DASHED}
         assert dashed == {
             (LocalState(y, 0), LocalState(x, 1)),
@@ -239,7 +239,7 @@ class TestIntervals:
     def test_fig3_first_z_interval_has_four_states(self, fig3):
         timeline = assign_versions(fig3.execution)
         assignment = build_intervals(fig3.pattern, timeline)
-        z = fig3.object_index("z")
+        z = resolve_object("z", fig3.object_names)
         members = [s for s, iv in assignment.items() if s.obj == z and iv.rank == 0]
         assert sorted(s.version for s in members) == [0, 1, 2, 3]
 
@@ -376,7 +376,7 @@ class TestCheckpointTable:
 class TestDependencePaths:
     def test_fig3_hidden_path(self, fig3):
         analysis = scenario_analysis(fig3)
-        u, x = fig3.object_index("u"), fig3.object_index("x")
+        u, x = resolve_object("u", fig3.object_names), resolve_object("x", fig3.object_names)
         src, dst = analysis.checkpoint(u, 0), analysis.checkpoint(x, 1)
         assert analysis.dp_reachable(src, dst)
         witness = analysis.dp_witness(src, dst)
@@ -387,7 +387,7 @@ class TestDependencePaths:
 
     def test_same_object_rank_order(self, fig3):
         analysis = scenario_analysis(fig3)
-        z = fig3.object_index("z")
+        z = resolve_object("z", fig3.object_names)
         assert analysis.dp_reachable(analysis.checkpoint(z, 0), analysis.checkpoint(z, 1))
         assert not analysis.dp_reachable(analysis.checkpoint(z, 1), analysis.checkpoint(z, 0))
 
@@ -477,7 +477,7 @@ class TestDependencePaths:
 
     def test_unknown_checkpoint_rejected(self, fig3):
         analysis = scenario_analysis(fig3)
-        u = fig3.object_index("u")
+        u = resolve_object("u", fig3.object_names)
         with pytest.raises(AnalysisError):
             analysis.checkpoint(u, 9)
 

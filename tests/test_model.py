@@ -12,7 +12,7 @@ from txckpt.model import (
     validate_execution,
 )
 
-from txckpt.scenario import WorkloadSpec
+from txckpt.scenario import WorkloadSpec, resolve_object
 from txckpt.sim import SimConfig, run_simulation
 
 from conftest import executions, file_error, make_execution, serialization_closure_oracle, version_oracle
@@ -78,7 +78,7 @@ def test_serialization_read_read_not_a_conflict():
 
 def test_versions_fig1a(fig1a):
     timeline = assign_versions(fig1a.execution)
-    x, y, z = (fig1a.object_index(n) for n in "xyz")
+    x, y, z = (resolve_object(n, fig1a.object_names) for n in "xyz")
     assert timeline.writers[x] == (2,)
     assert timeline.writers[y] == (1,)
     assert timeline.writers[z] == (1,)
@@ -86,7 +86,7 @@ def test_versions_fig1a(fig1a):
 
 def test_versions_fig3_z_written_four_times(fig3):
     timeline = assign_versions(fig3.execution)
-    z = fig3.object_index("z")
+    z = resolve_object("z", fig3.object_names)
     assert timeline.writers[z] == (2, 3, 4, 5)
     assert timeline.max_version(z) == 4
 

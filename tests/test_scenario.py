@@ -20,6 +20,7 @@ from txckpt.scenario import (
     generate_random,
     load_scenario,
     randint_draws,
+    resolve_object,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -33,8 +34,8 @@ class TestBuiltins:
     def test_fig1a_contents(self, fig1a):
         assert fig1a.execution.num_objects == 3
         t1 = next(t for t in fig1a.execution.transactions if t.id == 1)
-        assert t1.read_set == {fig1a.object_index("x")}
-        assert t1.write_set == {fig1a.object_index("y"), fig1a.object_index("z")}
+        assert t1.read_set == {resolve_object("x", fig1a.object_names)}
+        assert t1.write_set == {resolve_object("y", fig1a.object_names), resolve_object("z", fig1a.object_names)}
         assert fig1a.execution.commit_order == (1, 2)
 
     def test_fig1b_reverses_order(self, fig1b):
@@ -42,7 +43,7 @@ class TestBuiltins:
 
     def test_fig3_contents(self, fig3):
         assert fig3.execution.commit_order == (1, 2, 3, 7, 4, 5, 6)
-        z = fig3.object_index("z")
+        z = resolve_object("z", fig3.object_names)
         assert fig3.pattern.versions[z] == (0, 4)
 
     def test_fig3_reconstruction_facts(self, fig3):
@@ -114,10 +115,10 @@ class TestScenarioFiles:
             load_scenario(path)
 
     def test_object_names_resolve(self, fig3):
-        assert fig3.object_index("u") == 0
-        assert fig3.object_index("3") == 3
+        assert resolve_object("u", fig3.object_names) == 0
+        assert resolve_object("3", fig3.object_names) == 3
         with pytest.raises(ScenarioError, match="unknown object"):
-            fig3.object_index("w")
+            resolve_object("w", fig3.object_names)
 
 
 class TestWorkloads:
@@ -234,6 +235,15 @@ class TestFastDraws:
      "in.checkpoints: object index 3 out of range"),
     (lambda c, t: file_error(c, t, {"objects": 1, "checkpoints": {"w": [0]}}, "analyze", "{file}"),
      "in.checkpoints: unknown object 'w'"),
+    *((lambda c, t, key=key: file_error(c, t, {"objects": 2, "checkpoints": {key: [0]}}, "analyze", "{file}"),
+       f"in.checkpoints: unknown object {key!r}") for key in ("+1", " 1", "\u0663", "0_1")),
+    (lambda c, t: file_error(c, t, {"objects": 2, "checkpoints": {"-1": [0]}}, "analyze", "{file}"),
+     "in.checkpoints: object index -1 out of range"),
+    (lambda c, t: file_error(c, t, {"objects": 2, "object_names": ["x", "y"],
+                                    "checkpoints": {"y": [1, 2], "1": [0]}}, "analyze", "{file}"),
+     "in.checkpoints: object '1' appears twice"),
+    (lambda c, t: file_error(c, t, {"objects": 1, "checkpoints": [0]}, "analyze", "{file}"),
+     "in.checkpoints: expected a mapping"),
     (lambda c, t: file_error(c, t, [1], "analyze", "{file}"), "{file}: expected a JSON object"),
     (lambda c, t: cli_error(c, "simulate", "--txns", "-1"), "num_txns must be non-negative"),
     (lambda c, t: file_error(c, t, [1], "simulate", "--workload", "{file}"), "in: expected an object"),
@@ -243,7 +253,9 @@ class TestFastDraws:
     (lambda c, t: file_error(c, t, {"num_objects": 2, "num_txns": 1, "ops_per_txn": [1, 2, 3]},
                              "simulate", "--workload", "{file}"),
      "in.ops_per_txn: expected [lo, hi]"),
-], ids=["object-index", "object-name", "duplicate-names", "checkpoint-key", "checkpoint-name", "scenario-not-an-object",
+], ids=["object-index", "object-name", "duplicate-names", "checkpoint-key", "checkpoint-name",
+        "key-plus", "key-space", "key-arabic-indic", "key-underscore", "key-negative",
+        "checkpoint-key-twice", "checkpoints-not-a-mapping", "scenario-not-an-object",
         "negative-txns", "workload-not-an-object", "float-overflow", "ops-not-a-pair"])
 def test_scenario_input_checks(capsys, tmp_path, case, error):
     assert case(capsys, tmp_path) == error.format(file=tmp_path / "in.json")

@@ -25,7 +25,7 @@ from txckpt.theory import (
 )
 
 from txckpt.protocol import trace_pattern
-from txckpt.scenario import WorkloadSpec
+from txckpt.scenario import WorkloadSpec, resolve_object
 from txckpt.sim import SimConfig, run_simulation
 
 from conftest import (
@@ -47,13 +47,13 @@ from conftest import (
 class TestConsistency:
     def test_fig1a_consistent_states(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        x, y, z = (fig1a.object_index(n) for n in "xyz")
+        x, y, z = (resolve_object(n, fig1a.object_names) for n in "xyz")
         for states in ({x: 0, y: 0, z: 0}, {x: 0, y: 1, z: 1}, {x: 1, y: 1, z: 1}):
             assert is_consistent_global_state(states, base)
 
     def test_fig1a_inconsistent_state(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        x, y, z = (fig1a.object_index(n) for n in "xyz")
+        x, y, z = (resolve_object(n, fig1a.object_names) for n in "xyz")
         assert not is_consistent_global_state({x: 1, y: 0, z: 1}, base)
 
     def test_all_initials_always_consistent(self, fig3):
@@ -120,6 +120,10 @@ class TestConsistency:
             assert error == f"unknown state {LocalState(obj, 0)}"
         else:
             assert error == "global state must name every object exactly once"
+        if obj == "1":  # prints apart from object 1
+            out_of_range = [raised(AnalysisError, base.happened_before, LocalState(o, 9), LocalState(0, 0))
+                            for o in (obj, 1)]
+            assert out_of_range[0] != out_of_range[1]
 
     def test_bool_version_is_an_int(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
@@ -137,7 +141,7 @@ class TestConsistency:
 
     def test_read_only_mapping_accepted(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        x, y, z = (fig1a.object_index(n) for n in "xyz")
+        x, y, z = (resolve_object(n, fig1a.object_names) for n in "xyz")
         assert is_consistent_global_state(MappingProxyType({x: 1, y: 1, z: 1}), base)
         assert not is_consistent_global_state(MappingProxyType({x: 1, y: 0, z: 1}), base)
 
@@ -182,12 +186,12 @@ class TestConsistency:
 class TestTheoremCondition:
     def test_fig3_hidden_pair_rejected(self, fig3):
         analysis = scenario_analysis(fig3)
-        u, x = fig3.object_index("u"), fig3.object_index("x")
+        u, x = resolve_object("u", fig3.object_names), resolve_object("x", fig3.object_names)
         assert not theorem_condition({u: 0, x: 1}, analysis)
 
     def test_fig3_single_member_accepted(self, fig3):
         analysis = scenario_analysis(fig3)
-        assert theorem_condition({fig3.object_index("u"): 0}, analysis)
+        assert theorem_condition({resolve_object("u", fig3.object_names): 0}, analysis)
 
     def test_initial_singleton_accepted(self, fig1a):
         analysis = scenario_analysis(fig1a)
@@ -220,7 +224,7 @@ class TestTheoremCondition:
 class TestExtension:
     def test_fig3_causal_pair_violation_carries_witness(self, fig3):
         analysis = scenario_analysis(fig3)
-        u, y = fig3.object_index("u"), fig3.object_index("y")
+        u, y = resolve_object("u", fig3.object_names), resolve_object("y", fig3.object_names)
         with pytest.raises(ConditionViolated) as exc:
             extend_to_global({u: 0, y: 1}, analysis)
         witness = exc.value.witness
@@ -232,7 +236,7 @@ class TestExtension:
         # The args are the source, target and witness; the text is built
         # when read, and a pickled copy carries all four.
         analysis = scenario_analysis(fig3)
-        u, y = fig3.object_index("u"), fig3.object_index("y")
+        u, y = resolve_object("u", fig3.object_names), resolve_object("y", fig3.object_names)
         with pytest.raises(ConditionViolated) as info:
             extend_to_global({u: 0, y: 1}, analysis)
         exc = info.value
@@ -245,7 +249,7 @@ class TestExtension:
 
     def test_fig3_extends_late_checkpoint(self, fig3):
         analysis = scenario_analysis(fig3)
-        u, z, y, x = (fig3.object_index(n) for n in "uzyx")
+        u, z, y, x = (resolve_object(n, fig3.object_names) for n in "uzyx")
         result = extend_to_global({x: 1}, analysis)
         gc = result.global_checkpoint
         assert gc.members[x].version == 2
@@ -422,12 +426,12 @@ class TestEnumeration:
 class TestRecoveryLine:
     def test_fig1a_consistent_line_with_in_transit_edges(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        x, y, z = (fig1a.object_index(n) for n in "xyz")
+        x, y, z = (resolve_object(n, fig1a.object_names) for n in "xyz")
         assert recovery_line_check({x: 0, y: 1, z: 1}, base)
 
     def test_fig1a_crossed_line(self, fig1a):
         base = ExecutionAnalysis(fig1a.execution)
-        x, y, z = (fig1a.object_index(n) for n in "xyz")
+        x, y, z = (resolve_object(n, fig1a.object_names) for n in "xyz")
         violations = recovery_line_violations({x: 1, y: 0, z: 1}, base)
         assert violations
         crossing = {(e.source, e.target) for e in violations}
