@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: analyze, check, extend, simulate, verify.  Every command prints
-one JSON report to stdout (schema_version 1, stable key order) and exits with
-0 when the queried property holds, 1 when it does not, 2 on input errors.
+Subcommands: analyze, check, extend, simulate, verify.  A command that
+parses prints one JSON report to stdout (schema_version 1, stable key order)
+and exits with 0 when the queried property holds, 1 when it does not, 2 on
+input errors.  A usage error (argparse's, or verify with no mode or two)
+prints the usage text to stderr and exits 2 with no report.
 """
 
 from __future__ import annotations

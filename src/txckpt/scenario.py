@@ -361,31 +361,32 @@ def _uniform_distinct(rng: random.Random, m: int, k: int) -> list[int]:
     running sums are then exact integers, so it picks ceil(r) - 1 (0 at r = 0)."""
     pool = list(range(m))
     draw = rng.random
-    return [pool.pop(max(ceil(draw() * len(pool)) - 1, 0)) for _ in range(min(k, m))]
+    picks = []
+    for size in range(m, m - min(k, m), -1):
+        picks.append(pool.pop((ceil(draw() * size) or 1) - 1))
+    return picks
 
 
 def workload_transactions(spec: WorkloadSpec) -> list[Transaction]:
     """Seeded access sets for the workload; ids are 0..num_txns-1."""
     rng = random.Random(spec.seed)
-    if spec.access_skew:
-        weights = [1.0 / (i + 1) ** spec.access_skew for i in range(spec.num_objects)]
+    draw = rng.random
+    m, skew, p = spec.num_objects, spec.access_skew, spec.write_probability
+    if skew:
+        weights = [1.0 / (i + 1) ** skew for i in range(m)]
     ops = randint_draws(rng, *spec.ops_per_txn)
     txns = []
     for txn_id in range(spec.num_txns):
-        k = ops()
-        if spec.access_skew:
-            objs = _weighted_distinct(rng, weights, k)
-        else:
-            objs = _uniform_distinct(rng, spec.num_objects, k)
-        reads, writes = set(), set()
+        objs = _weighted_distinct(rng, weights, ops()) if skew else _uniform_distinct(rng, m, ops())
+        reads, writes = [], []
         for obj in objs:
-            if rng.random() < spec.write_probability:
-                writes.add(obj)
-                if rng.random() < 0.5:
-                    reads.add(obj)
+            if draw() < p:
+                writes.append(obj)
+                if draw() < 0.5:
+                    reads.append(obj)
             else:
-                reads.add(obj)
-        txns.append(Transaction.make(txn_id, reads, writes))
+                reads.append(obj)
+        txns.append(Transaction(txn_id, frozenset(reads), frozenset(writes)))
     return txns
 
 

@@ -16,11 +16,17 @@ configured protocol's z.
 The loop keeps every piece of state as plain ints in per-object and
 per-transaction lists: per object its checkpoint index and version, the
 write-lock holder, the number of read locks, the FIFO queue of waiting
-transactions and the heap sequence number of its live timer (an expiry whose
+transactions and the sequence number of its live timer (an expiry whose
 entry was superseded by a forced checkpoint's re-armed timer is dropped);
 per transaction the number of locks held and the maximum index observed.
-Heap entries are (time, seq, kind, txn, obj) tuples of ints, dispatched by
-one loop.  A CheckpointRecord (a NamedTuple) is built only when a checkpoint
+Scheduled items wait in three queues, each already in (time, seq) order,
+and one loop takes the least of their heads: transaction arrivals, a list
+of times read by a cursor (scheduled first, an arrival goes first at its
+time); timers, (deadline, seq, obj) tuples; and commits and deliveries,
+(time, seq, kind, txn, obj) tuples in a heap.  Without timer jitter every
+deadline is its arming time plus the period, and arming times never
+decrease, so the timers queue is a FIFO; with jitter it is a heap of its
+own.  A CheckpointRecord (a NamedTuple) is built only when a checkpoint
 is taken.  Each logged event is one plain row (time, kind, *values) in
 Trace.events: its seq is its position there, and EVENT_KEYS names its value
 keys once per event kind.  Delays, jitter and arrival gaps come from
@@ -43,8 +49,10 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, fields
+from functools import partial
 from heapq import heappop, heappush
-from itertools import starmap, zip_longest
+from itertools import accumulate, starmap, zip_longest
+from math import inf
 from typing import Any, Iterable, Iterator, Mapping
 
 from .model import Execution, ValidatedExecution, validate_execution
@@ -221,7 +229,7 @@ def _expect_run(data: Mapping[str, Any], where: str, field: str, run: Iterable[A
             raise SimulationError(f"{where}.{field}[{i}]: differs from a re-run of trace.config and trace.workload")
 
 
-_BEGIN, _COMMIT, _DELIVERY, _TIMER = range(4)
+_BEGIN, _COMMIT, _DELIVERY = range(3)
 
 
 def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
@@ -251,42 +259,59 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
     held = [0] * n
     max_seen = [0] * n
 
-    heap: list[tuple[int, int, int, int, int]] = []  # (time, seq, kind, txn, obj)
+    # Three queues, each in (time, seq) order; the loop takes the least of
+    # their heads.  Arrivals are a list of times read by a cursor and end in
+    # a sentinel later than every event: scheduled before anything else, an
+    # arrival goes first at its time.
+    arrivals: list[float] = [*accumulate(arrival_gap() for _ in range(n)), inf]
+    arrived = 0
+    # Timers are (deadline, seq, obj).  Without jitter every deadline is its
+    # arming time plus the period; arming times never decrease and seqs
+    # increase, so a FIFO holds them in deadline order.  Jittered timers
+    # keep a heap of their own.
+    timers: Any = [] if jitter else deque()
+    push_timer = partial(heappush, timers) if jitter else timers.append
+    pop_timer = partial(heappop, timers) if jitter else timers.popleft
+    heap: list[tuple[int, int, int, int, int]] = []  # (time, seq, kind, txn, obj): commits and deliveries
     seq = 0
     events: list[tuple[Any, ...]] = []  # one (time, kind, *values) row per event
     log = [initial_record(obj) for obj in range(m)]
     commit_order: list[int] = []
     outstanding = 0
 
-    clock = 0
-    for t in range(n):
-        clock += arrival_gap()
-        heappush(heap, (clock, seq, _BEGIN, t, -1))
-        seq += 1
     for obj in range(m):
-        heappush(heap, (period + (timer_jitter() if jitter else 0), seq, _TIMER, -1, obj))
+        push_timer((period + (timer_jitter() if jitter else 0), seq, obj))
         live_timer[obj] = seq
         seq += 1
 
-    while heap:
-        now, entry_seq, kind, t, obj = heappop(heap)
-        if kind == _TIMER:
-            # A timer superseded by a forced checkpoint is dropped, and all
-            # timers stop once the work is done.
-            if entry_seq != live_timer[obj] or (len(commit_order) == n and not outstanding):
+    while True:
+        if timers and (not heap or timers[0] < heap[0]):
+            if arrivals[arrived] > timers[0][0]:
+                now, entry_seq, obj = pop_timer()
+                # A timer superseded by a forced checkpoint is dropped, and
+                # all timers stop once the work is done.
+                if entry_seq != live_timer[obj] or (len(commit_order) == n and not outstanding):
+                    continue
+                deadline = now + period + (timer_jitter() if jitter else 0)
+                # Basic checkpoints happen only while the data manager is
+                # idle: a write in flight has already observed the current
+                # index, so a new checkpoint here would not be reflected in
+                # that writer's metadata.
+                if writer[obj] < 0:
+                    index[obj] += 1
+                    log.append(CheckpointRecord(obj, index[obj], KIND_BASIC, version[obj], now))
+                    events.append((now, EV_TIMER, index[obj], obj))
+                push_timer((deadline, seq, obj))
+                live_timer[obj] = seq
+                seq += 1
                 continue
-            deadline = now + period + (timer_jitter() if jitter else 0)
-            # Basic checkpoints happen only while the data manager is idle: a
-            # write in flight has already observed the current index, so a new
-            # checkpoint here would not be reflected in that writer's metadata.
-            if writer[obj] < 0:
-                index[obj] += 1
-                log.append(CheckpointRecord(obj, index[obj], KIND_BASIC, version[obj], now))
-                events.append((now, EV_TIMER, index[obj], obj))
-            heappush(heap, (deadline, seq, _TIMER, -1, obj))
-            live_timer[obj] = seq
-            seq += 1
-            continue
+            kind = _BEGIN
+        elif heap and arrivals[arrived] > heap[0][0]:
+            now, _, kind, t, obj = heappop(heap)
+        elif arrived < n:
+            kind = _BEGIN
+        else:
+            break
         if kind == _COMMIT:
             commit_order.append(t)
             events.append((now, EV_TXN_COMMIT, max_seen[t], t))
@@ -300,6 +325,9 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
             outstanding += len(order[t])
             continue
         if kind == _BEGIN:
+            now = arrivals[arrived]
+            t = arrived
+            arrived += 1
             events.append((now, EV_TXN_BEGIN, t))
             granted = False
         else:
@@ -311,7 +339,7 @@ def run_simulation(workload: WorkloadSpec, config: SimConfig) -> Trace:
                 # The forced checkpoint saves the state before the write applies.
                 log.append(CheckpointRecord(obj, forced, KIND_FORCED, version[obj], now))
                 index[obj] = forced
-                heappush(heap, (deadline, seq, _TIMER, -1, obj))
+                push_timer((deadline, seq, obj))
                 live_timer[obj] = seq
                 seq += 1
             events.append((now, EV_COMMIT_MSG, int(apply_write), int(forced is not None), max_seen[t], obj, t))

@@ -7,6 +7,7 @@ import functools
 import heapq
 import itertools
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from txckpt.protocol import (
     initial_record,
     trace_pattern,
 )
-from txckpt.scenario import WorkloadSpec, builtin_scenario, resolve_object, workload_transactions
+from txckpt.scenario import WorkloadSpec, _weighted_distinct, builtin_scenario, randint_draws, resolve_object
 from txckpt.sim import (
     EV_COMMIT_MSG,
     EV_LOCK_ACQUIRED,
@@ -700,6 +701,35 @@ def dm_on_release(
     return _forced_step(dm, msg, z, now)
 
 
+def workload_transactions_oracle(spec: WorkloadSpec) -> list[Transaction]:
+    """scenario.workload_transactions as first written: one list
+    comprehension of uniform picks per transaction, sets of reads and writes,
+    and Transaction.make.  The library's loop must make the same draws."""
+    rng = random.Random(spec.seed)
+    if spec.access_skew:
+        weights = [1.0 / (i + 1) ** spec.access_skew for i in range(spec.num_objects)]
+    ops = randint_draws(rng, *spec.ops_per_txn)
+    txns = []
+    for txn_id in range(spec.num_txns):
+        k = ops()
+        if spec.access_skew:
+            objs = _weighted_distinct(rng, weights, k)
+        else:
+            pool = list(range(spec.num_objects))
+            objs = [pool.pop(max(math.ceil(rng.random() * len(pool)) - 1, 0))
+                    for _ in range(min(k, spec.num_objects))]
+        reads, writes = set(), set()
+        for obj in objs:
+            if rng.random() < spec.write_probability:
+                writes.add(obj)
+                if rng.random() < 0.5:
+                    reads.add(obj)
+            else:
+                reads.add(obj)
+        txns.append(Transaction.make(txn_id, reads, writes))
+    return txns
+
+
 class _Lock:
     __slots__ = ("writer", "readers", "queue")
 
@@ -728,10 +758,13 @@ class _TxnRun:
 
 
 class _SimulationOracle:
-    """The simulator as objects: a lock object per data object, a run object
+    """The simulator as objects: transactions from
+    workload_transactions_oracle, a lock object per data object, a run object
     per transaction, DataManagerState stepped through the dm_on_* steps
-    above, commit messages from tm_commit_metadata, and heap payloads
-    dispatched by event kind to one method each."""
+    above, commit messages from tm_commit_metadata, and every scheduled item
+    in one heap, its payload dispatched by event kind to one method each.
+    That heap's (time, seq) order is the one the library's three queues
+    must reproduce."""
 
     def __init__(self, workload: WorkloadSpec, config: SimConfig):
         if workload.num_objects != config.num_objects:
@@ -739,7 +772,7 @@ class _SimulationOracle:
         self.workload = workload
         self.config = config
         self.rng = random.Random(config.seed)
-        self.txns = {t.id: _TxnRun(t) for t in workload_transactions(workload)}
+        self.txns = {t.id: _TxnRun(t) for t in workload_transactions_oracle(workload)}
         self.locks = [_Lock() for _ in range(config.num_objects)]
         self.dms = [DataManagerState(obj) for obj in range(config.num_objects)]
         self.timer_gen = [0] * config.num_objects

@@ -27,7 +27,7 @@ from txckpt.scenario import (
     workload_transactions,
 )
 
-from conftest import cli_error, file_error, fig3_reconstruction_facts
+from conftest import cli_error, file_error, fig3_reconstruction_facts, workload_transactions_oracle
 
 
 class TestBuiltins:
@@ -224,6 +224,28 @@ class TestFastDraws:
             mp.setattr(scenario, "randint_draws", lambda rng, lo, hi: lambda: rng.randint(lo, hi))
             mp.setattr(scenario, "_uniform_distinct", lambda rng, m, k: _weighted_distinct(rng, [1.0] * m, k))
             assert fast == workload_transactions(spec)
+
+
+@st.composite
+def workload_specs(draw):
+    """WorkloadSpecs with and without skew, access sets up to m + 1 objects
+    (more than there are) and write probabilities 0 and 1 among others."""
+    m = draw(st.integers(1, 12))
+    lo = draw(st.integers(1, m + 1))
+    hi = draw(st.integers(lo, m + 1))
+    write_probability = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    skew = draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
+    return WorkloadSpec(m, draw(st.integers(0, 40)), (lo, hi), write_probability, skew, draw(st.integers(0, 2**32)))
+
+
+class TestGeneratorOracle:
+    """workload_transactions must give what its first form (conftest's
+    workload_transactions_oracle) gave, transaction for transaction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(workload_specs())
+    def test_workload_equals_the_oracle(self, spec):
+        assert workload_transactions(spec) == workload_transactions_oracle(spec)
 
 
 @pytest.mark.parametrize("case, error", [

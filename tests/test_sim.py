@@ -115,6 +115,31 @@ class TestSimulationOracle:
                     assert got.checkpoint_log == want.checkpoint_log, (seed, jitter, skew)
                     assert got.to_json() == want.to_json(), (seed, jitter, skew)
 
+    # 160 configurations where most items share a tick with another, so the
+    # (time, seq) order decides which goes first: arrivals against timers and
+    # messages, and timers against messages, with and without jitter.  With
+    # every range at (0, 0) a run ends at tick 0, before any timer fires; so
+    # each range is also zero alone, the other two (0, 1).
+    @pytest.mark.parametrize("zero", ["all", "message_delay_range", "work_delay_range", "arrival_gap_range"])
+    @pytest.mark.parametrize("period", [1, 2])
+    @pytest.mark.parametrize("jitter", [0, 3])
+    def test_ties_match_the_object_simulator(self, zero, period, jitter):
+        ranges = {
+            name: (0, 0) if zero in ("all", name) else (0, 1)
+            for name in ("message_delay_range", "work_delay_range", "arrival_gap_range")
+        }
+        for protocol, z in (("A", 1), ("B", 2)):
+            for seed in range(1, 6):
+                spec = WorkloadSpec(6, 60, ops_per_txn=(1, 4), write_probability=0.6, seed=seed)
+                config = SimConfig(
+                    seed=seed, num_objects=6, protocol=protocol, z_param=z,
+                    timer_period=period, timer_jitter=jitter, **ranges,
+                )
+                got, want = run_simulation(spec, config), simulation_oracle(spec, config)
+                assert got.events == want.events, (protocol, seed)
+                assert got.checkpoint_log == want.checkpoint_log, (protocol, seed)
+                assert got.to_json() == want.to_json(), (protocol, seed)
+
 
 def replay_checkpoint_log(trace):
     """The checkpoint log rebuilt from the trace's events by conftest's
