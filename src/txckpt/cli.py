@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import random
 import sys
 from dataclasses import replace
@@ -114,10 +113,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             wi * wj for i, wi in width.items() for j, wj in width.items() if base.graph.reaches(i, j)
         ),
     }
-    # Each checkpoint's interval runs up to the next one; the pattern is
-    # closed with every object's final state, which ends the last interval.
+    # Each checkpoint's interval runs up to the next one; every object's last
+    # checkpoint saves its last version, so its interval is that one state.
     intervals = {
-        names[obj]: [[s, e] for s, e in zip(vs, [v - 1 for v in vs[1:]] + [base.timeline.max_version(obj)])]
+        names[obj]: [[s, e] for s, e in zip(vs, [v - 1 for v in vs[1:]] + [vs[-1]])]
         for obj, vs in enumerate(analysis.pattern.versions)
     }
     results: dict[str, Any] = {
@@ -270,10 +269,11 @@ def _disagreements(
 
 
 def _theorem_spot_checks(analysis: CheckpointAnalysis, seed: int, bound: int, samples: int) -> dict[str, Any]:
-    # The bound is tested first: only the queries below build reach columns.
-    if math.prod(len(vs) for vs in analysis.pattern.versions) > bound:
+    # The enumerator tests the bound before any query builds a reach column.
+    try:
+        globals_ = enumerate_consistent_globals(analysis, bound=bound)
+    except OracleBoundExceeded:
         return {"checked": False, "reason": "candidate space beyond bound"}
-    globals_ = enumerate_consistent_globals(analysis, bound=bound)
     rng = random.Random(seed)
     num_objects = analysis.pattern.num_objects
     candidates = _single_members(analysis)
@@ -296,9 +296,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         with reading_json(args.trace):
             text = Path(args.trace).read_text(encoding="utf-8")
         trace = Trace.from_json(text)
-        analyses = trace_pattern(trace)
-        report = verify_protocol_guarantees(trace, analyses)
-        spot = _theorem_spot_checks(analyses[1], trace.config.seed, args.oracle_bound, args.spot_samples)
+        analysis = trace_pattern(trace)[1]
+        report = verify_protocol_guarantees(trace, analysis)
+        spot = _theorem_spot_checks(analysis, trace.config.seed, args.oracle_bound, args.spot_samples)
         ok = report.ok and spot.get("disagreements", 0) == 0
         results = {
             "protocol": report.protocol,

@@ -43,8 +43,9 @@ least of its own leaf and its children's values.  Two leaves serve:
 
 * its members' lowest landing on one destination object y gives the reach
   column toward y: per object and rank, the lowest interval of y reached.
-  Columns are stored and built per destination object, on first use, so a
-  query builds only the columns it reads; a checkpoint on a Z-cycle is one
+  Columns are stored and built per destination object, on first use, so
+  dp_reachable and min_safe_ranks build dst's object's column alone and
+  min_reachable_ranks builds them all; a checkpoint on a Z-cycle is one
   whose own column reaches its own rank;
 * the least of a caller's per-interval weights over its own landings gives
   ``min_reached``: the least weight over the intervals reached, all that
@@ -67,15 +68,16 @@ none of its checkpoints, so no row tells it from no path at all, while
 checkpoints.
 
 A Checkpoint is three ints: its object, its rank and the version it saves.
-A CheckpointAnalysis builds each Checkpoint of its closed pattern once, on
-first use, in a table with one tuple per object in rank order; queries return
+A CheckpointAnalysis builds each Checkpoint of its pattern once, on first
+use, in a table with one tuple per object in rank order; queries return
 its entries instead of new objects, and a saved version's rank is a
 bisection of the object's sorted versions, O(log k) for k checkpoints.
 Objects are 0..m-1 only: CheckpointAnalysis.checkpoint says which (object,
 rank) pairs exist, CheckpointPattern.ranks which objects, and every query
 that meets another pair or object raises their error.  Every query rejects
-an object, rank or version that is not an int, as it rejects -1 and m: the
-indexing that bounds-checks a valid pair raises TypeError on it.
+an object, rank or version that is not an int (1.0, '1' or None; a bool is
+an int), as it rejects -1 and m: the indexing that bounds-checks a valid
+pair raises TypeError on it.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class DependenceEdge(NamedTuple):
     kind is black when one transaction's write set produced both endpoints,
     dashed when the serialization order connects two distinct writers.
     via = (source transaction, target transaction).  A NamedTuple: it
-    compares equal to the plain tuple (source, target, kind, via).
+    compares equal to, orders and hashes as the tuple (source, target, kind, via).
     """
 
     source: LocalState
@@ -168,40 +170,37 @@ class PatternError(ValueError):
 
 @dataclass(frozen=True)
 class CheckpointPattern:
-    """Per object, the strictly increasing versions saved as checkpoints."""
+    """Per object, the versions saved as checkpoints, strictly increasing
+    from 0.  Ranks index these tuples, so a tuple in any other form is
+    rejected, not reordered, deduplicated or extended."""
 
     versions: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        for obj, vs in enumerate(self.versions):
+            if vs[:1] != (0,) or any(b <= a for a, b in zip(vs, vs[1:])):
+                raise PatternError(f"object {obj}: checkpoint versions {vs} are not strictly increasing from 0")
+
     @staticmethod
     def make(raw: Mapping[int, Iterable[int]], timeline: StateTimeline) -> "CheckpointPattern":
-        """Build and validate a pattern; version 0 is added for every object."""
+        """Build and validate a pattern: per object, raw's versions plus
+        version 0 and the object's last version, sorted.
+
+        Every object's current state is eventually saved.  Counting it as a
+        checkpoint is what makes the pairwise DP condition match brute-force
+        extendability on a finite execution, and it never changes DP answers
+        between the other checkpoints.
+        """
         per_obj: list[tuple[int, ...]] = []
         for obj in range(timeline.num_objects):
-            vs = sorted(set(raw.get(obj, ())) | {0})
+            last = timeline.max_version(obj)
+            vs = sorted(set(raw.get(obj, ())) | {0, last})
             if vs[0] < 0:
                 raise PatternError(f"object {obj}: negative checkpoint version")
-            if vs[-1] > timeline.max_version(obj):
-                raise PatternError(
-                    f"object {obj}: checkpoint version {vs[-1]} beyond last version "
-                    f"{timeline.max_version(obj)}"
-                )
+            if vs[-1] > last:
+                raise PatternError(f"object {obj}: checkpoint version {vs[-1]} beyond last version {last}")
             per_obj.append(tuple(vs))
         return CheckpointPattern(tuple(per_obj))
-
-    def with_final_states(self, timeline: StateTimeline) -> "CheckpointPattern":
-        """Add each object's latest version as a checkpoint if absent.
-
-        Every object's current state is eventually saved; closing the pattern
-        this way is what makes the pairwise DP condition match brute-force
-        extendability on a finite execution, and it never changes DP answers
-        between pre-existing checkpoints.
-        """
-        return CheckpointPattern(
-            tuple(
-                vs if vs[-1] == timeline.max_version(obj) else vs + (timeline.max_version(obj),)
-                for obj, vs in enumerate(self.versions)
-            )
-        )
 
     @property
     def num_objects(self) -> int:
@@ -241,25 +240,18 @@ class Checkpoint:
 class CheckpointAnalysis:
     """Dependence-path reachability for one execution and checkpoint pattern.
 
-    The supplied pattern must be as CheckpointPattern.make builds it, each
-    object's versions strictly increasing from 0; it is closed with each
-    object's final state before intervals are formed (see
-    CheckpointPattern.with_final_states), and ranks of the supplied
-    checkpoints are unchanged by the closure.
+    The pattern must end each object at its last version, as
+    CheckpointPattern.make builds it; the analysis keeps it as given.
     """
 
     def __init__(self, base: ExecutionAnalysis, pattern: CheckpointPattern):
         if pattern.num_objects != base.execution.num_objects:
             raise AnalysisError("pattern and execution disagree on object count")
-        made = CheckpointPattern.make({o: vs for o, vs in enumerate(pattern.versions)}, base.timeline)
-        # Ranks index the caller's tuples, so a pattern that make would
-        # reorder, deduplicate or extend with version 0 is rejected, not fixed.
-        for obj, (given, valid) in enumerate(zip(pattern.versions, made.versions)):
-            if given != valid:
-                raise PatternError(f"object {obj}: checkpoint versions {given} are not strictly increasing from 0")
-        self.base = base
-        self.pattern = pattern.with_final_states(base.timeline)
-        timeline, versions = base.timeline, self.pattern.versions
+        timeline, versions = base.timeline, pattern.versions
+        for obj, vs in enumerate(versions):
+            if vs[-1] != (last := timeline.max_version(obj)):
+                raise PatternError(f"object {obj}: checkpoint versions {vs} do not end at last version {last}")
+        self.base, self.pattern = base, pattern
         # Per transaction: its landings, written object -> interval of its
         # pre-version there, in object order.  Paths hop along the
         # serialization graph's conflict-chain successors.

@@ -25,7 +25,7 @@ class ExecutionError(ValueError):
 
 class LocalState(NamedTuple):
     """One version of one object: version 0 is the initial state.  A
-    NamedTuple: it compares equal to, and orders as, the tuple (obj, version)."""
+    NamedTuple: it compares equal to, orders and hashes as the tuple (obj, version)."""
 
     obj: int
     version: int

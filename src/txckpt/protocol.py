@@ -112,17 +112,16 @@ def trace_pattern(trace: "Trace") -> tuple[ExecutionAnalysis, CheckpointAnalysis
     return base, CheckpointAnalysis(base, pattern)
 
 
-def verify_protocol_guarantees(
-    trace: "Trace", analyses: tuple[ExecutionAnalysis, CheckpointAnalysis] | None = None
-) -> GuaranteeReport:
+def verify_protocol_guarantees(trace: "Trace", analysis: CheckpointAnalysis | None = None) -> GuaranteeReport:
     """Check every protocol guarantee the trace is supposed to satisfy.
 
-    analyses is trace_pattern(trace), built here when not given.
+    analysis is trace_pattern(trace)[1], built here when not given.
     """
     z = trace.config.z
     m = trace.execution.num_objects
-    base, analysis = trace_pattern(trace) if analyses is None else analyses
-    pattern = analysis.pattern
+    if analysis is None:
+        analysis = trace_pattern(trace)[1]
+    base, pattern = analysis.base, analysis.pattern
     violations: list[str] = []
 
     # One pass over the log.  Reach is a property of a checkpoint, not of the

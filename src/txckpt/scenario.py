@@ -14,8 +14,8 @@ Scenario files are JSON with integer fields only:
     }
 
 Checkpoint keys may be object names or decimal indices, one key per object;
-version 0 is implied for every object and added on load.  Unknown fields are
-rejected.
+version 0 and the object's last version are implied for every object and
+added on load (CheckpointPattern.make).  Unknown fields are rejected.
 
 Workload files describe random-workload parameters for the generator and the
 simulator: WorkloadSpec's fields, a missing one taking its default.  Its and
@@ -29,7 +29,7 @@ import json
 import random
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
-from math import ceil
+from math import ceil, inf
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -266,6 +266,8 @@ class WorkloadSpec:
             raise ScenarioError("write_probability must lie in [0, 1]")
         if not self.access_skew >= 0.0:  # also rejects NaN
             raise ScenarioError("access_skew must be non-negative")
+        if self.access_skew == inf:  # m ** inf is inf or, for one object, 1.0: no OverflowError
+            raise ScenarioError("access_skew must be finite")
         try:  # the largest power workload_transactions' skew weights take
             float(self.num_objects) ** self.access_skew
         except OverflowError:
@@ -395,8 +397,9 @@ def generate_random(
 ) -> tuple[ValidatedExecution, CheckpointPattern]:
     """Seeded random execution plus checkpoint pattern.
 
-    The pattern holds version 0 plus up to max_checkpoints_per_object - 1
-    further versions per object, sampled from the object's version range.
+    Per object, the pattern holds version 0, up to
+    max_checkpoints_per_object - 1 versions sampled from 1..last, and the
+    last version, which CheckpointPattern.make adds.
     """
     rng = random.Random(spec.seed ^ 0x5CE9A210)
     txns = workload_transactions(spec)

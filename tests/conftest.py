@@ -26,6 +26,7 @@ from txckpt.dependence import (
     CheckpointPattern,
     DependenceEdge,
     ExecutionAnalysis,
+    PatternError,
 )
 from txckpt.model import (
     Execution,
@@ -180,7 +181,7 @@ def build_intervals(pattern: CheckpointPattern, timeline) -> dict[LocalState, In
 
 @functools.lru_cache(maxsize=64)
 def state_intervals(analysis: CheckpointAnalysis) -> dict[LocalState, Interval]:
-    """build_intervals over the analysis's closed pattern."""
+    """build_intervals over the analysis's pattern."""
     return build_intervals(analysis.pattern, analysis.base.timeline)
 
 
@@ -532,6 +533,36 @@ def extension_oracle(
         min_safe[obj] = {member.obj: min_safe_rank_oracle(analysis, obj, member) for member in members}
         chosen.append(checkpoint_oracle(analysis, obj, max(min_safe[obj].values())))
     return GlobalCheckpoint(tuple(chosen)), min_safe
+
+
+def unclosed_make_oracle(raw: Mapping, timeline) -> tuple[tuple[int, ...], ...]:
+    """Per object, raw's versions plus version 0, sorted and range-checked
+    with CheckpointPattern.make's error texts, without its last version."""
+    per_obj = []
+    for obj in range(timeline.num_objects):
+        vs = sorted(set(raw.get(obj, ())) | {0})
+        if vs[0] < 0:
+            raise PatternError(f"object {obj}: negative checkpoint version")
+        if vs[-1] > timeline.max_version(obj):
+            raise PatternError(
+                f"object {obj}: checkpoint version {vs[-1]} beyond last version {timeline.max_version(obj)}"
+            )
+        per_obj.append(tuple(vs))
+    return tuple(per_obj)
+
+
+def analysed_pattern_oracle(versions, timeline) -> tuple[tuple[int, ...], ...]:
+    """The versions an analysis of the given tuples reads, by the two-form
+    path: re-make them, reject a tuple that differs from its re-made form,
+    then append each object's last version where it is missing."""
+    made = unclosed_make_oracle(dict(enumerate(versions)), timeline)
+    for obj, (given, valid) in enumerate(zip(versions, made)):
+        if given != valid:
+            raise PatternError(f"object {obj}: checkpoint versions {given} are not strictly increasing from 0")
+    return tuple(
+        vs if vs[-1] == timeline.max_version(obj) else vs + (timeline.max_version(obj),)
+        for obj, vs in enumerate(made)
+    )
 
 
 def analysis_for(execution, raw_checkpoints=None) -> CheckpointAnalysis:

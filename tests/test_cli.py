@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from txckpt import cli, sim
 from txckpt.cli import main
-from txckpt.dependence import CheckpointAnalysis, ExecutionAnalysis
+from txckpt.dependence import CheckpointAnalysis
 from txckpt.protocol import trace_pattern
 from txckpt.scenario import (
     Scenario,
@@ -371,8 +371,7 @@ class TestSimulateAndVerify:
         want = []
         for i in range(2):  # the CLI's default workload, seeded 0 and 1
             execution, pattern = generate_random(WorkloadSpec(3, 4, write_probability=0.6, seed=i))
-            closed = CheckpointAnalysis(ExecutionAnalysis(execution), pattern).pattern
-            singles = [(obj, rank) for obj, vs in enumerate(closed.versions) for rank in range(len(vs))]
+            singles = [(obj, rank) for obj, vs in enumerate(pattern.versions) for rank in range(len(vs))]
             pairs = [a + b for a, b in itertools.combinations(singles, 2) if a[0] != b[0]]
             want += [{"instance": i, "candidate": {str(c[j]): c[j + 1] for j in range(0, len(c), 2)}}
                      for c in singles + pairs]
@@ -618,11 +617,32 @@ class TestSimulateAndVerify:
         assert code == 2 and report["ok"] is False and captured.err == ""
         assert report["error"] == "num_objects ** access_skew exceeds the float range"
 
+    @pytest.mark.parametrize("objects, skew", [("4", "inf"), ("4", "1e400"), ("1", "inf")])
+    def test_infinite_skew_exits_2(self, capsys, objects, skew):
+        # 4.0 ** inf is inf and 1.0 ** inf is 1.0: neither overflows, and
+        # a trace would hold "access_skew": Infinity, which is not JSON.
+        assert cli_error(capsys, "simulate", "--objects", objects, "--skew", skew) == "access_skew must be finite"
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_infinite_skew_in_a_file_exits_2(self, capsys, tmp_path, command):
+        # 1e400 is a JSON number that parses as inf.  With one object every
+        # positive skew gives the same weights, so a trace simulated with
+        # skew 1 re-runs to the same trace under skew inf.
+        path = tmp_path / "in.json"
+        if command == "simulate":
+            path.write_text('{"num_objects": 4, "num_txns": 5, "access_skew": 1e400}')
+            args = ("simulate", "--workload", str(path))
+        else:
+            run_cli(capsys, "simulate", "--objects", "1", "--txns", "5", "--skew", "1", "--out", str(path))
+            path.write_text(path.read_text().replace('"access_skew": 1.0', '"access_skew": 1e400'))
+            args = ("verify", str(path))
+        assert cli_error(capsys, *args) == "access_skew must be finite"
+
     @pytest.mark.parametrize("slack", [-1, 0])
     def test_spot_checks_test_the_oracle_bound_before_analysing(self, capsys, tmp_path, monkeypatch, slack):
         # verify_protocol_guarantees and the spot checks share one analysis;
-        # the bound is tested on its closed pattern's sizes before any query,
-        # so a trace beyond it never builds the reach columns.
+        # the bound is tested on its pattern's sizes before any query, so a
+        # trace beyond it never builds the reach columns.
         out = tmp_path / "trace.json"
         run_cli(capsys, "simulate", "--objects", "4", "--txns", "20", "--seed", "3", "--timer", "6",
                 "--out", str(out))

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txckpt.dependence import (
     BLACK,
@@ -28,6 +29,7 @@ from txckpt.sim import SimConfig, run_simulation
 
 from conftest import (
     all_states,
+    analysed_pattern_oracle,
     analyses,
     analysis_for,
     assert_witness_chain,
@@ -49,6 +51,7 @@ from conftest import (
     scenario_analysis,
     state_intervals,
     stored_safe_rows,
+    unclosed_make_oracle,
     version_oracle,
     witness_oracle,
 )
@@ -244,12 +247,14 @@ class TestIntervals:
         assert sorted(s.version for s in members) == [0, 1, 2, 3]
 
     def test_trailing_interval_absorbs_tail(self):
+        # make adds the last version, so the last listed checkpoint's interval
+        # absorbs every state before it, and the last version is one alone.
         execution = make_execution(1, [(0, [], [0]), (1, [], [0])])
         timeline = assign_versions(execution)
         pattern = CheckpointPattern.make({0: [0]}, timeline)
+        assert pattern.versions == ((0, 2),)
         assignment = build_intervals(pattern, timeline)
-        assert {s.version for s in assignment} == {0, 1, 2}
-        assert all(iv.rank == 0 for iv in assignment.values())
+        assert {s.version: iv.rank for s, iv in assignment.items()} == {0: 0, 1: 0, 2: 1}
 
     def test_all_states_checkpointed_gives_singletons(self):
         execution = make_execution(1, [(0, [], [0]), (1, [], [0])])
@@ -281,6 +286,14 @@ def outcome(call):
         return call()
     except (AnalysisError, IndexError) as exc:
         return type(exc), str(exc)
+
+
+def pattern_outcome(call):
+    """The call's result, or the text of the PatternError it raises."""
+    try:
+        return call()
+    except PatternError as exc:
+        return str(exc)
 
 
 def assert_table_matches_oracle(analysis):
@@ -324,9 +337,10 @@ def assert_table_matches_oracle(analysis):
 
 
 class TestPatternShape:
-    """CheckpointAnalysis analyses the caller's tuples by rank, so a pattern
-    that CheckpointPattern.make would reorder, deduplicate or extend is
-    rejected rather than renormalised."""
+    """Ranks index the caller's tuples, so a tuple that is not strictly
+    increasing from 0 is rejected when the pattern is built, and a pattern
+    that does not end each object at its last version when it is analysed;
+    neither is renormalised.  The two-form path is the oracle."""
 
     @pytest.fixture
     def base(self):
@@ -339,9 +353,62 @@ class TestPatternShape:
             CheckpointAnalysis(base, CheckpointPattern((versions, (0,))))
 
     def test_make_form_accepted(self, base):
-        pattern = CheckpointPattern(((0, 1, 2), (0,)))
+        pattern = CheckpointPattern(((0, 1, 2, 3), (0, 2)))
         assert pattern == CheckpointPattern.make({0: [2, 1]}, base.timeline)
-        assert CheckpointAnalysis(base, pattern).pattern.versions == ((0, 1, 2, 3), (0, 2))
+        assert CheckpointAnalysis(base, pattern).pattern is pattern
+
+    @pytest.mark.parametrize("versions, error", [
+        (((0, 1), (0, 2)), "object 0: checkpoint versions (0, 1) do not end at last version 3"),
+        (((0, 1, 3, 4), (0, 2)), "object 0: checkpoint versions (0, 1, 3, 4) do not end at last version 3"),
+        (((0, 3), (0,)), "object 1: checkpoint versions (0,) do not end at last version 2"),
+    ])
+    def test_a_pattern_not_ending_at_the_last_version_is_rejected(self, base, versions, error):
+        assert raised(PatternError, CheckpointAnalysis, base, CheckpointPattern(versions)) == error
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_make_matches_the_two_form_oracle(self, data):
+        # Raw mappings: unsorted, repeated, with or without 0, any version up
+        # to the last and one past either end.
+        timeline = ExecutionAnalysis(data.draw(executions())).timeline
+        raw = {
+            obj: data.draw(st.lists(st.integers(-1, timeline.max_version(obj) + 1), max_size=5))
+            for obj in range(timeline.num_objects)
+            if data.draw(st.booleans())
+        }
+        expected = pattern_outcome(lambda: analysed_pattern_oracle(unclosed_make_oracle(raw, timeline), timeline))
+        assert pattern_outcome(lambda: CheckpointPattern.make(raw, timeline).versions) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_given_tuples_match_the_two_form_oracle(self, data):
+        execution = data.draw(executions())
+        base = ExecutionAnalysis(execution)
+        given_versions = []
+        for obj in range(execution.num_objects):
+            last = base.timeline.max_version(obj)
+            vs = data.draw(st.lists(st.integers(-1, last + 1), max_size=5))
+            form = data.draw(st.sampled_from(("as drawn", "sorted from 0", "in range, to the last")))
+            if form != "as drawn":
+                vs = sorted(set(vs) | {0})
+            if form == "in range, to the last":
+                vs = sorted({v for v in vs if 0 <= v < last} | {last})
+            given_versions.append(tuple(vs))
+        given_versions = tuple(given_versions)
+        expected = pattern_outcome(lambda: analysed_pattern_oracle(given_versions, base.timeline))
+        misshapen = isinstance(expected, str) and "not strictly increasing" in expected
+        try:
+            pattern = CheckpointPattern(given_versions)
+        except PatternError as exc:
+            # The oracle rejects a misshapen tuple too: with this text where
+            # its re-make passes, else by the re-make's range check.
+            assert isinstance(expected, str) and (str(exc) == expected or not misshapen)
+            return
+        assert not misshapen
+        if expected == given_versions:
+            assert CheckpointAnalysis(base, pattern).pattern is pattern
+        else:  # incomplete, or overlong: the oracle appends or its re-make rejects
+            assert "do not end at last version" in raised(PatternError, CheckpointAnalysis, base, pattern)
 
 
 class TestCheckpointTable:
